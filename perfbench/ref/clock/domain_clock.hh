@@ -1,0 +1,124 @@
+/**
+ * @file
+ * An independently clocked MCD domain.
+ *
+ * Following Section 4 of the paper, each domain clock keeps a nominal
+ * edge time that advances by the (possibly slewing) period; the visible
+ * edge is the nominal time plus a per-cycle jitter draw from N(0, 110 ps).
+ * Starting phases are randomized. The simulator interleaves domains by
+ * repeatedly advancing whichever clock has the earliest next edge, which
+ * tracks the relationship among all clock edges cycle by cycle — exactly
+ * the scheme the paper describes for accounting synchronization costs.
+ *
+ * Frequency changes follow the XScale model: the clock keeps running
+ * during a change, with the period recomputed each edge while the
+ * frequency slews toward its target at 49.1 ns/MHz. Voltage follows the
+ * linear V(f) map of the DvfsModel during the ramp.
+ */
+
+#ifndef MCD_CLOCK_DOMAIN_CLOCK_HH
+#define MCD_CLOCK_DOMAIN_CLOCK_HH
+
+#include <cstdint>
+
+#include "clock/dvfs_model.hh"
+#include "common/random.hh"
+#include "common/serial.hh"
+#include "common/types.hh"
+
+namespace mcd
+{
+
+/** One domain's clock generator. */
+class DomainClock
+{
+  public:
+    /**
+     * @param id          domain this clock drives (for reporting)
+     * @param dvfs        shared operating-point model
+     * @param start_freq  initial (quantized) frequency
+     * @param seed        jitter/phase RNG seed; same seed -> same edges
+     * @param jittered    disable to get an ideal jitter-free clock
+     */
+    DomainClock(DomainId id, const DvfsModel &dvfs, Hertz start_freq,
+                std::uint64_t seed, bool jittered = true);
+
+    DomainId id() const { return id_; }
+
+    /** Time of the next (not yet consumed) clock edge. */
+    Tick nextEdge() const { return next_edge_; }
+
+    /** Time of the most recently consumed edge. */
+    Tick lastEdge() const { return last_edge_; }
+
+    /** Number of edges consumed so far. */
+    std::uint64_t cycles() const { return cycles_; }
+
+    /**
+     * Consume the pending edge and schedule the following one. Returns
+     * the time of the consumed edge. Steps the frequency slew by one
+     * period's worth of time.
+     */
+    Tick advance();
+
+    /** Instantaneous frequency (may be mid-slew). */
+    Hertz frequency() const { return cur_freq_; }
+
+    /** The frequency the slew is heading toward. */
+    Hertz targetFrequency() const { return target_freq_; }
+
+    /** True while the frequency is still slewing toward its target. */
+    bool slewing() const { return cur_freq_ != target_freq_; }
+
+    /** Instantaneous supply voltage via the V(f) map. */
+    Volt voltage() const { return dvfs_->voltage(cur_freq_); }
+
+    /**
+     * Request a new target frequency (quantized to the grid). Takes
+     * effect gradually via the slew model; the clock never stops.
+     * Returns the quantized target actually set.
+     */
+    Hertz setTargetFrequency(Hertz freq);
+
+    /**
+     * Immediately jump to a (quantized) frequency with no slew. Used for
+     * the off-line algorithms, which request changes ahead of need so
+     * the slew completes before the interval begins (Section 5), and for
+     * tests.
+     */
+    Hertz setFrequencyImmediate(Hertz freq);
+
+    /** Count of target-frequency change requests (PLL activations). */
+    std::uint64_t frequencyChanges() const { return freq_changes_; }
+
+    /** Serialize frequency/slew/edge/RNG state (checkpointing). */
+    void saveState(std::string &out) const;
+
+    /** Inverse of saveState; false on short data. */
+    bool loadState(serial::Reader &in);
+
+  private:
+    DomainId id_;
+    const DvfsModel *dvfs_;
+    Rng rng_;
+    bool jittered_;
+
+    Hertz cur_freq_;
+    Hertz target_freq_;
+
+    Tick nominal_time_;     //!< jitter-free accumulated edge time
+    Tick next_edge_;        //!< nominal + jitter, monotonic-clamped
+    Tick last_edge_;
+    std::uint64_t cycles_ = 0;
+    std::uint64_t freq_changes_ = 0;
+
+    /** Advance the slew by `elapsed` ticks of wall time. */
+    void stepSlew(Tick elapsed);
+
+    /** Compute the jittered edge for the current nominal time. */
+    Tick jitteredEdge();
+};
+
+} // namespace mcd
+
+#endif // MCD_CLOCK_DOMAIN_CLOCK_HH

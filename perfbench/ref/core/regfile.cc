@@ -1,0 +1,147 @@
+#include "core/regfile.hh"
+
+#include "common/logging.hh"
+
+namespace mcd
+{
+
+PhysRegFile::PhysRegFile(int num_regs)
+    : regs_(static_cast<std::size_t>(num_regs))
+{
+    free_list_.reserve(static_cast<std::size_t>(num_regs));
+    for (int r = num_regs - 1; r >= 0; --r)
+        free_list_.push_back(r);
+}
+
+int
+PhysRegFile::alloc()
+{
+    if (free_list_.empty())
+        return -1;
+    int reg = free_list_.back();
+    free_list_.pop_back();
+    regs_[static_cast<std::size_t>(reg)] = Entry{};
+    return reg;
+}
+
+void
+PhysRegFile::free(int reg)
+{
+    if (reg < 0 || reg >= size())
+        mcd_panic("freeing bad physical register %d", reg);
+    free_list_.push_back(reg);
+}
+
+void
+PhysRegFile::markWritten(int reg, Tick time, DomainId producer)
+{
+    Entry &e = regs_[static_cast<std::size_t>(reg)];
+    e.written = true;
+    e.writeTime = time;
+    e.producer = producer;
+}
+
+bool
+PhysRegFile::written(int reg) const
+{
+    return regs_[static_cast<std::size_t>(reg)].written;
+}
+
+bool
+PhysRegFile::readyAt(int reg, DomainId consumer, Tick edge,
+                     const ClockSystem &clocks) const
+{
+    if (reg < 0)
+        return true; // zero register / no operand
+    const Entry &e = regs_[static_cast<std::size_t>(reg)];
+    if (!e.written)
+        return false;
+    return clocks.visible(e.producer, e.writeTime, consumer, edge);
+}
+
+void
+PhysRegFile::saveState(std::string &out) const
+{
+    serial::appendU64(out, regs_.size());
+    for (const Entry &e : regs_) {
+        serial::appendU64(out, e.written ? 1 : 0);
+        serial::appendI64(out, e.writeTime);
+        serial::appendI64(out, static_cast<int>(e.producer));
+    }
+    serial::appendU64(out, free_list_.size());
+    for (int r : free_list_)
+        serial::appendI64(out, r);
+}
+
+bool
+PhysRegFile::loadState(serial::Reader &in)
+{
+    if (in.readU64() != regs_.size())
+        return false;
+    for (Entry &e : regs_) {
+        e.written = in.readU64() != 0;
+        e.writeTime = in.readI64();
+        e.producer = static_cast<DomainId>(in.readI64());
+    }
+    std::uint64_t free_count = in.readU64();
+    if (!in.ok() || free_count > regs_.size())
+        return false;
+    free_list_.clear();
+    for (std::uint64_t i = 0; i < free_count; ++i)
+        free_list_.push_back(static_cast<int>(in.readI64()));
+    return in.ok();
+}
+
+void
+RenameMap::saveState(std::string &out) const
+{
+    for (int phys : map_)
+        serial::appendI64(out, phys);
+}
+
+bool
+RenameMap::loadState(serial::Reader &in)
+{
+    for (int &phys : map_)
+        phys = static_cast<int>(in.readI64());
+    return in.ok();
+}
+
+RenameMap::RenameMap(PhysRegFile &int_file, PhysRegFile &fp_file)
+{
+    map_[0] = -1; // zero register
+    for (int l = 1; l < NUM_INT_ARCH_REGS; ++l) {
+        int phys = int_file.alloc();
+        if (phys < 0)
+            mcd_panic("too few integer physical registers");
+        int_file.markWritten(phys, 0, DomainId::Integer);
+        map_[static_cast<std::size_t>(l)] = phys;
+    }
+    for (int l = NUM_INT_ARCH_REGS; l < NUM_ARCH_REGS; ++l) {
+        int phys = fp_file.alloc();
+        if (phys < 0)
+            mcd_panic("too few FP physical registers");
+        fp_file.markWritten(phys, 0, DomainId::FloatingPoint);
+        map_[static_cast<std::size_t>(l)] = phys;
+    }
+}
+
+int
+RenameMap::lookup(int logical) const
+{
+    if (logical <= 0)
+        return -1;
+    return map_[static_cast<std::size_t>(logical)];
+}
+
+int
+RenameMap::rename(int logical, int phys)
+{
+    if (logical <= 0)
+        mcd_panic("renaming the zero register");
+    int old = map_[static_cast<std::size_t>(logical)];
+    map_[static_cast<std::size_t>(logical)] = phys;
+    return old;
+}
+
+} // namespace mcd

@@ -1,0 +1,102 @@
+/**
+ * @file
+ * Physical register file and rename map. The MCD extension of [22]
+ * splits SimpleScalar's RUU into separate ROB / issue queue / physical
+ * register file structures; this models the last of those, including the
+ * cross-domain result visibility rule: a register written at time t by
+ * domain D is usable in domain C only at a C edge that satisfies the
+ * synchronization window against t.
+ */
+
+#ifndef MCD_CORE_REGFILE_HH
+#define MCD_CORE_REGFILE_HH
+
+#include <array>
+#include <vector>
+
+#include "common/serial.hh"
+#include "clock/clock_system.hh"
+#include "common/types.hh"
+#include "workload/micro_op.hh"
+
+namespace mcd
+{
+
+/** One physical register file (integer or floating point). */
+class PhysRegFile
+{
+  public:
+    explicit PhysRegFile(int num_regs);
+
+    /** Allocate a free register (returned pending); -1 if exhausted. */
+    int alloc();
+
+    /** Return a register to the free list. */
+    void free(int reg);
+
+    /** Record the result write at `time` by `producer`. */
+    void markWritten(int reg, Tick time, DomainId producer);
+
+    /** Has the register been written at all? */
+    bool written(int reg) const;
+
+    /**
+     * Is the register's value usable by `consumer` at `edge`, given the
+     * producing domain and the synchronization rule?
+     */
+    bool readyAt(int reg, DomainId consumer, Tick edge,
+                 const ClockSystem &clocks) const;
+
+    int freeCount() const { return static_cast<int>(free_list_.size()); }
+    int size() const { return static_cast<int>(regs_.size()); }
+
+    /** Serialize entries and free-list order (checkpointing). The
+     *  free list is a LIFO, so its order shapes future allocations
+     *  and must round-trip exactly. */
+    void saveState(std::string &out) const;
+
+    /** Inverse of saveState; false on size mismatch. */
+    bool loadState(serial::Reader &in);
+
+  private:
+    struct Entry
+    {
+        bool written = false;
+        Tick writeTime = 0;
+        DomainId producer = DomainId::Integer;
+    };
+
+    std::vector<Entry> regs_;
+    std::vector<int> free_list_;
+};
+
+/**
+ * Logical-to-physical mapping over the 64-entry logical namespace
+ * (0-31 integer, 32-63 FP). Logical register 0 is the hardwired zero
+ * register and is never renamed.
+ */
+class RenameMap
+{
+  public:
+    /** Set up identity-ish initial mappings, drawing from both files. */
+    RenameMap(PhysRegFile &int_file, PhysRegFile &fp_file);
+
+    /** Current physical register for a logical register (-1 for reg 0). */
+    int lookup(int logical) const;
+
+    /** Update the mapping; returns the previous physical register. */
+    int rename(int logical, int phys);
+
+    /** Which file a logical register lives in. */
+    static bool isFp(int logical) { return logical >= NUM_INT_ARCH_REGS; }
+
+    void saveState(std::string &out) const;
+    bool loadState(serial::Reader &in);
+
+  private:
+    std::array<int, NUM_ARCH_REGS> map_;
+};
+
+} // namespace mcd
+
+#endif // MCD_CORE_REGFILE_HH

@@ -1,0 +1,331 @@
+#include "core/sim_state.hh"
+
+#include "common/logging.hh"
+
+namespace mcd
+{
+
+namespace
+{
+
+std::uint64_t
+nextPow2(std::uint64_t n)
+{
+    std::uint64_t p = 1;
+    while (p < n)
+        p <<= 1;
+    return p;
+}
+
+void
+saveInst(std::string &out, const Inst &inst)
+{
+    serial::appendU64(out, inst.op.pc);
+    serial::appendI64(out, static_cast<int>(inst.op.cls));
+    serial::appendI64(out, inst.op.srcA);
+    serial::appendI64(out, inst.op.srcB);
+    serial::appendI64(out, inst.op.dst);
+    serial::appendU64(out, inst.op.memAddr);
+    serial::appendU64(out, inst.op.taken ? 1 : 0);
+    serial::appendU64(out, inst.op.target);
+
+    serial::appendU64(out, inst.seq);
+    serial::appendI64(out, static_cast<int>(inst.execDomain));
+    serial::appendI64(out, inst.physDst);
+    serial::appendI64(out, inst.physA);
+    serial::appendI64(out, inst.physB);
+    serial::appendI64(out, inst.oldPhysDst);
+
+    std::uint64_t flags = 0;
+    flags |= inst.enqueued ? 1ull << 0 : 0;
+    flags |= inst.issued ? 1ull << 1 : 0;
+    flags |= inst.completed ? 1ull << 2 : 0;
+    flags |= inst.committed ? 1ull << 3 : 0;
+    flags |= inst.mispredicted ? 1ull << 4 : 0;
+    flags |= inst.isLoad ? 1ull << 5 : 0;
+    flags |= inst.isStore ? 1ull << 6 : 0;
+    flags |= inst.addrKnown ? 1ull << 7 : 0;
+    flags |= inst.dataReady ? 1ull << 8 : 0;
+    flags |= inst.memIssued ? 1ull << 9 : 0;
+    flags |= inst.forwarded ? 1ull << 10 : 0;
+    flags |= inst.committedStore ? 1ull << 11 : 0;
+    flags |= inst.writeIssued ? 1ull << 12 : 0;
+    flags |= inst.lsqFreed ? 1ull << 13 : 0;
+    flags |= inst.usesMshr ? 1ull << 14 : 0;
+    serial::appendU64(out, flags);
+
+    serial::appendI64(out, inst.dispatchTime);
+    serial::appendI64(out, inst.completeTime);
+    serial::appendI64(out, inst.remainingCycles);
+    serial::appendI64(out, inst.absDoneTime);
+}
+
+void
+loadInst(serial::Reader &in, Inst &inst)
+{
+    inst.op.pc = in.readU64();
+    inst.op.cls = static_cast<OpClass>(in.readI64());
+    inst.op.srcA = static_cast<int>(in.readI64());
+    inst.op.srcB = static_cast<int>(in.readI64());
+    inst.op.dst = static_cast<int>(in.readI64());
+    inst.op.memAddr = in.readU64();
+    inst.op.taken = in.readU64() != 0;
+    inst.op.target = in.readU64();
+
+    inst.seq = in.readU64();
+    inst.execDomain = static_cast<DomainId>(in.readI64());
+    inst.physDst = static_cast<int>(in.readI64());
+    inst.physA = static_cast<int>(in.readI64());
+    inst.physB = static_cast<int>(in.readI64());
+    inst.oldPhysDst = static_cast<int>(in.readI64());
+
+    std::uint64_t flags = in.readU64();
+    inst.enqueued = (flags >> 0) & 1;
+    inst.issued = (flags >> 1) & 1;
+    inst.completed = (flags >> 2) & 1;
+    inst.committed = (flags >> 3) & 1;
+    inst.mispredicted = (flags >> 4) & 1;
+    inst.isLoad = (flags >> 5) & 1;
+    inst.isStore = (flags >> 6) & 1;
+    inst.addrKnown = (flags >> 7) & 1;
+    inst.dataReady = (flags >> 8) & 1;
+    inst.memIssued = (flags >> 9) & 1;
+    inst.forwarded = (flags >> 10) & 1;
+    inst.committedStore = (flags >> 11) & 1;
+    inst.writeIssued = (flags >> 12) & 1;
+    inst.lsqFreed = (flags >> 13) & 1;
+    inst.usesMshr = (flags >> 14) & 1;
+
+    inst.dispatchTime = in.readI64();
+    inst.completeTime = in.readI64();
+    inst.remainingCycles = static_cast<int>(in.readI64());
+    inst.absDoneTime = in.readI64();
+}
+
+void
+saveSeqList(std::string &out, const std::vector<std::uint64_t> &list)
+{
+    serial::appendU64(out, list.size());
+    for (std::uint64_t s : list)
+        serial::appendU64(out, s);
+}
+
+bool
+loadSeqList(serial::Reader &in, std::vector<std::uint64_t> &list)
+{
+    std::uint64_t n = in.readU64();
+    if (!in.ok() || n > (1u << 24))
+        return false;
+    list.resize(n);
+    for (std::uint64_t &s : list)
+        s = in.readU64();
+    return in.ok();
+}
+
+} // namespace
+
+SimState::SimState(int rob_size, int lsq_size)
+{
+    std::uint64_t capacity = nextPow2(
+        static_cast<std::uint64_t>(rob_size + lsq_size) + 8);
+    ring.resize(capacity);
+    ringMask = capacity - 1;
+    intIq.reserve(32);
+    fpIq.reserve(32);
+    lsq.reserve(static_cast<std::size_t>(lsq_size));
+    intExec.reserve(32);
+    fpExec.reserve(32);
+    lsExec.reserve(32);
+}
+
+Inst &
+SimState::allocate()
+{
+    if (liveSpan() >= ring.size())
+        grow();
+    Inst &slot = ring[nextSeq & ringMask];
+    slot = Inst{};
+    slot.seq = nextSeq++;
+    return slot;
+}
+
+void
+SimState::grow()
+{
+    std::uint64_t capacity = ring.size() * 2;
+    std::vector<Inst> next(capacity);
+    std::uint64_t mask = capacity - 1;
+    for (std::uint64_t s = windowHead; s != nextSeq; ++s)
+        next[s & mask] = ring[s & ringMask];
+    ring = std::move(next);
+    ringMask = mask;
+}
+
+void
+SimState::retireHead()
+{
+    while (windowHead != nextSeq && inst(windowHead).retired())
+        ++windowHead;
+}
+
+void
+SimState::resetIntervalAccum()
+{
+    ivOccupancySum.fill(0.0);
+    ivCycles.fill(0);
+    ivBusyCycles.fill(0);
+    ivIssued.fill(0);
+    robOccupancySum = 0.0;
+}
+
+void
+SimState::saveState(std::string &out) const
+{
+    serial::appendU64(out, windowHead);
+    serial::appendU64(out, nextSeq);
+    serial::appendU64(out, robHead);
+    for (std::uint64_t s = windowHead; s != nextSeq; ++s)
+        saveInst(out, inst(s));
+
+    saveSeqList(out, intIq);
+    saveSeqList(out, fpIq);
+    saveSeqList(out, lsq);
+    saveSeqList(out, intExec);
+    saveSeqList(out, fpExec);
+    saveSeqList(out, lsExec);
+
+    serial::appendI64(out, intDivBusy);
+    serial::appendI64(out, fpDivBusy);
+    serial::appendI64(out, mshrInUse);
+
+    serial::appendU64(out, havePendingOp ? 1 : 0);
+    serial::appendU64(out, pendingOp.pc);
+    serial::appendI64(out, static_cast<int>(pendingOp.cls));
+    serial::appendI64(out, pendingOp.srcA);
+    serial::appendI64(out, pendingOp.srcB);
+    serial::appendI64(out, pendingOp.dst);
+    serial::appendU64(out, pendingOp.memAddr);
+    serial::appendU64(out, pendingOp.taken ? 1 : 0);
+    serial::appendU64(out, pendingOp.target);
+    serial::appendU64(out, lastFetchLine);
+    serial::appendI64(out, icacheStallUntil);
+    serial::appendU64(out, stallBranchSeq);
+    serial::appendI64(out, branchResolveTime);
+    serial::appendI64(out, static_cast<int>(branchResolveDomain));
+    serial::appendI64(out, redirectPenaltyLeft);
+
+    serial::appendI64(out, now);
+    serial::appendU64(out, committed);
+    serial::appendU64(out, feCycles);
+    serial::appendU64(out, measCommittedBase);
+    serial::appendU64(out, measFeCyclesBase);
+    serial::appendI64(out, measTimeBase);
+
+    serial::appendU64(out, branches.value());
+    serial::appendU64(out, mispredicts.value());
+    serial::appendU64(out, loads.value());
+    serial::appendU64(out, stores.value());
+
+    serial::appendU64(out, intervalIndex);
+    serial::appendU64(out, intervalStartInsts);
+    serial::appendU64(out, intervalStartFeCycles);
+    serial::appendI64(out, intervalStartTime);
+    serial::appendDouble(out, intervalStartEnergy);
+    for (double x : ivOccupancySum)
+        serial::appendDouble(out, x);
+    for (std::uint64_t x : ivCycles)
+        serial::appendU64(out, x);
+    for (std::uint64_t x : ivBusyCycles)
+        serial::appendU64(out, x);
+    for (std::uint64_t x : ivIssued)
+        serial::appendU64(out, x);
+    serial::appendDouble(out, robOccupancySum);
+}
+
+bool
+SimState::loadState(serial::Reader &in)
+{
+    std::uint64_t window_head = in.readU64();
+    std::uint64_t next_seq = in.readU64();
+    std::uint64_t rob_head = in.readU64();
+    if (!in.ok() || next_seq < rob_head || rob_head < window_head ||
+        next_seq - window_head > (1u << 24))
+        return false;
+
+    std::uint64_t span = next_seq - window_head;
+    std::uint64_t capacity = ring.size();
+    while (capacity < span)
+        capacity *= 2;
+    std::vector<Inst> new_ring(capacity);
+    std::uint64_t mask = capacity - 1;
+    for (std::uint64_t s = window_head; s != next_seq; ++s) {
+        Inst &slot = new_ring[s & mask];
+        loadInst(in, slot);
+        if (slot.seq != s)
+            return false; // stream out of step with header
+    }
+    if (!in.ok())
+        return false;
+
+    if (!loadSeqList(in, intIq) || !loadSeqList(in, fpIq) ||
+        !loadSeqList(in, lsq) || !loadSeqList(in, intExec) ||
+        !loadSeqList(in, fpExec) || !loadSeqList(in, lsExec))
+        return false;
+
+    ring = std::move(new_ring);
+    ringMask = mask;
+    windowHead = window_head;
+    nextSeq = next_seq;
+    robHead = rob_head;
+
+    intDivBusy = static_cast<int>(in.readI64());
+    fpDivBusy = static_cast<int>(in.readI64());
+    mshrInUse = static_cast<int>(in.readI64());
+
+    havePendingOp = in.readU64() != 0;
+    pendingOp.pc = in.readU64();
+    pendingOp.cls = static_cast<OpClass>(in.readI64());
+    pendingOp.srcA = static_cast<int>(in.readI64());
+    pendingOp.srcB = static_cast<int>(in.readI64());
+    pendingOp.dst = static_cast<int>(in.readI64());
+    pendingOp.memAddr = in.readU64();
+    pendingOp.taken = in.readU64() != 0;
+    pendingOp.target = in.readU64();
+    lastFetchLine = in.readU64();
+    icacheStallUntil = in.readI64();
+    stallBranchSeq = in.readU64();
+    branchResolveTime = in.readI64();
+    branchResolveDomain = static_cast<DomainId>(in.readI64());
+    redirectPenaltyLeft = static_cast<int>(in.readI64());
+
+    now = in.readI64();
+    committed = in.readU64();
+    feCycles = in.readU64();
+    measCommittedBase = in.readU64();
+    measFeCyclesBase = in.readU64();
+    measTimeBase = in.readI64();
+
+    branches.set(in.readU64());
+    mispredicts.set(in.readU64());
+    loads.set(in.readU64());
+    stores.set(in.readU64());
+
+    intervalIndex = in.readU64();
+    intervalStartInsts = in.readU64();
+    intervalStartFeCycles = in.readU64();
+    intervalStartTime = in.readI64();
+    intervalStartEnergy = in.readDouble();
+    for (double &x : ivOccupancySum)
+        x = in.readDouble();
+    for (std::uint64_t &x : ivCycles)
+        x = in.readU64();
+    for (std::uint64_t &x : ivBusyCycles)
+        x = in.readU64();
+    for (std::uint64_t &x : ivIssued)
+        x = in.readU64();
+    robOccupancySum = in.readDouble();
+
+    return in.ok();
+}
+
+} // namespace mcd

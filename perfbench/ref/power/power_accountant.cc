@@ -1,0 +1,114 @@
+#include "power/power_accountant.hh"
+
+#include "common/logging.hh"
+
+namespace mcd
+{
+
+PowerAccountant::PowerAccountant(const EnergyModel &model)
+    : model_(&model)
+{
+}
+
+void
+PowerAccountant::chargeCycle(DomainId domain, Volt v,
+                             std::uint64_t count)
+{
+    if (count == 0)
+        return;
+    double scale = model_->voltageScale(v);
+    domain_base_[static_cast<std::size_t>(domainIndex(domain))] +=
+        model_->domainCycleBase(domain) * scale *
+        static_cast<double>(count);
+}
+
+void
+PowerAccountant::chargeAccess(StructureId structure, Volt v,
+                              std::uint64_t count)
+{
+    if (count == 0)
+        return;
+    double scale = model_->voltageScale(v);
+    NanoJoule e = model_->accessIncrement(structure) * scale *
+                  static_cast<double>(count);
+    structure_[static_cast<std::size_t>(structure)] += e;
+    DomainId domain = structureDomain(structure);
+    domain_access_[static_cast<std::size_t>(domainIndex(domain))] += e;
+}
+
+void
+PowerAccountant::chargeMemoryAccess(std::uint64_t count)
+{
+    external_ += model_->config().mainMemoryAccess *
+                 static_cast<double>(count);
+}
+
+NanoJoule
+PowerAccountant::chipEnergy() const
+{
+    NanoJoule total = 0.0;
+    for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
+        total += domain_access_[static_cast<std::size_t>(d)] +
+                 domain_base_[static_cast<std::size_t>(d)];
+    }
+    return total;
+}
+
+NanoJoule
+PowerAccountant::domainEnergy(DomainId domain) const
+{
+    if (domain == DomainId::External)
+        return external_;
+    auto d = static_cast<std::size_t>(domainIndex(domain));
+    return domain_access_[d] + domain_base_[d];
+}
+
+NanoJoule
+PowerAccountant::structureEnergy(StructureId structure) const
+{
+    return structure_[static_cast<std::size_t>(structure)];
+}
+
+NanoJoule
+PowerAccountant::domainBaseEnergy(DomainId domain) const
+{
+    if (domain == DomainId::External)
+        return 0.0;
+    return domain_base_[static_cast<std::size_t>(domainIndex(domain))];
+}
+
+void
+PowerAccountant::saveState(std::string &out) const
+{
+    for (NanoJoule e : domain_access_)
+        serial::appendDouble(out, e);
+    for (NanoJoule e : domain_base_)
+        serial::appendDouble(out, e);
+    for (NanoJoule e : structure_)
+        serial::appendDouble(out, e);
+    serial::appendDouble(out, external_);
+}
+
+bool
+PowerAccountant::loadState(serial::Reader &in)
+{
+    for (NanoJoule &e : domain_access_)
+        e = in.readDouble();
+    for (NanoJoule &e : domain_base_)
+        e = in.readDouble();
+    for (NanoJoule &e : structure_)
+        e = in.readDouble();
+    external_ = in.readDouble();
+    return in.ok();
+}
+
+void
+PowerAccountant::reset()
+{
+    domain_access_.fill(0.0);
+    domain_base_.fill(0.0);
+    structure_.fill(0.0);
+    external_ = 0.0;
+}
+
+} // namespace mcd
