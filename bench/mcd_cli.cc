@@ -585,8 +585,10 @@ runExperimentsCli(const std::vector<std::string> &benches,
  * nest (sim.commit includes sim.interval, and the issue/wakeup stages
  * run inside the per-cycle loop the commit timer brackets), so the
  * shares are a hierarchy, not a partition — they need not sum to 100%.
- * The store is deliberately detached: profiling a cache hit would
- * measure deserialization, not the simulator.
+ * A second table gives each clock domain's edge count and the share
+ * of those edges that were quiet (skipped by the wake memo; see
+ * core/simulator.hh). The store is deliberately detached: profiling a
+ * cache hit would measure deserialization, not the simulator.
  */
 int
 profileCli(const std::vector<std::string> &args)
@@ -627,6 +629,10 @@ profileCli(const std::vector<std::string> &args)
 
     telemetry::setProfiling(true);
     telemetry::resetPhaseHistograms();
+    for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
+        Simulator::edgeCounter(static_cast<DomainId>(d), false).reset();
+        Simulator::edgeCounter(static_cast<DomainId>(d), true).reset();
+    }
 
     ExperimentSpec spec = makeSpec(config, bench, controller);
     auto wall_start = std::chrono::steady_clock::now();
@@ -656,6 +662,26 @@ profileCli(const std::vector<std::string> &args)
                   return a.data.sum > b.data.sum;
               });
 
+    struct DomainRow
+    {
+        const char *name;
+        std::uint64_t edges;
+        std::uint64_t quiet;
+        double quietShare() const
+        {
+            return edges == 0 ? 0.0
+                              : static_cast<double>(quiet) /
+                                    static_cast<double>(edges);
+        }
+    };
+    std::vector<DomainRow> domains;
+    for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
+        auto id = static_cast<DomainId>(d);
+        domains.push_back({domainName(id),
+                           Simulator::edgeCounter(id, false).value(),
+                           Simulator::edgeCounter(id, true).value()});
+    }
+
     if (json) {
         std::string out = "{\n  \"profile\": {\n";
         out += "    \"scenario\": " + json::str(bench) + ",\n";
@@ -684,6 +710,17 @@ profileCli(const std::vector<std::string> &args)
                                  ? 0.0
                                  : static_cast<double>(row.data.sum) /
                                        static_cast<double>(wall_ns));
+            out += "}";
+        }
+        out += "\n    ],\n    \"domains\": [";
+        first = true;
+        for (const auto &row : domains) {
+            out += first ? "\n" : ",\n";
+            first = false;
+            out += "      {\"name\": " + json::str(row.name);
+            out += ", \"edges\": " + json::u64(row.edges);
+            out += ", \"quiet_edges\": " + json::u64(row.quiet);
+            out += ", \"quiet_share\": " + json::num(row.quietShare());
             out += "}";
         }
         out += "\n    ]\n  }\n}\n";
@@ -716,6 +753,15 @@ profileCli(const std::vector<std::string> &args)
              pct(share, 1)});
     }
     std::printf("%s", table.render().c_str());
+
+    TextTable edges("domain edges (quiet: no stage ran)");
+    edges.setHeader({"domain", "edges", "quiet", "quiet share"});
+    for (const auto &row : domains) {
+        edges.addRow({row.name, std::to_string(row.edges),
+                      std::to_string(row.quiet),
+                      pct(row.quietShare(), 1)});
+    }
+    std::printf("\n%s", edges.render().c_str());
     return 0;
 }
 

@@ -110,7 +110,8 @@ allBenches()
     std::vector<Bench> benches;
 
     auto simBench = [](const std::string &name, ClockMode mode,
-                       bool attack_decay) {
+                       bool attack_decay,
+                       const std::string &app = "gsm") {
         // Shared state across batches: one long-lived simulator that
         // keeps committing instructions from a wrapping workload.
         struct State
@@ -120,7 +121,7 @@ allBenches()
             std::unique_ptr<Simulator> sim;
         };
         auto state = std::make_shared<State>();
-        state->workload = BenchmarkFactory::create("gsm", 1u << 22);
+        state->workload = BenchmarkFactory::create(app, 1u << 22);
         SimConfig config;
         config.clocks.mode = mode;
         if (attack_decay) {
@@ -139,6 +140,10 @@ allBenches()
         simBench("SimulatorMcdAttackDecay", ClockMode::Mcd, true));
     benches.push_back(simBench("SimulatorSynchronous",
                                ClockMode::Synchronous, false));
+    // Memory-bound (mcf, CPI ~15): most domain edges are stalled, so
+    // this row tracks the cost of quiet edges rather than of issue.
+    benches.push_back(simBench("SimulatorMcdMemBound", ClockMode::Mcd,
+                               false, "mcf"));
 
     // Checkpoint fast-forward vs cold start. Both cases produce the
     // machine state at `WARMUP` committed instructions and then run

@@ -6,7 +6,8 @@ Usage: check_bench_regression.py <BENCH_sim.json>... [options]
 Two checks:
 
  1. Hot-loop throughput: the simulated-instructions/sec of every
-    simulator benchmark (SimulatorMcd and friends) must not drop more
+    simulator benchmark (SimulatorMcd and friends, including the
+    memory-bound SimulatorMcdMemBound) must not drop more
     than --max-drop (default 15%) below the committed baseline
     (bench/BENCH_sim_baseline.json, or --baseline).
  2. Fast-forward speedup: CheckpointResume must stay at least
@@ -33,11 +34,13 @@ import pathlib
 import sys
 
 # Benchmarks whose items/s are simulated instructions per second: the
-# hot-loop throughput the tentpole refactor is not allowed to regress.
+# hot-loop throughput that must not regress. SimulatorMcdMemBound (mcf)
+# gates the stalled-edge path, the gsm rows the issue-bound one.
 GATED = (
     "SimulatorMcd",
     "SimulatorMcdAttackDecay",
     "SimulatorSynchronous",
+    "SimulatorMcdMemBound",
 )
 
 

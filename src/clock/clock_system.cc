@@ -46,25 +46,6 @@ ClockSystem::clock(DomainId id) const
     return *clocks_[static_cast<std::size_t>(clockIndex(id))];
 }
 
-bool
-ClockSystem::sameClock(DomainId a, DomainId b) const
-{
-    if (config_.mode == ClockMode::Synchronous)
-        return true;
-    return a == b;
-}
-
-bool
-ClockSystem::visible(DomainId src, Tick write_edge,
-                     DomainId dst, Tick read_edge) const
-{
-    if (read_edge < write_edge)
-        return false;
-    if (sameClock(src, dst))
-        return true;
-    return read_edge - write_edge >= dvfs_->syncWindow();
-}
-
 void
 ClockSystem::saveState(std::string &out) const
 {

@@ -56,7 +56,24 @@ class ClockSystem
     const DomainClock &clock(DomainId id) const;
 
     /** True if the two domains are driven by the same physical clock. */
-    bool sameClock(DomainId a, DomainId b) const;
+    bool
+    sameClock(DomainId a, DomainId b) const
+    {
+        return config_.mode == ClockMode::Synchronous || a == b;
+    }
+
+    /**
+     * The earliest `dst` edge time that may latch a value written at
+     * source edge `write_edge` in domain `src`: `write_edge` itself for
+     * a same-clock pair, one synchronization window later across
+     * clocks.
+     */
+    Tick
+    visibleAt(DomainId src, Tick write_edge, DomainId dst) const
+    {
+        return sameClock(src, dst) ? write_edge
+                                   : write_edge + dvfs_->syncWindow();
+    }
 
     /**
      * Synchronization predicate: may a value written at source edge
@@ -65,8 +82,12 @@ class ClockSystem
      * read_edge >= write_edge; cross-clock pairs additionally require
      * the edges to be separated by the synchronization window.
      */
-    bool visible(DomainId src, Tick write_edge,
-                 DomainId dst, Tick read_edge) const;
+    bool
+    visible(DomainId src, Tick write_edge, DomainId dst,
+            Tick read_edge) const
+    {
+        return read_edge >= visibleAt(src, write_edge, dst);
+    }
 
     /** The synchronization window in ticks (0 when synchronous). */
     Tick syncWindow() const;

@@ -16,6 +16,8 @@ DvfsModel::DvfsModel(const DvfsConfig &config)
                   config_.numPoints);
     if (config_.freqMax <= config_.freqMin)
         mcd_fatal("DVFS frequency range is empty");
+    if (config_.syncWindowFraction < 0.0)
+        mcd_fatal("synchronization window must not be negative");
     step_ = (config_.freqMax - config_.freqMin) / (config_.numPoints - 1);
     sync_window_ = static_cast<Tick>(
         config_.syncWindowFraction * 1e12 / config_.freqMax + 0.5);

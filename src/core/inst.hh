@@ -39,8 +39,11 @@ struct Inst
     bool committed = false;
     Tick dispatchTime = 0;      //!< front-end edge of dispatch
     Tick completeTime = 0;      //!< edge the result became available
-    int remainingCycles = 0;    //!< execution countdown in domain edges
-    Tick absDoneTime = MAX_TICK; //!< absolute-time gate (memory returns)
+    /** Execution ends at the first edge of the executing domain whose
+     *  clock.cycles() reaches this (issue cycle + latency)... */
+    std::uint64_t doneCycle = 0;
+    /** ...and whose time reaches this (memory returns; 0 = no gate). */
+    Tick absDoneTime = 0;
 
     // Control flow.
     bool mispredicted = false;  //!< fetch-time prediction was wrong

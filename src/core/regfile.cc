@@ -47,18 +47,6 @@ PhysRegFile::written(int reg) const
     return regs_[static_cast<std::size_t>(reg)].written;
 }
 
-bool
-PhysRegFile::readyAt(int reg, DomainId consumer, Tick edge,
-                     const ClockSystem &clocks) const
-{
-    if (reg < 0)
-        return true; // zero register / no operand
-    const Entry &e = regs_[static_cast<std::size_t>(reg)];
-    if (!e.written)
-        return false;
-    return clocks.visible(e.producer, e.writeTime, consumer, edge);
-}
-
 void
 PhysRegFile::saveState(std::string &out) const
 {

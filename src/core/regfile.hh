@@ -41,11 +41,28 @@ class PhysRegFile
     bool written(int reg) const;
 
     /**
-     * Is the register's value usable by `consumer` at `edge`, given the
-     * producing domain and the synchronization rule?
+     * The earliest `consumer` edge time at which the register's value
+     * is usable, given the producing domain and the synchronization
+     * rule: 0 for no register (`reg < 0`), MAX_TICK while unwritten.
      */
-    bool readyAt(int reg, DomainId consumer, Tick edge,
-                 const ClockSystem &clocks) const;
+    Tick
+    readyTime(int reg, DomainId consumer, const ClockSystem &clocks) const
+    {
+        if (reg < 0)
+            return 0; // zero register / no operand
+        const Entry &e = regs_[static_cast<std::size_t>(reg)];
+        if (!e.written)
+            return MAX_TICK;
+        return clocks.visibleAt(e.producer, e.writeTime, consumer);
+    }
+
+    /** Is the register's value usable by `consumer` at `edge`? */
+    bool
+    readyAt(int reg, DomainId consumer, Tick edge,
+            const ClockSystem &clocks) const
+    {
+        return edge >= readyTime(reg, consumer, clocks);
+    }
 
     int freeCount() const { return static_cast<int>(free_list_.size()); }
     int size() const { return static_cast<int>(regs_.size()); }

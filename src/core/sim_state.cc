@@ -56,7 +56,7 @@ saveInst(std::string &out, const Inst &inst)
 
     serial::appendI64(out, inst.dispatchTime);
     serial::appendI64(out, inst.completeTime);
-    serial::appendI64(out, inst.remainingCycles);
+    serial::appendU64(out, inst.doneCycle);
     serial::appendI64(out, inst.absDoneTime);
 }
 
@@ -98,7 +98,7 @@ loadInst(serial::Reader &in, Inst &inst)
 
     inst.dispatchTime = in.readI64();
     inst.completeTime = in.readI64();
-    inst.remainingCycles = static_cast<int>(in.readI64());
+    inst.doneCycle = in.readU64();
     inst.absDoneTime = in.readI64();
 }
 
@@ -194,8 +194,8 @@ SimState::saveState(std::string &out) const
     saveSeqList(out, fpExec);
     saveSeqList(out, lsExec);
 
-    serial::appendI64(out, intDivBusy);
-    serial::appendI64(out, fpDivBusy);
+    serial::appendU64(out, intDivFreeCycle);
+    serial::appendU64(out, fpDivFreeCycle);
     serial::appendI64(out, mshrInUse);
 
     serial::appendU64(out, havePendingOp ? 1 : 0);
@@ -278,8 +278,8 @@ SimState::loadState(serial::Reader &in)
     nextSeq = next_seq;
     robHead = rob_head;
 
-    intDivBusy = static_cast<int>(in.readI64());
-    fpDivBusy = static_cast<int>(in.readI64());
+    intDivFreeCycle = in.readU64();
+    fpDivFreeCycle = in.readU64();
     mshrInUse = static_cast<int>(in.readI64());
 
     havePendingOp = in.readU64() != 0;

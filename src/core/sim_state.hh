@@ -64,9 +64,10 @@ struct SimState
     std::vector<std::uint64_t> fpExec;
     std::vector<std::uint64_t> lsExec;
 
-    // Non-pipelined unit occupancy (divide/sqrt), in remaining cycles.
-    int intDivBusy = 0;
-    int fpDivBusy = 0;
+    // Non-pipelined unit occupancy (divide/sqrt): the owning domain's
+    // clock.cycles() value from which the unit accepts a new op.
+    std::uint64_t intDivFreeCycle = 0;
+    std::uint64_t fpDivFreeCycle = 0;
 
     int mshrInUse = 0;
 

@@ -1,7 +1,8 @@
 #include "core/simulator.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
+#include <string>
 
 #include "common/logging.hh"
 #include "telemetry/profiler.hh"
@@ -15,8 +16,13 @@ namespace
 using telemetry::Phase;
 using telemetry::ScopedTimer;
 
-/** Bumped whenever the checkpoint byte layout changes. */
-constexpr std::uint64_t CHECKPOINT_FORMAT = 1;
+/** Bumped whenever the checkpoint byte layout changes (2: execution
+ *  timing as absolute cycle deadlines instead of countdowns). */
+constexpr std::uint64_t CHECKPOINT_FORMAT = 2;
+
+/** wakeCycle of a scan that found no cycle deadline. */
+constexpr std::uint64_t NO_CYCLE =
+    std::numeric_limits<std::uint64_t>::max();
 
 /** Ordered erase of one sequence number from a queue. */
 void
@@ -52,11 +58,28 @@ Simulator::Simulator(const SimConfig &config, WorkloadGenerator &workload,
       rename_(int_regs_, fp_regs_),
       state_(config.core.robSize, config.core.lsqSize)
 {
-    const char *per_op = std::getenv("MCD_POWER_PEROP");
-    power_per_op_ = per_op && *per_op && *per_op != '0';
     if (controller_)
         controller_->onStart(clocks_);
     refreshBatchVoltages();
+}
+
+Simulator::~Simulator()
+{
+    if (!telemetry::profilingEnabled())
+        return;
+    for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
+        auto id = static_cast<DomainId>(d);
+        edgeCounter(id, false).inc(edges(id));
+        edgeCounter(id, true).inc(quietEdges(id));
+    }
+}
+
+telemetry::Counter &
+Simulator::edgeCounter(DomainId domain, bool quiet)
+{
+    return telemetry::StatRegistry::instance().counter(
+        std::string(quiet ? "sim.quiet_edges." : "sim.edges.") +
+        domainName(domain));
 }
 
 Volt
@@ -162,8 +185,6 @@ void
 Simulator::chargeCycleB(DomainId domain)
 {
     ++batch_.cycles[static_cast<std::size_t>(domainIndex(domain))];
-    if (power_per_op_)
-        flushPower();
 }
 
 void
@@ -173,16 +194,12 @@ Simulator::chargeAccessB(StructureId structure, DomainId domain,
     batch_.accesses[static_cast<std::size_t>(structure)]
                    [static_cast<std::size_t>(domainIndex(domain))] +=
         count;
-    if (power_per_op_)
-        flushPower();
 }
 
 void
 Simulator::chargeMemB()
 {
     ++batch_.memAccesses;
-    if (power_per_op_)
-        flushPower();
 }
 
 // ---------------------------------------------------------------------
@@ -198,6 +215,9 @@ Simulator::run(std::uint64_t instructions)
 void
 Simulator::runTo(std::uint64_t target)
 {
+    // Callers may change the machine between runs (memory(), clocks()),
+    // which the wake memo cannot see: rescan on every domain's next edge.
+    markAllDirty();
     while (state_.committed < target)
         step();
 }
@@ -240,15 +260,22 @@ Simulator::step()
 }
 
 void
+Simulator::markAllDirty()
+{
+    for (WakeMemo &memo : wake_)
+        memo.dirty = true;
+}
+
+void
 Simulator::tickDomain(DomainId domain, Tick edge)
 {
     chargeCycleB(domain);
 
+    // Per-edge accounting runs on every edge, quiet or not.
     switch (domain) {
       case DomainId::FrontEnd:
         ++state_.feCycles;
         state_.robOccupancySum += static_cast<double>(state_.robCount());
-        frontEndTick(edge);
         break;
       case DomainId::Integer:
         state_.ivOccupancySum[CTL_INT] +=
@@ -256,7 +283,6 @@ Simulator::tickDomain(DomainId domain, Tick edge)
         ++state_.ivCycles[CTL_INT];
         if (!state_.intIq.empty() || !state_.intExec.empty())
             ++state_.ivBusyCycles[CTL_INT];
-        integerTick(edge);
         break;
       case DomainId::FloatingPoint:
         state_.ivOccupancySum[CTL_FP] +=
@@ -264,7 +290,6 @@ Simulator::tickDomain(DomainId domain, Tick edge)
         ++state_.ivCycles[CTL_FP];
         if (!state_.fpIq.empty() || !state_.fpExec.empty())
             ++state_.ivBusyCycles[CTL_FP];
-        fpTick(edge);
         break;
       case DomainId::LoadStore:
         state_.ivOccupancySum[CTL_LS] +=
@@ -272,11 +297,33 @@ Simulator::tickDomain(DomainId domain, Tick edge)
         ++state_.ivCycles[CTL_LS];
         if (!state_.lsq.empty())
             ++state_.ivBusyCycles[CTL_LS];
-        loadStoreTick(edge);
         break;
       default:
         mcd_panic("cannot tick external domain");
     }
+
+    auto di = static_cast<std::size_t>(domainIndex(domain));
+    ++edges_[di];
+    WakeMemo &memo = wake_[di];
+    std::uint64_t cycle = clocks_.clock(domain).cycles();
+    if (!memo.dirty && edge < memo.wakeTime && cycle < memo.wakeCycle) {
+        ++quiet_edges_[di];
+        return;
+    }
+
+    scan_mutated_ = false;
+    scan_wake_time_ = MAX_TICK;
+    scan_wake_cycle_ = NO_CYCLE;
+    switch (domain) {
+      case DomainId::FrontEnd:      frontEndTick(edge); break;
+      case DomainId::Integer:       integerTick(edge, cycle); break;
+      case DomainId::FloatingPoint: fpTick(edge, cycle); break;
+      default:                      loadStoreTick(edge, cycle); break;
+    }
+    if (scan_mutated_)
+        markAllDirty();
+    else
+        memo = {false, scan_wake_time_, scan_wake_cycle_};
 }
 
 // ---------------------------------------------------------------------
@@ -306,10 +353,14 @@ Simulator::commitStage(Tick edge)
         Inst &head = state_.inst(state_.robHead);
         if (!head.completed)
             break;
-        if (!clocks_.visible(head.execDomain, head.completeTime,
-                             DomainId::FrontEnd, edge))
+        Tick visible_at = clocks_.visibleAt(
+            head.execDomain, head.completeTime, DomainId::FrontEnd);
+        if (edge < visible_at) {
+            wakeAt(visible_at);
             break;
+        }
 
+        mutated();
         head.committed = true;
         chargeAccessB(StructureId::Rob, DomainId::FrontEnd);
 
@@ -426,10 +477,17 @@ Simulator::fetchAndDispatch(Tick edge)
     if (state_.stallBranchSeq != NO_SEQ) {
         if (state_.branchResolveTime == MAX_TICK)
             return; // branch still executing
-        if (!clocks_.visible(state_.branchResolveDomain,
-                             state_.branchResolveTime,
-                             DomainId::FrontEnd, edge))
-            return; // redirect has not crossed into the front end yet
+        Tick redirect_at = clocks_.visibleAt(state_.branchResolveDomain,
+                                             state_.branchResolveTime,
+                                             DomainId::FrontEnd);
+        if (edge < redirect_at) {
+            // The redirect has not crossed into the front end yet.
+            wakeAt(redirect_at);
+            return;
+        }
+        // A redirect cycle charges the I-cache, so it counts as a
+        // state change like the end of the stall.
+        mutated();
         if (state_.redirectPenaltyLeft > 0) {
             --state_.redirectPenaltyLeft;
             // Wrong-path fetch shadow: the fetch engine keeps running.
@@ -440,24 +498,28 @@ Simulator::fetchAndDispatch(Tick edge)
         state_.branchResolveTime = MAX_TICK;
     }
 
-    if (state_.icacheStallUntil > edge)
+    if (state_.icacheStallUntil > edge) {
+        wakeAt(state_.icacheStallUntil);
         return;
+    }
 
     bool accessed_line = false;
     for (int budget = c.decodeWidth; budget > 0; --budget) {
         if (!state_.havePendingOp) {
             state_.pendingOp = workload_->next();
             state_.havePendingOp = true;
+            mutated();
         }
         const MicroOp &op = state_.pendingOp;
         if (!resourcesAvailable(op))
-            break;
+            break; // released only by another stage's state change
 
         std::uint64_t line = lineOf(op.pc);
         if (line != state_.lastFetchLine) {
             if (accessed_line)
                 break; // one I-cache line per fetch cycle
             accessed_line = true;
+            mutated();
             chargeAccessB(StructureId::Icache, DomainId::FrontEnd);
             MemAccessOutcome outcome = memory_.accessInst(op.pc);
             state_.lastFetchLine = line;
@@ -480,6 +542,7 @@ Simulator::fetchAndDispatch(Tick edge)
 
         if (!dispatchOne(op, edge))
             break;
+        mutated();
         state_.havePendingOp = false;
 
         const Inst &inst = state_.inst(state_.nextSeq - 1);
@@ -558,23 +621,37 @@ Simulator::dispatchOne(const MicroOp &op, Tick edge)
 // Execution domains
 // ---------------------------------------------------------------------
 
-bool
-Simulator::regReady(int logical, int phys, DomainId domain,
-                    Tick edge) const
+Tick
+Simulator::regReadyTime(int logical, int phys, DomainId domain) const
 {
     if (logical <= 0)
-        return true;
+        return 0;
     const PhysRegFile &file =
         RenameMap::isFp(logical) ? fp_regs_ : int_regs_;
-    return file.readyAt(phys, domain, edge, clocks_);
+    return file.readyTime(phys, domain, clocks_);
 }
 
-bool
-Simulator::operandsReady(const Inst &inst, DomainId domain,
-                         Tick edge) const
+Tick
+Simulator::operandsReadyTime(const Inst &inst, DomainId domain) const
 {
-    return regReady(inst.op.srcA, inst.physA, domain, edge) &&
-           regReady(inst.op.srcB, inst.physB, domain, edge);
+    return std::max(regReadyTime(inst.op.srcA, inst.physA, domain),
+                    regReadyTime(inst.op.srcB, inst.physB, domain));
+}
+
+void
+Simulator::latchEnqueue(Inst &inst, DomainId domain, Tick edge)
+{
+    // Queue-write latency: the entry is latched into the issue queue
+    // on the first domain edge that satisfies the sync rule and
+    // becomes issue-eligible the following edge.
+    Tick latch_at =
+        clocks_.visibleAt(DomainId::FrontEnd, inst.dispatchTime, domain);
+    if (edge < latch_at) {
+        wakeAt(latch_at);
+        return;
+    }
+    inst.enqueued = true;
+    mutated();
 }
 
 void
@@ -603,75 +680,76 @@ Simulator::completeInst(Inst &inst, DomainId domain, Tick edge)
 
 void
 Simulator::processCompletions(std::vector<std::uint64_t> &exec_list,
-                              DomainId domain, Tick edge)
+                              DomainId domain, Tick edge,
+                              std::uint64_t cycle)
 {
     ScopedTimer timer(Phase::SimWakeup);
     for (std::size_t i = 0; i < exec_list.size();) {
         Inst &inst = state_.inst(exec_list[i]);
-        if (inst.remainingCycles > 0)
-            --inst.remainingCycles;
-        if (inst.remainingCycles == 0 &&
-            (inst.absDoneTime == MAX_TICK || edge >= inst.absDoneTime)) {
-            if (inst.isStore && inst.writeIssued) {
-                // A committed store write finishing: free the LSQ slot.
-                inst.lsqFreed = true;
-                if (inst.usesMshr) {
-                    --state_.mshrInUse;
-                    inst.usesMshr = false;
-                }
-                eraseSeq(state_.lsq, inst.seq);
-            } else {
-                completeInst(inst, domain, edge);
-            }
-            exec_list[i] = exec_list.back();
-            exec_list.pop_back();
-        } else {
+        // Wake on the cycle deadline first; once it has passed, on the
+        // memory return time.
+        if (cycle < inst.doneCycle) {
+            wakeAtCycle(inst.doneCycle);
             ++i;
+            continue;
         }
+        if (edge < inst.absDoneTime) {
+            wakeAt(inst.absDoneTime);
+            ++i;
+            continue;
+        }
+        mutated();
+        if (inst.isStore && inst.writeIssued) {
+            // A committed store write finishing: free the LSQ slot.
+            inst.lsqFreed = true;
+            if (inst.usesMshr) {
+                --state_.mshrInUse;
+                inst.usesMshr = false;
+            }
+            eraseSeq(state_.lsq, inst.seq);
+        } else {
+            completeInst(inst, domain, edge);
+        }
+        exec_list[i] = exec_list.back();
+        exec_list.pop_back();
     }
 }
 
 void
-Simulator::integerTick(Tick edge)
+Simulator::integerTick(Tick edge, std::uint64_t cycle)
 {
-    if (state_.intDivBusy > 0)
-        --state_.intDivBusy;
-    processCompletions(state_.intExec, DomainId::Integer, edge);
-    issueInteger(edge);
+    processCompletions(state_.intExec, DomainId::Integer, edge, cycle);
+    issueInteger(edge, cycle);
 }
 
 void
-Simulator::fpTick(Tick edge)
+Simulator::fpTick(Tick edge, std::uint64_t cycle)
 {
-    if (state_.fpDivBusy > 0)
-        --state_.fpDivBusy;
-    processCompletions(state_.fpExec, DomainId::FloatingPoint, edge);
-    issueFp(edge);
+    processCompletions(state_.fpExec, DomainId::FloatingPoint, edge,
+                       cycle);
+    issueFp(edge, cycle);
 }
 
 void
-Simulator::issueInteger(Tick edge)
+Simulator::issueInteger(Tick edge, std::uint64_t cycle)
 {
     ScopedTimer timer(Phase::SimIssueInt);
     const CoreConfig &c = config_.core;
     std::vector<std::uint64_t> &q = state_.intIq;
     int budget = c.intIssueWidth;
     int alu_slots = c.intAluCount;
-    int mult_slots = state_.intDivBusy == 0 ? 1 : 0;
+    int mult_slots = cycle >= state_.intDivFreeCycle ? 1 : 0;
 
     for (std::size_t i = 0; i < q.size() && budget > 0;) {
         Inst &inst = state_.inst(q[i]);
-        // Queue-write latency: the entry is latched into the issue
-        // queue on the first domain edge that satisfies the sync rule
-        // and becomes issue-eligible the following edge.
         if (!inst.enqueued) {
-            if (clocks_.visible(DomainId::FrontEnd, inst.dispatchTime,
-                                DomainId::Integer, edge))
-                inst.enqueued = true;
+            latchEnqueue(inst, DomainId::Integer, edge);
             ++i;
             continue;
         }
-        if (!operandsReady(inst, DomainId::Integer, edge)) {
+        Tick ready_at = operandsReadyTime(inst, DomainId::Integer);
+        if (edge < ready_at) {
+            wakeAt(ready_at);
             ++i;
             continue;
         }
@@ -679,6 +757,7 @@ Simulator::issueInteger(Tick edge)
         OpClass cls = inst.op.cls;
         if (cls == OpClass::IntMult) {
             if (mult_slots == 0) {
+                wakeAtCycle(state_.intDivFreeCycle);
                 ++i;
                 continue;
             }
@@ -686,11 +765,13 @@ Simulator::issueInteger(Tick edge)
             chargeAccessB(StructureId::IntMult, DomainId::Integer);
         } else if (cls == OpClass::IntDiv) {
             if (mult_slots == 0) {
+                wakeAtCycle(state_.intDivFreeCycle);
                 ++i;
                 continue;
             }
             mult_slots = 0;
-            state_.intDivBusy = c.intDivLatency;
+            state_.intDivFreeCycle =
+                cycle + static_cast<std::uint64_t>(c.intDivLatency);
             chargeAccessB(StructureId::IntMult, DomainId::Integer);
         } else {
             if (alu_slots == 0) {
@@ -701,8 +782,10 @@ Simulator::issueInteger(Tick edge)
             chargeAccessB(StructureId::IntAlu, DomainId::Integer);
         }
 
+        mutated();
         inst.issued = true;
-        inst.remainingCycles = execLatency(cls);
+        inst.doneCycle =
+            cycle + static_cast<std::uint64_t>(execLatency(cls));
         state_.intExec.push_back(inst.seq);
         chargeAccessB(StructureId::IntIssueQueue, DomainId::Integer);
         int reads = (inst.op.srcA > 0 ? 1 : 0) +
@@ -716,25 +799,25 @@ Simulator::issueInteger(Tick edge)
 }
 
 void
-Simulator::issueFp(Tick edge)
+Simulator::issueFp(Tick edge, std::uint64_t cycle)
 {
     ScopedTimer timer(Phase::SimIssueFp);
     const CoreConfig &c = config_.core;
     std::vector<std::uint64_t> &q = state_.fpIq;
     int budget = c.fpIssueWidth;
     int alu_slots = c.fpAluCount;
-    int mult_slots = state_.fpDivBusy == 0 ? 1 : 0;
+    int mult_slots = cycle >= state_.fpDivFreeCycle ? 1 : 0;
 
     for (std::size_t i = 0; i < q.size() && budget > 0;) {
         Inst &inst = state_.inst(q[i]);
         if (!inst.enqueued) {
-            if (clocks_.visible(DomainId::FrontEnd, inst.dispatchTime,
-                                DomainId::FloatingPoint, edge))
-                inst.enqueued = true;
+            latchEnqueue(inst, DomainId::FloatingPoint, edge);
             ++i;
             continue;
         }
-        if (!operandsReady(inst, DomainId::FloatingPoint, edge)) {
+        Tick ready_at = operandsReadyTime(inst, DomainId::FloatingPoint);
+        if (edge < ready_at) {
+            wakeAt(ready_at);
             ++i;
             continue;
         }
@@ -742,6 +825,7 @@ Simulator::issueFp(Tick edge)
         OpClass cls = inst.op.cls;
         if (cls == OpClass::FpMult) {
             if (mult_slots == 0) {
+                wakeAtCycle(state_.fpDivFreeCycle);
                 ++i;
                 continue;
             }
@@ -749,12 +833,14 @@ Simulator::issueFp(Tick edge)
             chargeAccessB(StructureId::FpMult, DomainId::FloatingPoint);
         } else if (cls == OpClass::FpDiv || cls == OpClass::FpSqrt) {
             if (mult_slots == 0) {
+                wakeAtCycle(state_.fpDivFreeCycle);
                 ++i;
                 continue;
             }
             mult_slots = 0;
-            state_.fpDivBusy = cls == OpClass::FpDiv ? c.fpDivLatency
-                                                     : c.fpSqrtLatency;
+            state_.fpDivFreeCycle = cycle + static_cast<std::uint64_t>(
+                cls == OpClass::FpDiv ? c.fpDivLatency
+                                      : c.fpSqrtLatency);
             chargeAccessB(StructureId::FpMult, DomainId::FloatingPoint);
         } else {
             if (alu_slots == 0) {
@@ -765,8 +851,10 @@ Simulator::issueFp(Tick edge)
             chargeAccessB(StructureId::FpAlu, DomainId::FloatingPoint);
         }
 
+        mutated();
         inst.issued = true;
-        inst.remainingCycles = execLatency(cls);
+        inst.doneCycle =
+            cycle + static_cast<std::uint64_t>(execLatency(cls));
         state_.fpExec.push_back(inst.seq);
         chargeAccessB(StructureId::FpIssueQueue,
                       DomainId::FloatingPoint);
@@ -807,9 +895,11 @@ Simulator::olderStoreBlocks(const Inst &load, const Inst *&forward) const
 }
 
 void
-Simulator::startDataAccess(Inst &inst, Tick edge, bool is_write)
+Simulator::startDataAccess(Inst &inst, Tick edge, std::uint64_t cycle,
+                           bool is_write)
 {
     const CoreConfig &c = config_.core;
+    mutated();
 
     MemAccessOutcome outcome =
         memory_.accessData(inst.op.memAddr, is_write);
@@ -818,7 +908,7 @@ Simulator::startDataAccess(Inst &inst, Tick edge, bool is_write)
                   static_cast<std::uint64_t>(outcome.l2Accesses));
 
     int cycles = c.memory.l1Latency;
-    Tick abs_done = MAX_TICK;
+    Tick abs_done = 0;
     if (outcome.level != MemLevel::L1) {
         cycles += c.memory.l2Latency;
         ++state_.mshrInUse;
@@ -838,7 +928,7 @@ Simulator::startDataAccess(Inst &inst, Tick edge, bool is_write)
     }
 
     inst.issued = true;
-    inst.remainingCycles = cycles;
+    inst.doneCycle = cycle + static_cast<std::uint64_t>(cycles);
     inst.absDoneTime = abs_done;
     if (is_write)
         inst.writeIssued = true;
@@ -848,7 +938,7 @@ Simulator::startDataAccess(Inst &inst, Tick edge, bool is_write)
 }
 
 void
-Simulator::issueLoadStore(Tick edge)
+Simulator::issueLoadStore(Tick edge, std::uint64_t cycle)
 {
     ScopedTimer timer(Phase::SimIssueLs);
     const CoreConfig &c = config_.core;
@@ -858,25 +948,35 @@ Simulator::issueLoadStore(Tick edge)
          i < state_.lsq.size() && budget > 0; ++i) {
         Inst &inst = state_.inst(state_.lsq[i]);
         if (!inst.enqueued) {
-            if (clocks_.visible(DomainId::FrontEnd, inst.dispatchTime,
-                                DomainId::LoadStore, edge))
-                inst.enqueued = true;
+            latchEnqueue(inst, DomainId::LoadStore, edge);
             continue;
         }
 
         if (inst.isStore) {
-            if (!inst.addrKnown &&
-                regReady(inst.op.srcA, inst.physA, DomainId::LoadStore,
-                         edge)) {
-                inst.addrKnown = true; // AGU operation
-                chargeAccessB(StructureId::Lsq, DomainId::LoadStore);
-                --budget;
+            if (!inst.addrKnown) {
+                Tick addr_at = regReadyTime(inst.op.srcA, inst.physA,
+                                            DomainId::LoadStore);
+                if (edge >= addr_at) {
+                    mutated();
+                    inst.addrKnown = true; // AGU operation
+                    chargeAccessB(StructureId::Lsq, DomainId::LoadStore);
+                    --budget;
+                } else {
+                    wakeAt(addr_at);
+                }
             }
-            if (!inst.dataReady &&
-                regReady(inst.op.srcB, inst.physB, DomainId::LoadStore,
-                         edge))
-                inst.dataReady = true;
+            if (!inst.dataReady) {
+                Tick data_at = regReadyTime(inst.op.srcB, inst.physB,
+                                            DomainId::LoadStore);
+                if (edge >= data_at) {
+                    mutated();
+                    inst.dataReady = true;
+                } else {
+                    wakeAt(data_at);
+                }
+            }
             if (inst.addrKnown && inst.dataReady && !inst.completed) {
+                mutated();
                 inst.completed = true;
                 inst.completeTime = edge;
                 inst.execDomain = DomainId::LoadStore;
@@ -887,18 +987,24 @@ Simulator::issueLoadStore(Tick edge)
 
         if (!inst.isLoad || inst.memIssued)
             continue;
-        if (!regReady(inst.op.srcA, inst.physA, DomainId::LoadStore,
-                      edge))
+        Tick addr_at =
+            regReadyTime(inst.op.srcA, inst.physA, DomainId::LoadStore);
+        if (edge < addr_at) {
+            wakeAt(addr_at);
             continue;
+        }
 
+        // Blocks from here on (an older store, no free MSHR) are
+        // released only by another scan's state change.
         const Inst *forward = nullptr;
         if (olderStoreBlocks(inst, forward))
             continue;
 
         if (forward) {
+            mutated();
             inst.memIssued = true;
             inst.forwarded = true;
-            inst.remainingCycles = 1;
+            inst.doneCycle = cycle + 1;
             state_.lsExec.push_back(inst.seq);
             chargeAccessB(StructureId::Lsq, DomainId::LoadStore);
             ++state_.ivIssued[CTL_LS];
@@ -910,7 +1016,7 @@ Simulator::issueLoadStore(Tick edge)
         if (!hit && state_.mshrInUse >= c.mshrCount)
             continue; // no MSHR free; retry next cycle
         chargeAccessB(StructureId::Lsq, DomainId::LoadStore);
-        startDataAccess(inst, edge, false);
+        startDataAccess(inst, edge, cycle, false);
         ++state_.ivIssued[CTL_LS];
         --budget;
     }
@@ -925,16 +1031,16 @@ Simulator::issueLoadStore(Tick edge)
         if (!hit && state_.mshrInUse >= c.mshrCount)
             break; // stores drain in order
         chargeAccessB(StructureId::Lsq, DomainId::LoadStore);
-        startDataAccess(inst, edge, true);
+        startDataAccess(inst, edge, cycle, true);
         --budget;
     }
 }
 
 void
-Simulator::loadStoreTick(Tick edge)
+Simulator::loadStoreTick(Tick edge, std::uint64_t cycle)
 {
-    processCompletions(state_.lsExec, DomainId::LoadStore, edge);
-    issueLoadStore(edge);
+    processCompletions(state_.lsExec, DomainId::LoadStore, edge, cycle);
+    issueLoadStore(edge, cycle);
     state_.retireHead();
 }
 
@@ -1038,9 +1144,12 @@ Simulator::restoreCheckpoint(serial::Reader &in)
     batch_.memAccesses = in.readU64();
     if (!workload_->loadState(in))
         return false;
-    // Voltage caches are derived state: recompute from the restored
-    // clocks (cur_freq round-trips bit-exactly, so these match too).
+    // Voltage caches and the wake memo are derived state: recompute
+    // the former from the restored clocks (cur_freq round-trips
+    // bit-exactly, so these match too) and rescan on every domain's
+    // next edge.
     refreshBatchVoltages();
+    markAllDirty();
     return in.ok();
 }
 

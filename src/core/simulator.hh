@@ -29,17 +29,40 @@
  * behavior-free, the commit stage never caps commits at a run target —
  * a run may overshoot its target by up to retireWidth-1 instructions.
  *
+ * Execution timing is kept as absolute deadlines, never as per-edge
+ * countdowns: an executing instruction finishes at the first edge of
+ * its domain whose `clock.cycles()` reaches `Inst::doneCycle` (issue
+ * cycle + latency) and whose time reaches `Inst::absDoneTime` (memory
+ * returns); a busy divide unit frees at `SimState::{int,fp}DivFreeCycle`.
+ * So an edge on which nothing happens owes no bookkeeping to any
+ * in-flight instruction.
+ *
+ * That is what lets the loop skip quiescent edges. After a domain's
+ * stages scan the machine and change nothing, the outcome of the next
+ * scan depends only on time, and only through thresholds the scan can
+ * name: the earliest edge time at which a blocked entry becomes
+ * visible (queue latch, operand, commit, redirect, I-cache refill) and
+ * the earliest cycle deadline. The per-domain wake memo records them.
+ * Until that time or cycle, or until some domain changes machine state
+ * (which marks every domain dirty), the domain's edges are *quiet*:
+ * they draw their clock edge (and jitter sample), charge cycle energy
+ * and update the per-edge occupancy accumulators, but run no stage.
+ * Blocks on a resource (full ROB/queue/LSQ, MSHRs, an older store, no
+ * free register) need no wake time: only another domain's state change
+ * can release them. The memo is derived state, never serialized;
+ * skipping is exact, so results are byte-identical to scanning every
+ * edge. `quietEdges()` reports how many edges were skipped.
+ *
  * Energy accounting is batched: per-edge cycle charges and per-access
  * structure charges accumulate in integer counters and are applied to
  * the PowerAccountant only when a domain voltage changes, at interval
- * boundaries, at measurement resets, and when stats are read. Setting
- * MCD_POWER_PEROP=1 in the environment flushes after every charge,
- * reproducing the old per-op accounting order (for equivalence tests).
+ * boundaries, at measurement resets, and when stats are read.
  */
 
 #ifndef MCD_CORE_SIMULATOR_HH
 #define MCD_CORE_SIMULATOR_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -61,6 +84,11 @@
 
 namespace mcd
 {
+
+namespace telemetry
+{
+class Counter;
+}
 
 /** Everything needed to instantiate one simulated machine. */
 struct SimConfig
@@ -101,6 +129,10 @@ class Simulator
      */
     Simulator(const SimConfig &config, WorkloadGenerator &workload,
               FrequencyController *controller = nullptr);
+    ~Simulator();
+
+    Simulator(const Simulator &) = delete;
+    Simulator &operator=(const Simulator &) = delete;
 
     /**
      * Run until at least `instructions` more have committed. The run may
@@ -160,6 +192,28 @@ class Simulator
      *  instance (checkpoint artifacts re-simulate on failure). */
     bool restoreCheckpoint(serial::Reader &in);
 
+    /**
+     * Domain edges this instance has stepped, and how many of them were
+     * quiet (no stage ran; see the file comment). Diagnostics only: not
+     * part of SimStats, artifacts, checkpoints or dumpStats. When the
+     * profiler is on, the destructor adds both into edgeCounter().
+     */
+    std::uint64_t
+    edges(DomainId domain) const
+    {
+        return edges_[static_cast<std::size_t>(domainIndex(domain))];
+    }
+    std::uint64_t
+    quietEdges(DomainId domain) const
+    {
+        return quiet_edges_[static_cast<std::size_t>(
+            domainIndex(domain))];
+    }
+
+    /** The StatRegistry counter `sim.edges.<domain>`, or with `quiet`
+     *  `sim.quiet_edges.<domain>`, that profiled simulators add into. */
+    static telemetry::Counter &edgeCounter(DomainId domain, bool quiet);
+
     ClockSystem &clocks() { return clocks_; }
     const PowerAccountant &power() const { return power_; }
     MemoryHierarchy &memory() { return memory_; }
@@ -204,7 +258,28 @@ class Simulator
         std::uint64_t memAccesses = 0;
     };
     mutable PowerBatch batch_;
-    bool power_per_op_ = false; //!< MCD_POWER_PEROP: flush every charge
+
+    /**
+     * Per-domain wake memo (see the file comment). A clean domain's
+     * edge is quiet while `edge < wakeTime` and its clock's cycles()
+     * is below `wakeCycle`.
+     */
+    struct WakeMemo
+    {
+        bool dirty = true;
+        Tick wakeTime = 0;
+        std::uint64_t wakeCycle = 0;
+    };
+    std::array<WakeMemo, NUM_CLOCKED_DOMAINS> wake_{};
+
+    // The scan in progress: did it change machine state, and if not,
+    // from when could a later scan?
+    bool scan_mutated_ = false;
+    Tick scan_wake_time_ = MAX_TICK;
+    std::uint64_t scan_wake_cycle_ = 0;
+
+    std::array<std::uint64_t, NUM_CLOCKED_DOMAINS> edges_{};
+    std::array<std::uint64_t, NUM_CLOCKED_DOMAINS> quiet_edges_{};
 
     std::function<void(const IntervalStats &)> interval_observer_;
 
@@ -221,11 +296,25 @@ class Simulator
     void step();
     void tickDomain(DomainId domain, Tick edge);
 
-    // --- per-domain stages ---
+    // --- wake memo: called by the stages during a scan ---
+    void mutated() { scan_mutated_ = true; }
+    void
+    wakeAt(Tick time)
+    {
+        scan_wake_time_ = std::min(scan_wake_time_, time);
+    }
+    void
+    wakeAtCycle(std::uint64_t cycle)
+    {
+        scan_wake_cycle_ = std::min(scan_wake_cycle_, cycle);
+    }
+    void markAllDirty();
+
+    // --- per-domain stages (`cycle` is the domain clock's cycles()) ---
     void frontEndTick(Tick edge);
-    void integerTick(Tick edge);
-    void fpTick(Tick edge);
-    void loadStoreTick(Tick edge);
+    void integerTick(Tick edge, std::uint64_t cycle);
+    void fpTick(Tick edge, std::uint64_t cycle);
+    void loadStoreTick(Tick edge, std::uint64_t cycle);
 
     // Front-end helpers.
     void commitStage(Tick edge);
@@ -236,20 +325,21 @@ class Simulator
 
     // Execution helpers.
     void processCompletions(std::vector<std::uint64_t> &exec_list,
-                            DomainId domain, Tick edge);
+                            DomainId domain, Tick edge,
+                            std::uint64_t cycle);
     void completeInst(Inst &inst, DomainId domain, Tick edge);
-    void issueInteger(Tick edge);
-    void issueFp(Tick edge);
-    void issueLoadStore(Tick edge);
-    bool operandsReady(const Inst &inst, DomainId domain,
-                       Tick edge) const;
-    bool regReady(int logical, int phys, DomainId domain,
-                  Tick edge) const;
+    void issueInteger(Tick edge, std::uint64_t cycle);
+    void issueFp(Tick edge, std::uint64_t cycle);
+    void issueLoadStore(Tick edge, std::uint64_t cycle);
+    void latchEnqueue(Inst &inst, DomainId domain, Tick edge);
+    Tick operandsReadyTime(const Inst &inst, DomainId domain) const;
+    Tick regReadyTime(int logical, int phys, DomainId domain) const;
     int execLatency(OpClass cls) const;
 
     // Load/store helpers.
     bool olderStoreBlocks(const Inst &load, const Inst *&forward) const;
-    void startDataAccess(Inst &inst, Tick edge, bool is_write);
+    void startDataAccess(Inst &inst, Tick edge, std::uint64_t cycle,
+                         bool is_write);
 
     Volt voltage(DomainId domain) const;
     std::uint64_t lineOf(std::uint64_t addr) const;

@@ -57,7 +57,8 @@ struct SimCheckpoint
 template <> struct ArtifactTraits<SimCheckpoint>
 {
     static constexpr const char *name = "sim_checkpoint";
-    static constexpr std::uint64_t version = 1;
+    /** 2: execution timing stored as absolute cycle deadlines. */
+    static constexpr std::uint64_t version = 2;
     static void encodePayload(std::string &out, const SimCheckpoint &c);
     static bool decodePayload(serial::Reader &in, SimCheckpoint &c);
 };

@@ -7,13 +7,12 @@
  * contract of the Runner's fast-forward path (checkpointed and
  * straight-through runs produce byte-identical SimStats, on paper
  * apps and adversarial synthetics alike), checkpoint sharing across
- * controllers, and the per-op/batched power-accounting equivalence
- * the interval batching refactor must preserve.
+ * controllers, and the rejection of snapshots in the version-1 layout
+ * (execution countdowns, replaced by absolute cycle deadlines).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -179,6 +178,14 @@ TEST(SimulatorCheckpoint, RestoreRejectsWrongFormatAndTruncation)
     serial::Reader bad_version(bumped);
     EXPECT_FALSE(target.restoreCheckpoint(bad_version));
 
+    // So must the version-1 layout, whose countdown fields would
+    // restore as wrong deadlines.
+    ASSERT_EQ(2, snapshot[0]);
+    std::string v1 = snapshot;
+    v1[0] = 1;
+    serial::Reader old_version(v1);
+    EXPECT_FALSE(target.restoreCheckpoint(old_version));
+
     // Truncation latches the reader and must fail, not zero-fill.
     std::string cut = snapshot.substr(0, snapshot.size() / 2);
     serial::Reader truncated(cut);
@@ -207,13 +214,17 @@ TEST(CheckpointArtifact, DecodeRejectsVersionTypeAndTruncation)
     std::string blob = encodeArtifact(ckpt);
     SimCheckpoint back;
 
-    // Bump the artifact version (the u64 right after the
-    // length-prefixed type name): future blobs read as misses.
-    std::string bumped = blob;
+    // Change the artifact version (the u64 right after the
+    // length-prefixed type name): future blobs and version-1 blobs
+    // (countdown layout) read as misses.
     std::size_t version_at =
         sizeof(std::uint64_t) + std::string("sim_checkpoint").size();
-    bumped[version_at] = 2;
-    EXPECT_FALSE(decodeArtifact(bumped, back));
+    ASSERT_EQ(2, blob[version_at]);
+    for (char version : {3, 1}) {
+        std::string bumped = blob;
+        bumped[version_at] = version;
+        EXPECT_FALSE(decodeArtifact(bumped, back)) << int(version);
+    }
 
     // A checkpoint blob must not decode as another artifact type,
     // and vice versa.
@@ -347,47 +358,6 @@ TEST_F(CheckpointTest, CheckpointsAreSharedAcrossControllers)
     EXPECT_GE(cold, config.warmup + config.instructions);
     EXPECT_LT(resumed, cold);
     EXPECT_LT(resumed, config.instructions + 100);
-}
-
-// -------------------------------------------------- power accounting
-
-TEST(PowerBatching, PerOpFlushMatchesBatchedAccounting)
-{
-    // The interval-batched accountant sums the same charges as the
-    // legacy per-op flush (MCD_POWER_PEROP=1), just in coarser groups;
-    // timing must be untouched and energy equal to rounding.
-    auto run_once = [] {
-        auto workload = BenchmarkFactory::create("gsm", 100000);
-        SimConfig config;
-        config.core.intervalInstructions = 1000;
-        AttackDecayController controller;
-        Simulator sim(config, *workload, &controller);
-        sim.run(30000);
-        return sim.stats();
-    };
-
-    SimStats batched = run_once();
-    ::setenv("MCD_POWER_PEROP", "1", 1);
-    SimStats per_op = run_once();
-    ::unsetenv("MCD_POWER_PEROP");
-
-    EXPECT_EQ(batched.instructions, per_op.instructions);
-    EXPECT_EQ(batched.feCycles, per_op.feCycles);
-    EXPECT_EQ(batched.time, per_op.time);
-    EXPECT_EQ(batched.branches, per_op.branches);
-    EXPECT_EQ(batched.mispredicts, per_op.mispredicts);
-    EXPECT_EQ(batched.loads, per_op.loads);
-    EXPECT_EQ(batched.stores, per_op.stores);
-    EXPECT_EQ(batched.l1dMisses, per_op.l1dMisses);
-    EXPECT_EQ(batched.l2Misses, per_op.l2Misses);
-
-    // Energy differs only by floating-point summation order.
-    EXPECT_NEAR(batched.chipEnergy, per_op.chipEnergy,
-                1e-9 * per_op.chipEnergy);
-    ASSERT_EQ(batched.domainEnergy.size(), per_op.domainEnergy.size());
-    for (std::size_t i = 0; i < batched.domainEnergy.size(); ++i)
-        EXPECT_NEAR(batched.domainEnergy[i], per_op.domainEnergy[i],
-                    1e-9 * per_op.chipEnergy);
 }
 
 } // namespace

@@ -570,6 +570,21 @@ TEST(Simulator, FpDivOccupiesUnit)
     EXPECT_GT(sim.stats().cpi, 8.0);
 }
 
+TEST(Simulator, QuietEdgesAreCountedPerDomain)
+{
+    // Every clock edge reaches its domain exactly once, quiet or not;
+    // a memory-bound app leaves most of them with nothing to do.
+    auto workload = BenchmarkFactory::create("mcf", 100000);
+    Simulator sim(fastConfig(), *workload);
+    sim.run(5000);
+    for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
+        auto id = static_cast<DomainId>(d);
+        EXPECT_EQ(sim.clocks().clock(id).cycles(), sim.edges(id));
+        EXPECT_GT(sim.quietEdges(id), sim.edges(id) / 2);
+        EXPECT_LT(sim.quietEdges(id), sim.edges(id));
+    }
+}
+
 TEST(Simulator, RunsAtMinimumFrequencyDomains)
 {
     // All controllable domains at the minimum: still correct, slower,

@@ -518,27 +518,24 @@ TEST(ServeDaemon, ClientDisconnectMidStreamLandsResultAndSurvives)
         // Vanish without reading a single reply frame.
     }
 
-    // The admitted unit still completes and its artifact lands in the
-    // cache (poll; the worker owns it now and tells no one).
-    bool landed = false;
-    for (int i = 0; i < 3000 && !landed; ++i) {
-        landed = daemon.cache().simulationsRun() >= 1;
-        if (!landed)
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    EXPECT_TRUE(landed) << "unit never completed after disconnect";
-
-    // And the daemon is unharmed: a fresh client gets served, and the
-    // orphaned result is warm for it now.
+    // The admitted unit still completes: the worker owns it now and
+    // tells no one, so wait on an event rather than the wall clock. A
+    // second client asks for the identical spec; the cache's dedup
+    // gives both requests one computation (this one joins the
+    // orphaned unit in flight, or reads its landed artifact, or runs
+    // it first and the orphan reads it), and this reply arrives only
+    // once the result has landed.
     ServeClient client;
     connectTo(client, daemon.path());
+    RunReply reply = runRequest(client, request);
+    ASSERT_TRUE(reply.transport_ok);
+    EXPECT_EQ("done", reply.terminal.getString("event"));
+    ASSERT_EQ(1u, reply.payloads.size());
+    EXPECT_EQ(1u, daemon.cache().simulationsRun());
+
+    // And the daemon is unharmed: it still serves.
     json::Value pong = callOne(client, "{\"op\": \"ping\"}");
     EXPECT_EQ("pong", pong.getString("event"));
-    RunReply warm = runRequest(client, request);
-    ASSERT_TRUE(warm.transport_ok);
-    ASSERT_EQ(1u, warm.payloads.size());
-    EXPECT_FALSE(warm.cold[0]);
-    EXPECT_EQ(1u, daemon.cache().simulationsRun());
 }
 
 TEST(ServeDaemon, ShutdownVerbDrainsAndRemovesSocket)

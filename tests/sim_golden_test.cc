@@ -1,0 +1,185 @@
+/**
+ * @file
+ * Golden results for the cycle loop. Each case pins the FNV-1a digest
+ * of `encodeArtifact(SimStats)` for a short run (20k measured + 5k
+ * warm-up instructions) chosen to stress the stalled-cycle paths:
+ * memory-bound apps uncontrolled, frequencies slewing under
+ * Attack/Decay while the core waits on memory, the synchronous chip,
+ * a load/store domain clocked at the minimum frequency, a
+ * non-pipelined divide unit that stays busy for many cycles, a
+ * parametric synthetic, and a checkpoint taken at an odd commit count
+ * while a miss is outstanding.
+ *
+ * A change meant to make the simulator faster without changing what
+ * it simulates must leave every digest as it is. A changed digest
+ * means the simulated machine behaves differently; the failure
+ * message prints the new value.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "common/serial.hh"
+#include "control/controller_registry.hh"
+#include "core/simulator.hh"
+#include "harness/artifact.hh"
+#include "harness/experiment.hh"
+#include "workload/benchmark_factory.hh"
+#include "workload/workload.hh"
+
+namespace mcd
+{
+namespace
+{
+
+constexpr std::uint64_t MEASURED = 20000;
+constexpr std::uint64_t WARMUP = 5000;
+
+std::string
+hex(std::uint64_t v)
+{
+    char buf[19];
+    std::snprintf(buf, sizeof buf, "0x%016" PRIx64, v);
+    return buf;
+}
+
+std::uint64_t
+digest(const SimStats &stats)
+{
+    return serial::fnv1a(encodeArtifact(stats));
+}
+
+void
+expectDigest(const SimStats &stats, std::uint64_t golden)
+{
+    EXPECT_EQ(hex(golden), hex(digest(stats)));
+}
+
+/** A run through the standard experiment path (warm-up uncontrolled,
+ *  controller engaged at the measurement boundary). */
+SimStats
+experiment(const std::string &bench, const std::string &controller,
+           ClockMode mode = ClockMode::Mcd)
+{
+    ExperimentSpec spec;
+    spec.benchmark = bench;
+    spec.mode = mode;
+    spec.controller = parseControllerSpec(controller);
+    spec.config.instructions = MEASURED;
+    spec.config.warmup = WARMUP;
+    spec.config.intervalInstructions = 500;
+    return runExperiment(spec);
+}
+
+/** Back-to-back dependent FP divides: the divide unit is busy for
+ *  most cycles and the FP queue waits on it. */
+TraceWorkload
+fpDivideTrace()
+{
+    std::vector<MicroOp> ops;
+    std::uint64_t pc = 0x1000;
+    for (int i = 0; i < 20; ++i) {
+        MicroOp op;
+        op.pc = pc;
+        pc += 4;
+        op.cls = OpClass::FpDiv;
+        op.srcA = 32 + ((i + 19) % 20);
+        op.dst = 32 + (i % 20);
+        ops.push_back(op);
+    }
+    MicroOp back;
+    back.pc = pc;
+    back.cls = OpClass::Branch;
+    back.srcA = 0;
+    back.taken = true;
+    back.target = 0x1000;
+    ops.push_back(back);
+    return TraceWorkload("divs", ops);
+}
+
+TEST(SimGolden, MemoryBoundAppsUncontrolled)
+{
+    expectDigest(experiment("mcf", "none"), 0x3c5588c5e8b3d9a6ull);
+    expectDigest(experiment("em3d", "none"), 0xc3c2264b2f199e26ull);
+    expectDigest(experiment("health", "none"), 0xabf2d5039784e7acull);
+}
+
+TEST(SimGolden, McfUnderAttackDecay)
+{
+    // Frequencies slew edge by edge while the core is stalled.
+    expectDigest(experiment("mcf", "attack_decay"),
+                 0x84745f0c423bca3aull);
+}
+
+TEST(SimGolden, McfSynchronous)
+{
+    expectDigest(experiment("mcf", "none", ClockMode::Synchronous),
+                 0x3c4deafd45a91116ull);
+}
+
+TEST(SimGolden, SyntheticMarkov)
+{
+    expectDigest(experiment("synthetic:markov=8,mem=0.5", "none"),
+                 0x0f5b0ca7483168b4ull);
+}
+
+TEST(SimGolden, LoadStoreDomainAtMinimumFrequency)
+{
+    auto workload = BenchmarkFactory::create("mcf", MEASURED + WARMUP);
+    SimConfig config;
+    Simulator sim(config, *workload);
+    sim.clocks().clock(DomainId::LoadStore).setFrequencyImmediate(
+        config.dvfs.freqMin);
+    sim.runTo(MEASURED + WARMUP);
+    expectDigest(sim.stats(), 0x56b6b772ad2eedb6ull);
+}
+
+TEST(SimGolden, FpDivideOccupiesUnit)
+{
+    for (ClockMode mode : {ClockMode::Synchronous, ClockMode::Mcd}) {
+        TraceWorkload trace = fpDivideTrace();
+        SimConfig config;
+        config.clocks.mode = mode;
+        Simulator sim(config, trace);
+        sim.runTo(4000);
+        expectDigest(sim.stats(), mode == ClockMode::Synchronous
+                                      ? 0x72bcb85533d721edull
+                                      : 0x282c76953cdf7e43ull);
+    }
+}
+
+TEST(SimGolden, CheckpointMidMissResumesExactly)
+{
+    // 12347 is odd and lands while mcf has a load miss in flight, so
+    // the snapshot carries pending execution deadlines.
+    constexpr std::uint64_t STOP = 12347;
+    constexpr std::uint64_t END = MEASURED + WARMUP;
+
+    auto straight_workload = BenchmarkFactory::create("mcf", END);
+    Simulator straight(SimConfig{}, *straight_workload);
+    straight.runTo(END);
+
+    std::string snapshot;
+    {
+        auto workload = BenchmarkFactory::create("mcf", END);
+        Simulator sim(SimConfig{}, *workload);
+        sim.runTo(STOP);
+        sim.saveCheckpoint(snapshot);
+    }
+    auto workload = BenchmarkFactory::create("mcf", END);
+    Simulator resumed(SimConfig{}, *workload);
+    serial::Reader in(snapshot);
+    ASSERT_TRUE(resumed.restoreCheckpoint(in));
+    resumed.runTo(END);
+
+    EXPECT_EQ(hex(digest(straight.stats())),
+              hex(digest(resumed.stats())));
+    expectDigest(resumed.stats(), 0x6ecf53df115ca70eull);
+}
+
+} // namespace
+} // namespace mcd

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "core/simulator.hh"
 #include "harness/experiment.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
@@ -284,8 +285,9 @@ TEST(Profiler, OnOffLeavesResultsByteIdentical)
     // The subsystem's hard guarantee: probes observe wall-clock
     // reality only, never simulated state, so the rendered result
     // document — every field, every digit — is identical with the
-    // profiler on and off. Two specs: a paper application under the
-    // paper's controller, and a parametric synthetic scenario.
+    // profiler on and off. Three specs: a paper application under the
+    // paper's controller, a parametric synthetic scenario, and a
+    // memory-bound app whose stalled edges the wake memo skips.
     std::vector<ExperimentSpec> specs;
     {
         ExperimentSpec spec;
@@ -300,6 +302,12 @@ TEST(Profiler, OnOffLeavesResultsByteIdentical)
         spec.config = testConfig();
         specs.push_back(spec);
     }
+    {
+        ExperimentSpec spec;
+        spec.benchmark = "mcf";
+        spec.config = testConfig();
+        specs.push_back(spec);
+    }
 
     for (const ExperimentSpec &spec : specs) {
         setProfiling(false);
@@ -308,6 +316,12 @@ TEST(Profiler, OnOffLeavesResultsByteIdentical)
 
         setProfiling(true);
         resetPhaseHistograms();
+        for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
+            Simulator::edgeCounter(static_cast<DomainId>(d), false)
+                .reset();
+            Simulator::edgeCounter(static_cast<DomainId>(d), true)
+                .reset();
+        }
         std::string on =
             serve::experimentResultJson(spec, runExperiment(spec));
 
@@ -317,6 +331,21 @@ TEST(Profiler, OnOffLeavesResultsByteIdentical)
         setProfiling(false);
 
         EXPECT_EQ(off, on) << spec.benchmark;
+
+        std::uint64_t edges = 0;
+        std::uint64_t quiet = 0;
+        for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
+            auto id = static_cast<DomainId>(d);
+            edges += Simulator::edgeCounter(id, false).value();
+            quiet += Simulator::edgeCounter(id, true).value();
+        }
+        EXPECT_GT(edges, 0u) << spec.benchmark;
+        EXPECT_LE(quiet, edges) << spec.benchmark;
+        if (spec.benchmark == "mcf") {
+            // Stalled on memory most of the time: a share of its
+            // edges must have been skipped.
+            EXPECT_GT(quiet, 0u);
+        }
     }
     resetPhaseHistograms();
 }
