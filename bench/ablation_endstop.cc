@@ -9,13 +9,14 @@
 #include <cstdio>
 #include <vector>
 
+#include "figures.hh"
 #include "sweep_util.hh"
 
 using namespace mcd;
 using namespace mcd::bench;
 
-int
-main()
+void
+bench::ablationEndstop()
 {
     std::printf("=== Ablation: EndstopCount sensitivity "
                 "(paper: insensitive from 2-25, infinite degrades) "
@@ -51,6 +52,4 @@ main()
                                  &ComparisonMetrics::edpImprovement))});
     }
     std::printf("%s", table.render().c_str());
-    reportStoreStats();
-    return 0;
 }

@@ -17,6 +17,7 @@
 #include <memory>
 #include <vector>
 
+#include "figures.hh"
 #include "common/logging.hh"
 #include "sweep_util.hh"
 
@@ -59,8 +60,9 @@ class PinnedFrontEndController : public FrequencyController
 /**
  * This ablation's controller is not part of the library: registering
  * it here is the extension path the registry exists for — one
- * registration and the spec-driven batch helpers (and mcd_cli, were
- * this registered in the library) can drive it.
+ * registration and the spec-driven batch helpers can drive it. It is
+ * registered only when this figure runs, so `mcd_cli list` does not
+ * show it.
  */
 void
 registerPinnedFrontEnd()
@@ -91,8 +93,8 @@ pinnedFrontEndSpec(Hertz fe_freq)
 
 } // namespace
 
-int
-main()
+void
+bench::ablationFrontend()
 {
     std::printf("=== Ablation: front-end frequency scaling ===\n");
     registerPinnedFrontEnd();
@@ -160,6 +162,4 @@ main()
         row("Attack/Decay + front-end scaling (future work)", extended);
     }
     std::printf("%s", part2.render().c_str());
-    reportStoreStats();
-    return 0;
 }

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "figures.hh"
 #include "sweep_util.hh"
 #include "harness/metrics.hh"
 #include "harness/parallel_sweep.hh"
@@ -22,8 +23,8 @@
 using namespace mcd;
 using namespace mcd::bench;
 
-int
-main()
+void
+bench::ablationGlobal()
 {
     std::printf("=== Ablation: global-DVFS matching interpretation "
                 "===\n");
@@ -97,6 +98,4 @@ main()
                 powerPerfRatio(fm_all));
     std::printf("time-matched power/perf ratio: %.2f (higher for "
                 "memory-bound apps)\n", powerPerfRatio(tm_all));
-    reportStoreStats();
-    return 0;
 }

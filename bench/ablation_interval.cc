@@ -11,13 +11,14 @@
 #include <cstdio>
 #include <vector>
 
+#include "figures.hh"
 #include "sweep_util.hh"
 
 using namespace mcd;
 using namespace mcd::bench;
 
-int
-main()
+void
+bench::ablationInterval()
 {
     std::printf("=== Ablation: control interval length ===\n");
     RunnerConfig base_config = standardConfig();
@@ -59,6 +60,4 @@ main()
                                  &ComparisonMetrics::edpImprovement))});
     }
     std::printf("%s", table.render().c_str());
-    reportStoreStats();
-    return 0;
 }

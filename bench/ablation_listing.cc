@@ -11,13 +11,14 @@
 #include <cstdio>
 #include <vector>
 
+#include "figures.hh"
 #include "sweep_util.hh"
 
 using namespace mcd;
 using namespace mcd::bench;
 
-int
-main()
+void
+bench::ablationListing()
 {
     std::printf("=== Ablation: PerfDegThreshold guard semantics ===\n");
     RunnerConfig config = standardConfig();
@@ -69,6 +70,4 @@ main()
                 "after quiet intervals, giving up most of the energy "
                 "savings;\nthe prose guard matches the paper's "
                 "description of catching natural IPC drops.\n");
-    reportStoreStats();
-    return 0;
 }

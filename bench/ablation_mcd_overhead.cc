@@ -11,14 +11,15 @@
 #include <cstdio>
 #include <vector>
 
+#include "figures.hh"
 #include "sweep_util.hh"
 #include "harness/metrics.hh"
 
 using namespace mcd;
 using namespace mcd::bench;
 
-int
-main()
+void
+bench::ablationMcdOverhead()
 {
     std::printf("=== Ablation: inherent MCD overheads vs the fully "
                 "synchronous processor ===\n");
@@ -69,6 +70,4 @@ main()
     std::printf("%s", table.render().c_str());
     std::printf("\npaper: <2%% inherent degradation (1.3%% average) and "
                 "+2.9%% total energy from the MCD clock subsystem.\n");
-    reportStoreStats();
-    return 0;
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared machinery for the per-table / per-figure bench binaries: a
+ * Shared machinery for the paper's figures and tables (figures.hh): a
  * common environment-configurable methodology, spec builders for the
  * canonical machine variants, and the canonical result set (fully
  * synchronous, baseline MCD, Attack/Decay, Dynamic-1%, Dynamic-5%,
@@ -111,9 +111,10 @@ void printMethodology(const RunnerConfig &config);
 /**
  * Print the ArtifactCache counters — and, when a disk store is
  * attached, its root/entries/bytes — as one machine-greppable stderr
- * line (`store: lookups=... simulations=...`). Every figure binary
- * calls this last; stderr keeps a warm re-run's stdout byte-identical
- * to the cold run's while CI asserts `simulations=0` on the warm one.
+ * line (`store: lookups=... simulations=...`). `mcd_cli figure`
+ * calls this after the figure; stderr keeps a warm re-run's stdout
+ * byte-identical to the cold run's while CI asserts `simulations=0`
+ * on the warm one.
  */
 void reportStoreStats();
 

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "figures.hh"
 #include "bench_util.hh"
 #include "harness/metrics.hh"
 
@@ -54,8 +55,8 @@ printSeries(const char *title,
 
 } // namespace
 
-int
-main()
+void
+bench::fig4()
 {
     std::printf("=== Figure 4: per-application results relative to a "
                 "fully synchronous processor ===\n");
@@ -74,6 +75,4 @@ main()
                 &ComparisonMetrics::energySavings);
     printSeries("Figure 4(c): Energy-Delay Product Improvement", all,
                 &ComparisonMetrics::edpImprovement);
-    reportStoreStats();
-    return 0;
 }

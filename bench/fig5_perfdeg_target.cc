@@ -12,13 +12,14 @@
 #include <cstdio>
 #include <vector>
 
+#include "figures.hh"
 #include "sweep_util.hh"
 
 using namespace mcd;
 using namespace mcd::bench;
 
-int
-main()
+void
+bench::fig5()
 {
     std::printf("=== Figure 5: performance degradation target analysis "
                 "(config 1.000_06.0_1.250_X.X) ===\n");
@@ -58,6 +59,4 @@ main()
     std::printf("\npaper shape: achieved tracks the ideal line over the "
                 "4-10%% range;\nEDP improvement flattens then declines "
                 "past a ~9%% target.\n");
-    reportStoreStats();
-    return 0;
 }

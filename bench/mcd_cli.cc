@@ -7,6 +7,7 @@
  * with human-readable or `--json` machine-readable output.
  *
  *   mcd_cli list [--json]
+ *   mcd_cli figure <name>
  *   mcd_cli run --bench <name>[,<name>...]
  *               [--controller <name>[:<k=v>,...]]
  *               [--mode mcd|sync] [--freq <hz>] [--seed <n>]
@@ -14,7 +15,7 @@
  *   mcd_cli cache [--store <dir>] [--json]
  *   mcd_cli cache prune [--store <dir>] [--max-bytes <b>]
  *               [--max-age <s>] [--tmp-age <s>] [--json]
- *   mcd_cli fleet <target>[,<target>...] [--procs <n>]
+ *   mcd_cli fleet <figure>[,<figure>...] [--procs <n>]
  *               [--retries <n>] [--store <dir>] [--json]
  *               [--socket <path>]
  *   mcd_cli serve --socket <path> [--store <dir>] [--workers <n>]
@@ -28,10 +29,11 @@
  * simulate once, and with a persistent store (--store or MCD_STORE)
  * once across invocations. `cache` prints the store statistics;
  * `cache prune` garbage-collects the store (size/age budgets, stale
- * temp files). `fleet` shards figure/ablation targets — sibling bench
- * binaries, resolved next to this executable — across N concurrent
- * worker processes sharing one store, collating per-target stdout in
- * submission order (byte-identical for any --procs).
+ * temp files). `figure` prints one of the paper's figures, tables or
+ * ablations (bench/figures.hh). `fleet` shards figures across N
+ * concurrent `mcd_cli figure` worker processes sharing one store,
+ * collating per-target stdout in submission order (byte-identical for
+ * any --procs).
  */
 
 #include <algorithm>
@@ -43,16 +45,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "bench_util.hh"
+#include "figures.hh"
 #include "common/env.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -136,6 +136,15 @@ listRegistries(bool json)
                    ", \"description\": " + json::str(info.description) +
                    "}";
         }
+        out += "\n  ],\n  \"figures\": [";
+        first = true;
+        for (const Figure &figure : figures()) {
+            out += first ? "\n" : ",\n";
+            first = false;
+            out += "    {\"name\": " + json::str(figure.name) +
+                   ", \"description\": " +
+                   json::str(figure.description) + "}";
+        }
         out += "\n  ]\n}\n";
         std::fputs(out.c_str(), stdout);
         return;
@@ -164,7 +173,13 @@ listRegistries(bool json)
     controller_table.setHeader({"name", "description"});
     for (const auto &info : controllers.list())
         controller_table.addRow({info.name, info.description});
-    std::printf("%s", controller_table.render().c_str());
+    std::printf("%s\n", controller_table.render().c_str());
+
+    TextTable figure_table("figures (mcd_cli figure <name>)");
+    figure_table.setHeader({"name", "description"});
+    for (const Figure &figure : figures())
+        figure_table.addRow({figure.name, figure.description});
+    std::printf("%s", figure_table.render().c_str());
 }
 
 // ------------------------------------------------------------ cache
@@ -234,62 +249,6 @@ pruneCli(const std::string &root, std::uint64_t max_bytes,
 
 // ------------------------------------------------------------- fleet
 
-/** Short figure/table/ablation aliases -> sibling binary names. */
-const std::map<std::string, std::string> &
-fleetAliases()
-{
-    static const std::map<std::string, std::string> aliases = {
-        {"fig2", "fig2_lsq_trace"},
-        {"fig3", "fig3_fiq_trace"},
-        {"fig4", "fig4_per_app"},
-        {"fig5", "fig5_perfdeg_target"},
-        {"fig6", "fig6_edp_sensitivity"},
-        {"fig7", "fig7_ppr_sensitivity"},
-        {"table3", "table3_gates"},
-        {"table6", "table6_summary"},
-        {"endstop", "ablation_endstop"},
-        {"frontend", "ablation_frontend"},
-        {"global", "ablation_global"},
-        {"interval", "ablation_interval"},
-        {"listing", "ablation_listing"},
-        {"mcd_overhead", "ablation_mcd_overhead"},
-    };
-    return aliases;
-}
-
-/** The directory holding this executable (and its sibling benches). */
-std::string
-selfDirectory()
-{
-    char buf[4096];
-    ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n <= 0)
-        return ".";
-    buf[n] = '\0';
-    return std::filesystem::path(buf).parent_path().string();
-}
-
-/**
- * Resolve a fleet target: an alias ("fig5"), an exact sibling binary
- * name ("table6_summary"), or an explicit path (contains '/').
- */
-std::string
-resolveFleetTarget(const std::string &name)
-{
-    if (name.find('/') != std::string::npos)
-        return name;
-    std::string binary = name;
-    auto alias = fleetAliases().find(name);
-    if (alias != fleetAliases().end())
-        binary = alias->second;
-    std::string path = selfDirectory() + "/" + binary;
-    if (!std::filesystem::exists(path))
-        mcd_fatal("fleet target '%s' resolves to '%s', which does not "
-                  "exist (build it, or pass an explicit path)",
-                  name.c_str(), path.c_str());
-    return path;
-}
-
 int
 fleetCli(const std::vector<std::string> &names, int procs, int retries,
          const std::string &store, bool json)
@@ -298,7 +257,13 @@ fleetCli(const std::vector<std::string> &names, int procs, int retries,
     for (const auto &name : names) {
         FleetTarget target;
         target.name = name;
-        target.argv = {resolveFleetTarget(name)};
+        // A figure runs as `mcd_cli figure NAME`; a path (one
+        // containing '/') runs as an explicit command.
+        if (name.find('/') != std::string::npos)
+            target.argv = {name};
+        else
+            target.argv = {"/proc/self/exe", "figure",
+                           findFigure(name).name};
         targets.push_back(std::move(target));
     }
 
@@ -343,7 +308,7 @@ fleetCli(const std::vector<std::string> &names, int procs, int retries,
 
     // Deterministic collation: each target's stdout, verbatim, in
     // submission order — byte-identical for any --procs, and for a
-    // single target identical to running the binary directly. All
+    // single target identical to `mcd_cli figure NAME`. All
     // fleet bookkeeping goes to stderr.
     for (const auto &t : report.targets) {
         std::fwrite(t.stdoutText.data(), 1, t.stdoutText.size(),
@@ -432,8 +397,8 @@ tournamentCli(const std::vector<std::string> &scenario_args,
             [&](const std::string &scenario) {
                 FleetTarget target;
                 target.name = scenario;
-                target.argv = {selfDirectory() + "/mcd_cli",
-                               "tournament", "--warm-only",
+                target.argv = {"/proc/self/exe", "tournament",
+                               "--warm-only",
                                "--scenarios", scenario};
                 for (const auto &arg : controller_args) {
                     target.argv.push_back("--controllers");
@@ -1162,7 +1127,12 @@ usage()
         "usage:\n"
         "  mcd_cli list [--json]            enumerate scenarios, "
         "scenario\n"
-        "                                   families and controllers\n"
+        "                                   families, controllers and\n"
+        "                                   figures\n"
+        "  mcd_cli figure <name>            print one paper figure, "
+        "table\n"
+        "                                   or ablation (names: "
+        "mcd_cli list)\n"
         "  mcd_cli run --bench <name>[,<name>...]\n"
         "              [--controller <name>[:<k=v>,...]]\n"
         "              [--mode mcd|sync] [--freq <hz>] [--seed <n>]\n"
@@ -1183,12 +1153,12 @@ usage()
         "              [--max-age <seconds>] [--tmp-age <seconds>] "
         "[--json]\n"
         "                                   garbage-collect the store\n"
-        "  mcd_cli fleet <target>[,<target>...] [--procs <n>]\n"
+        "  mcd_cli fleet <figure>[,<figure>...] [--procs <n>]\n"
         "              [--retries <n>] [--store <dir>] [--json]\n"
         "              [--socket <path>]\n"
-        "                                   shard figure/ablation "
-        "binaries\n"
-        "                                   across worker processes "
+        "                                   shard figures across "
+        "worker\n"
+        "                                   processes "
         "sharing\n"
         "                                   one store; with --socket, "
         "shard\n"
@@ -1242,7 +1212,7 @@ usage()
         "score\n"
         "                                   controllers x scenarios "
         "against\n"
-        "                                   the offline Dynamic-X% "
+        "                                   the offline Dynamic-X%% "
         "oracle\n"
         "                                   (default: the adversarial "
         "corpus\n"
@@ -1252,6 +1222,7 @@ usage()
         "\n"
         "examples:\n"
         "  mcd_cli list\n"
+        "  mcd_cli figure fig4\n"
         "  mcd_cli run --bench gsm --controller "
         "attack_decay:decay=0.0125,perf_deg_threshold=0.015 --json\n"
         "  mcd_cli run --bench synthetic:mem=0.8,ilp=4,phases=6\n"
@@ -1272,10 +1243,6 @@ usage()
         "  mcd_cli fleet gsm,mcf,adpcm --socket /tmp/mcd.sock "
         "--procs 3\n"
         "  mcd_cli request --socket /tmp/mcd.sock --shutdown\n"
-        "\n"
-        "fleet targets: fig2..fig7, table3, table6, endstop, frontend,\n"
-        "               global, interval, listing, mcd_overhead, any\n"
-        "               sibling binary name, or an explicit path\n"
         "\n"
         "environment: MCD_INSNS, MCD_WARMUP, MCD_INTERVAL, MCD_JOBS,\n"
         "             MCD_STORE (persistent artifact store root;\n"
@@ -1307,6 +1274,13 @@ main(int argc, char **argv)
         return requestCli({args.begin() + 1, args.end()});
     if (args[0] == "profile")
         return profileCli({args.begin() + 1, args.end()});
+    if (args[0] == "figure") {
+        if (args.size() != 2)
+            mcd_fatal("usage: mcd_cli figure <name>");
+        findFigure(args[1]).run();
+        reportStoreStats();
+        return 0;
+    }
 
     bool json = false;
     bool do_list = false;
@@ -1391,7 +1365,7 @@ main(int argc, char **argv)
                 parseU64Flag("--tmp-age", value(i)));
         } else if (do_fleet && !arg.empty() && arg[0] != '-') {
             // Scenario-aware splitting: identical to splitList for
-            // binary targets (no ':' in their names), and it keeps a
+            // figure targets (no ':' in their names), and it keeps a
             // `synthetic:` scenario's knobs together for --socket
             // mode, where targets are scenario names.
             for (const auto &name : splitScenarioList(arg))

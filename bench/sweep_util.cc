@@ -19,29 +19,17 @@ sweepBenchmarks()
             "power", "art", "bzip2", "gcc", "mcf", "swim"};
 }
 
-std::vector<ExperimentSpec>
-seedMatchedSpecs(const RunnerConfig &base,
-                 const std::vector<std::string> &names,
-                 const ControllerSpec &controller, ClockMode mode,
-                 Hertz startFreq)
-{
-    std::vector<ExperimentSpec> specs;
-    specs.reserve(names.size());
-    for (std::size_t i = 0; i < names.size(); ++i)
-        specs.push_back(makeSpec(benchmarkConfig(base, i), names[i],
-                                 controller, mode, startFreq));
-    return specs;
-}
-
 std::vector<SimStats>
 runVariant(const Runner &runner, const std::vector<std::string> &names,
            const ControllerSpec &controller, ClockMode mode,
            Hertz startFreq)
 {
-    return runExperiments(
-        seedMatchedSpecs(runner.config(), names, controller, mode,
-                         startFreq),
-        runner.config().jobs);
+    std::vector<ExperimentSpec> specs;
+    specs.reserve(names.size());
+    for (std::size_t i = 0; i < names.size(); ++i)
+        specs.push_back(makeSpec(benchmarkConfig(runner.config(), i),
+                                 names[i], controller, mode, startFreq));
+    return runExperiments(specs, runner.config().jobs);
 }
 
 SweepBaselines

@@ -29,21 +29,13 @@ namespace mcd::bench
 std::vector<std::string> sweepBenchmarks();
 
 /**
- * One spec per benchmark: `controller` on the machine of
- * benchmarkConfig(base, i), so batch results over the same `names`
- * list stay seed-matched across variants.
- */
-std::vector<ExperimentSpec>
-seedMatchedSpecs(const RunnerConfig &base,
-                 const std::vector<std::string> &names,
-                 const ControllerSpec &controller,
-                 ClockMode mode = ClockMode::Mcd, Hertz startFreq = 0.0);
-
-/**
  * Run one controller variant over every benchmark on seed-matched
- * per-benchmark machines, fanned across the ParallelSweep workers and
- * resolved through the ArtifactCache. Results come back in `names`
- * order, bit-identical for any worker count.
+ * per-benchmark machines (benchmark i runs on
+ * benchmarkConfig(runner.config(), i), so batches over the same
+ * `names` stay comparable across variants), fanned across the
+ * ParallelSweep workers and resolved through the ArtifactCache.
+ * Results come back in `names` order, bit-identical for any worker
+ * count.
  */
 std::vector<SimStats>
 runVariant(const Runner &runner, const std::vector<std::string> &names,

@@ -8,11 +8,12 @@
 
 #include <cstdio>
 
+#include "figures.hh"
 #include "control/gate_estimator.hh"
 #include "harness/table.hh"
 
-int
-main()
+void
+mcd::bench::table3()
 {
     mcd::GateEstimator estimator;
 
@@ -34,5 +35,4 @@ main()
     std::printf("four domains + shared: %d gates "
                 "(paper: fewer than 2,500)\n",
                 estimator.totalGates(4));
-    return 0;
 }

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "figures.hh"
 #include "bench_util.hh"
 #include "harness/metrics.hh"
 
@@ -48,8 +49,8 @@ addRow(TextTable &table, const AlgorithmSummary &s)
 
 } // namespace
 
-int
-main()
+void
+bench::table6()
 {
     std::printf("=== Table 6: algorithm comparison relative to the "
                 "baseline MCD processor ===\n");
@@ -123,6 +124,4 @@ main()
                     "improvement (paper: 85.5%%)\n",
                     pct(ad_edp / d1_edp).c_str());
     }
-    reportStoreStats();
-    return 0;
 }

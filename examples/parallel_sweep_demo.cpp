@@ -1,12 +1,13 @@
 /**
  * @file
- * ParallelSweep walkthrough: a small Figure 4-style sweep that fans a
- * batch of per-benchmark jobs across the worker threads and compares
+ * ParallelSweep walkthrough: a small Figure 4-style sweep that fans
+ * one job per benchmark across the worker threads and compares
  * Attack/Decay against the fully synchronous machine.
  *
- * Each benchmark contributes two jobs — the synchronous reference and
- * the Attack/Decay run — that share a seedIndex, so both consume the
- * same derived clock stream and their comparison is apples-to-apples.
+ * Job i runs both variants — the synchronous reference and the
+ * Attack/Decay run — on a Runner seeded with deriveJobSeed(seed, i),
+ * so both consume the same derived clock stream and their comparison
+ * is apples-to-apples.
  * Results (and the printed table) are bit-identical for any worker
  * count; rerun with MCD_JOBS=1 to check.
  *
@@ -33,25 +34,22 @@ main()
     config.warmup = 20000;
     config.applyEnvOverrides();
 
-    // Build the batch: two variants per benchmark, one seedIndex per
-    // benchmark.
-    std::vector<mcd::SweepJob> jobs;
-    for (std::size_t i = 0; i < benches.size(); ++i) {
-        const std::string name = benches[i];
-        jobs.push_back({name + ":sync", config, i, [name](mcd::Runner &r) {
-                            return r.runSynchronous(
-                                name, r.config().dvfs.freqMax);
-                        }});
-        jobs.push_back({name + ":ad", config, i, [name](mcd::Runner &r) {
-                            return r.runAttackDecay(
-                                name, mcd::AttackDecayConfig{});
-                        }});
-    }
-
+    struct Variants
+    {
+        mcd::SimStats sync;
+        mcd::SimStats ad;
+    };
     mcd::ParallelSweep sweep; // MCD_JOBS env or all hardware threads
-    std::printf("running %zu jobs on %d workers\n\n", jobs.size(),
-                sweep.workers());
-    auto results = sweep.run(jobs);
+    std::printf("running %zu benchmarks on %d workers\n\n",
+                benches.size(), sweep.workers());
+    auto results = sweep.map<Variants>(benches.size(), [&](std::size_t i) {
+        mcd::RunnerConfig job = config;
+        job.clockSeed = mcd::deriveJobSeed(config.clockSeed, i);
+        mcd::Runner runner(job);
+        return Variants{
+            runner.runSynchronous(benches[i], job.dvfs.freqMax),
+            runner.runAttackDecay(benches[i], mcd::AttackDecayConfig{})};
+    });
 
     // Aggregate in job order through the metrics layer.
     mcd::TextTable table(
@@ -60,9 +58,8 @@ main()
                      "EDP improvement"});
     std::vector<mcd::ComparisonMetrics> all;
     for (std::size_t i = 0; i < benches.size(); ++i) {
-        const mcd::SimStats &sync = results[2 * i].stats;
-        const mcd::SimStats &ad = results[2 * i + 1].stats;
-        mcd::ComparisonMetrics m = mcd::compare(sync, ad);
+        mcd::ComparisonMetrics m =
+            mcd::compare(results[i].sync, results[i].ad);
         all.push_back(m);
         table.addRow({benches[i], mcd::pct(m.perfDegradation),
                       mcd::pct(m.energySavings),

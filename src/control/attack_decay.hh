@@ -56,8 +56,8 @@ struct AttackDecayConfig
  * the flat-optimal region of the paper's Figure 6(a)) and
  * PerfDegThreshold = 1.5 % (per-interval IPC is noisier over short
  * epochs, so the guard trips earlier; inside the Table 2 range).
- * The single definition every scaled consumer — the figure benches
- * (bench/bench_util.cc) and the stress-lab tournament defaults
+ * The single definition every scaled consumer — the figures behind
+ * `mcd_cli figure` (bench/bench_util.cc) and the tournament defaults
  * (src/eval/tournament.cc) — builds from.
  */
 AttackDecayConfig scaledAttackDecayConfig();

@@ -1,7 +1,7 @@
 /**
  * @file
  * The fleet layer: shard a batch of figure/ablation targets across N
- * concurrent worker *processes* — fork/exec of our own bench binaries
+ * concurrent worker *processes* — fork/exec of `mcd_cli figure NAME`
  * (or any command) — all pointed at one shared `MCD_STORE` artifact
  * store. This is where the determinism contract pays off across
  * process boundaries: every worker computes bit-identical artifacts
@@ -17,7 +17,7 @@
  *    nonzero exits or signals — a crashed worker costs only the
  *    artifacts it had not yet written);
  *  - a merged `store:` report parsed from each worker's stderr line
- *    (bench/bench_util.cc prints it) and summed across the fleet;
+ *    (`mcd_cli figure` prints it) and summed across the fleet;
  *  - deterministic collation: `FleetReport::targets` is in submission
  *    order regardless of scheduling, so concatenated per-target
  *    stdout is byte-identical for any `procs`.
@@ -95,7 +95,7 @@ struct FleetReport
  * Parse the last `store: lookups=... hits=... disk_hits=...
  * simulations=...` line out of a worker's captured stderr.
  * `present` is false when no such line exists (the target is not one
- * of our bench binaries, or it died before reporting).
+ * of our figures, or it died before reporting).
  */
 FleetStoreStats parseStoreStatsLine(const std::string &stderr_text);
 

@@ -72,21 +72,4 @@ ParallelSweep::forEach(std::size_t count,
             std::rethrow_exception(error);
 }
 
-std::vector<SweepResult>
-ParallelSweep::run(const std::vector<SweepJob> &jobs) const
-{
-    return map<SweepResult>(jobs.size(), [&](std::size_t i) {
-        const SweepJob &job = jobs[i];
-        RunnerConfig config = job.config;
-        config.clockSeed = deriveJobSeed(config.clockSeed,
-                                         job.seedIndex);
-        Runner runner(config);
-        SweepResult result;
-        result.label = job.label;
-        result.seedIndex = job.seedIndex;
-        result.stats = job.run(runner);
-        return result;
-    });
-}
-
 } // namespace mcd

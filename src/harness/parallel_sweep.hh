@@ -1,21 +1,22 @@
 /**
  * @file
- * Multithreaded batch sweep engine: fans a vector of fully-specified
- * simulation jobs across worker threads and collects the results in job
- * order.
+ * Multithreaded batch sweep engine: fans a batch of independent,
+ * indexed jobs across worker threads and collects the results in
+ * index order.
  *
  * Determinism contract: a sweep's results are bit-identical regardless
  * of worker count or scheduling. Two mechanisms guarantee it:
  *
  *  - every job writes its result into a pre-assigned slot, and
- *    aggregation only happens after the whole batch completes, in job
- *    order (floating-point accumulation order is therefore fixed);
- *  - every job's RNG and clock seeds are derived from its `seedIndex`
+ *    aggregation only happens after the whole batch completes, in
+ *    index order (floating-point accumulation order is therefore
+ *    fixed);
+ *  - every job's clock seed is derived from a seed index
  *    (deriveJobSeed), never from the executing thread or from wall
  *    clock, so a job simulates the same machine no matter when or
  *    where it runs. Jobs that must stay comparable (the machine
  *    variants of one benchmark, or a schedule probe measured against a
- *    cached baseline) share a seedIndex.
+ *    cached baseline) share a seed index.
  *
  * The engine backs the figure sweeps (bench/fig4..fig7), the offline
  * Dynamic-X% margin search (Runner::runOfflineDynamic), and any future
@@ -43,31 +44,7 @@ namespace mcd
 std::uint64_t deriveJobSeed(std::uint64_t base_seed,
                             std::uint64_t job_index);
 
-/** One fully-specified unit of sweep work. */
-struct SweepJob
-{
-    std::string label;        //!< e.g. "<benchmark>:<variant>"
-    RunnerConfig config{};    //!< methodology for this job
-    /**
-     * Seed-derivation index. The engine runs the job under a Runner
-     * whose clock seed is deriveJobSeed(config.clockSeed, seedIndex).
-     * Jobs that must consume identical clock streams (variants of one
-     * benchmark that will be compared) share the same seedIndex.
-     */
-    std::uint64_t seedIndex = 0;
-    /** The measurement to execute under the per-job Runner. */
-    std::function<SimStats(Runner &)> run;
-};
-
-/** Result slot of one SweepJob, in submission order. */
-struct SweepResult
-{
-    std::string label;
-    std::uint64_t seedIndex = 0;
-    SimStats stats{};
-};
-
-/** Work-queue fan-out of simulation jobs across std::thread workers. */
+/** Work-queue fan-out of indexed jobs across std::thread workers. */
 class ParallelSweep
 {
   public:
@@ -82,13 +59,6 @@ class ParallelSweep
     static int defaultWorkers();
 
     int workers() const { return workers_; }
-
-    /**
-     * Execute all jobs and return their results in job order. Each job
-     * gets a private Runner seeded via its seedIndex. Bit-identical
-     * output for any worker count.
-     */
-    std::vector<SweepResult> run(const std::vector<SweepJob> &jobs) const;
 
     /**
      * Generic deterministic fan-out: invoke `body(i)` for i in

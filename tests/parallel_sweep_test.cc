@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -122,19 +123,36 @@ tinyConfig()
     return config;
 }
 
-std::vector<SweepJob>
-tinyJobs()
+/** A Runner on the clock stream derived from `seed_index`. */
+Runner
+seededRunner(std::uint64_t seed_index)
 {
-    const std::vector<std::string> names = {"adpcm", "gsm", "mcf",
-                                            "epic", "swim"};
-    std::vector<SweepJob> jobs;
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        const std::string name = names[i];
-        jobs.push_back({name, tinyConfig(), i, [name](Runner &r) {
-                            return r.runMcdBaseline(name);
-                        }});
-    }
-    return jobs;
+    RunnerConfig config = tinyConfig();
+    config.clockSeed = deriveJobSeed(config.clockSeed, seed_index);
+    return Runner(config);
+}
+
+/**
+ * One job per tiny benchmark, as the figure batches write them: job i
+ * returns `run(runner, name)` on the clock stream derived from i.
+ */
+std::vector<SimStats>
+tinySweep(int workers,
+          const std::function<SimStats(Runner &, const std::string &)> &run)
+{
+    const std::vector<std::string> names = {"adpcm", "gsm", "mcf", "epic",
+                                            "swim"};
+    return ParallelSweep(workers).map<SimStats>(
+        names.size(), [&](std::size_t i) {
+            Runner runner = seededRunner(i);
+            return run(runner, names[i]);
+        });
+}
+
+SimStats
+baseline(Runner &runner, const std::string &name)
+{
+    return runner.runMcdBaseline(name);
 }
 
 void
@@ -156,63 +174,47 @@ expectIdenticalStats(const SimStats &a, const SimStats &b)
 
 TEST(ParallelSweep, OneWorkerAndManyWorkersAreBitIdentical)
 {
-    auto jobs = tinyJobs();
-    auto serial = ParallelSweep(1).run(jobs);
-    auto parallel4 = ParallelSweep(4).run(jobs);
-    auto parallel8 = ParallelSweep(8).run(jobs);
+    auto serial = tinySweep(1, baseline);
+    auto parallel4 = tinySweep(4, baseline);
+    auto parallel8 = tinySweep(8, baseline);
 
-    ASSERT_EQ(serial.size(), jobs.size());
-    ASSERT_EQ(parallel4.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_EQ(serial[i].label, jobs[i].label);
-        EXPECT_EQ(parallel4[i].label, jobs[i].label);
-        expectIdenticalStats(serial[i].stats, parallel4[i].stats);
-        expectIdenticalStats(serial[i].stats, parallel8[i].stats);
+    ASSERT_EQ(serial.size(), 5u);
+    ASSERT_EQ(parallel4.size(), 5u);
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        expectIdenticalStats(serial[i], parallel4[i]);
+        expectIdenticalStats(serial[i], parallel8[i]);
     }
 }
 
 TEST(ParallelSweep, SeedIndexSelectsTheClockStream)
 {
-    // Same seedIndex => identical machine; different seedIndex =>
+    // Same seed index => identical machine; different seed index =>
     // different jittered clock stream => different timings.
-    SweepJob a{"a", tinyConfig(), 7, [](Runner &r) {
-                   return r.runMcdBaseline("gsm");
-               }};
-    SweepJob b = a;
-    b.label = "b";
-    SweepJob c = a;
-    c.label = "c";
-    c.seedIndex = 8;
-
-    auto results = ParallelSweep(3).run({a, b, c});
-    expectIdenticalStats(results[0].stats, results[1].stats);
-    EXPECT_NE(results[0].stats.time, results[2].stats.time);
+    const std::vector<std::uint64_t> seed_indices = {7, 7, 8};
+    auto results = ParallelSweep(3).map<SimStats>(
+        seed_indices.size(), [&](std::size_t i) {
+            return seededRunner(seed_indices[i]).runMcdBaseline("gsm");
+        });
+    expectIdenticalStats(results[0], results[1]);
+    EXPECT_NE(results[0].time, results[2].time);
 }
 
 TEST(ParallelSweep, AggregationIsIndependentOfCompletionOrder)
 {
     // Aggregate the same batch through the metrics layer from result
     // vectors produced under different worker counts (and hence
-    // different completion orders): because results land in job order,
-    // every floating-point accumulation is performed in the same
-    // sequence and the aggregate is bit-identical.
-    auto jobs = tinyJobs();
-    std::vector<SweepJob> ad_jobs;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const std::string name = jobs[i].label;
-        ad_jobs.push_back({name, tinyConfig(), i, [name](Runner &r) {
-                               return r.runAttackDecay(
-                                   name, AttackDecayConfig{});
-                           }});
-    }
-
-    auto aggregate = [&](int workers) {
-        ParallelSweep sweep(workers);
-        auto base = sweep.run(jobs);
-        auto variant = sweep.run(ad_jobs);
+    // different completion orders): because results land in index
+    // order, every floating-point accumulation is performed in the
+    // same sequence and the aggregate is bit-identical.
+    auto aggregate = [](int workers) {
+        auto base = tinySweep(workers, baseline);
+        auto variant = tinySweep(
+            workers, [](Runner &runner, const std::string &name) {
+                return runner.runAttackDecay(name, AttackDecayConfig{});
+            });
         std::vector<ComparisonMetrics> all;
         for (std::size_t i = 0; i < base.size(); ++i)
-            all.push_back(compare(base[i].stats, variant[i].stats));
+            all.push_back(compare(base[i], variant[i]));
         return std::pair<double, double>(
             meanOf(all, &ComparisonMetrics::energySavings),
             powerPerfRatio(all));
