@@ -552,7 +552,8 @@ runExperimentsCli(const std::vector<std::string> &benches,
  * shares are a hierarchy, not a partition — they need not sum to 100%.
  * A second table gives each clock domain's edge count and the share
  * of those edges that were quiet (skipped by the wake memo; see
- * core/simulator.hh). The store is deliberately detached: profiling a
+ * core/simulator.hh), followed by the number of bulk runs the quiet
+ * edges were taken in and their mean length. The store is deliberately detached: profiling a
  * cache hit would measure deserialization, not the simulator.
  */
 int
@@ -598,6 +599,7 @@ profileCli(const std::vector<std::string> &args)
         Simulator::edgeCounter(static_cast<DomainId>(d), false).reset();
         Simulator::edgeCounter(static_cast<DomainId>(d), true).reset();
     }
+    Simulator::quietRunCounter().reset();
 
     ExperimentSpec spec = makeSpec(config, bench, controller);
     auto wall_start = std::chrono::steady_clock::now();
@@ -640,12 +642,22 @@ profileCli(const std::vector<std::string> &args)
         }
     };
     std::vector<DomainRow> domains;
+    std::uint64_t quiet_edges = 0;
     for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
         auto id = static_cast<DomainId>(d);
         domains.push_back({domainName(id),
                            Simulator::edgeCounter(id, false).value(),
                            Simulator::edgeCounter(id, true).value()});
+        quiet_edges += domains.back().quiet;
     }
+    // Quiet domain edges per run. In Synchronous mode a run's shared
+    // edge counts once per domain, as do the quiet domains of an edge
+    // on which another domain ran.
+    std::uint64_t quiet_runs = Simulator::quietRunCounter().value();
+    double mean_run = quiet_runs == 0
+        ? 0.0
+        : static_cast<double>(quiet_edges) /
+              static_cast<double>(quiet_runs);
 
     if (json) {
         std::string out = "{\n  \"profile\": {\n";
@@ -688,7 +700,9 @@ profileCli(const std::vector<std::string> &args)
             out += ", \"quiet_share\": " + json::num(row.quietShare());
             out += "}";
         }
-        out += "\n    ]\n  }\n}\n";
+        out += "\n    ],\n    \"quiet_runs\": " + json::u64(quiet_runs);
+        out += ",\n    \"mean_quiet_run\": " + json::num(mean_run);
+        out += "\n  }\n}\n";
         std::fputs(out.c_str(), stdout);
         return 0;
     }
@@ -727,6 +741,9 @@ profileCli(const std::vector<std::string> &args)
                       pct(row.quietShare(), 1)});
     }
     std::printf("\n%s", edges.render().c_str());
+    std::printf("quiet runs: %llu, mean length %s edges\n",
+                static_cast<unsigned long long>(quiet_runs),
+                num(mean_run, 1).c_str());
     return 0;
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Microbenchmarks of the simulator's building blocks: raw simulation
- * throughput per machine mode, clock-edge generation, cache access,
+ * throughput per machine mode, the serial 30-app suite at a short
+ * window, clock-edge generation, cache access,
  * branch prediction, and workload generation. These guard against
  * performance regressions in the hot paths every experiment binary
  * depends on.
@@ -24,6 +25,7 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "clock/domain_clock.hh"
@@ -47,6 +49,7 @@ struct BenchResult
     std::string name;
     std::uint64_t iterations = 0; //!< timed batch iterations
     std::uint64_t items = 0;      //!< items processed across batches
+    std::uint64_t feCycles = 0;   //!< front-end cycles, if reported
     double seconds = 0.0;         //!< measured wall-clock
 };
 
@@ -64,17 +67,26 @@ itemsPerSecond(const BenchResult &r)
         ? static_cast<double>(r.items) / r.seconds : 0.0;
 }
 
+double
+feCyclesPerSecond(const BenchResult &r)
+{
+    return r.seconds > 0.0
+        ? static_cast<double>(r.feCycles) / r.seconds : 0.0;
+}
+
 /**
  * One registered benchmark: `items` is how many items one call of
- * `batch` processes. State setup happens in the factory closure, so
- * repeated batches reuse warm structures (google-benchmark's loop
- * semantics).
+ * `batch` processes, and `feCyclesPerBatch` how many simulated
+ * front-end cycles, where that is reported (simulator cost scales with
+ * cycles). State setup happens in the factory closure, so repeated
+ * batches reuse warm structures (google-benchmark's loop semantics).
  */
 struct Bench
 {
     std::string name;
     std::uint64_t itemsPerBatch = 0;
     std::function<void()> batch;
+    std::uint64_t feCyclesPerBatch = 0;
 };
 
 BenchResult
@@ -95,6 +107,7 @@ run(const Bench &bench, double min_seconds)
         bench.batch();
         ++result.iterations;
         result.items += bench.itemsPerBatch;
+        result.feCycles += bench.feCyclesPerBatch;
         result.seconds =
             std::chrono::duration<double>(clock::now() - start)
                 .count();
@@ -144,6 +157,32 @@ allBenches()
     // this row tracks the cost of quiet edges rather than of issue.
     benches.push_back(simBench("SimulatorMcdMemBound", ClockMode::Mcd,
                                false, "mcf"));
+
+    // The paper suite end to end: every one of the 30 apps from a cold
+    // machine, serially, at a short window. Items are committed
+    // instructions, warm-up included. A suite run is deterministic, so
+    // one untimed run at setup counts the items and front-end cycles
+    // of every batch.
+    {
+        constexpr std::uint64_t WINDOW = 10000 + 2500; // measured + warm-up
+        auto suite = [] {
+            std::uint64_t insns = 0;
+            std::uint64_t fe_cycles = 0;
+            for (const std::string &app : BenchmarkFactory::allNames()) {
+                auto workload = BenchmarkFactory::create(app, WINDOW);
+                Simulator sim(SimConfig{}, *workload);
+                sim.runTo(WINDOW);
+                insns += sim.committed();
+                fe_cycles +=
+                    sim.clocks().clock(DomainId::FrontEnd).cycles();
+            }
+            return std::pair{insns, fe_cycles};
+        };
+        auto [insns, fe_cycles] = suite();
+        benches.push_back(
+            Bench{"SimulatorSuite", insns, [suite] { suite(); },
+                  fe_cycles});
+    }
 
     // Checkpoint fast-forward vs cold start. Both cases produce the
     // machine state at `WARMUP` committed instructions and then run
@@ -393,12 +432,16 @@ void
 printText(const std::vector<BenchResult> &results,
           const ProfileOverhead &profile)
 {
-    std::printf("%-28s %14s %16s %12s\n", "benchmark", "ns/op",
-                "items/s", "iterations");
-    for (const BenchResult &r : results)
-        std::printf("%-28s %14.1f %16.0f %12llu\n", r.name.c_str(),
+    std::printf("%-28s %14s %16s %12s %16s\n", "benchmark", "ns/op",
+                "items/s", "iterations", "fe cycles/s");
+    for (const BenchResult &r : results) {
+        std::printf("%-28s %14.1f %16.0f %12llu", r.name.c_str(),
                     nsPerItem(r), itemsPerSecond(r),
                     static_cast<unsigned long long>(r.iterations));
+        if (r.feCycles > 0)
+            std::printf(" %16.0f", feCyclesPerSecond(r));
+        std::printf("\n");
+    }
     std::printf(
         "\ntelemetry probes (always compiled in, gated on MCD_PROF):\n"
         "  ns/probe off %.2f, on %.2f; %.2f probes/instruction\n"
@@ -422,13 +465,19 @@ printJson(const std::vector<BenchResult> &results,
         std::snprintf(buf, sizeof(buf),
                       "    {\"name\": \"%s\", \"ns_per_op\": %.3f, "
                       "\"items_per_second\": %.1f, \"iterations\": "
-                      "%llu, \"items\": %llu, \"seconds\": %.6f}",
+                      "%llu, \"items\": %llu, \"seconds\": %.6f",
                       r.name.c_str(), nsPerItem(r), itemsPerSecond(r),
                       static_cast<unsigned long long>(r.iterations),
                       static_cast<unsigned long long>(r.items),
                       r.seconds);
         out += buf;
-        out += i + 1 < results.size() ? ",\n" : "\n";
+        if (r.feCycles > 0) {
+            std::snprintf(buf, sizeof(buf),
+                          ", \"fe_cycles_per_second\": %.1f",
+                          feCyclesPerSecond(r));
+            out += buf;
+        }
+        out += i + 1 < results.size() ? "},\n" : "}\n";
     }
     char buf[512];
     std::snprintf(

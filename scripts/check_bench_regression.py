@@ -5,11 +5,12 @@ Usage: check_bench_regression.py <BENCH_sim.json>... [options]
 
 Two checks:
 
- 1. Hot-loop throughput: the simulated-instructions/sec of every
-    simulator benchmark (SimulatorMcd and friends, including the
-    memory-bound SimulatorMcdMemBound) must not drop more
-    than --max-drop (default 15%) below the committed baseline
-    (bench/BENCH_sim_baseline.json, or --baseline).
+ 1. Hot-loop throughput: the items/sec of every gated benchmark must
+    not drop more than --max-drop (default 15%) below the committed
+    baseline (bench/BENCH_sim_baseline.json, or --baseline). Items
+    are simulated instructions for the simulator rows (SimulatorMcd
+    and friends, the memory-bound SimulatorMcdMemBound, and the serial
+    30-app SimulatorSuite) and clock edges for ClockEdges.
  2. Fast-forward speedup: CheckpointResume must stay at least
     --min-resume-ratio (default 5x) faster than CheckpointColdRun —
     a within-machine ratio, so it holds on any hardware.
@@ -33,14 +34,18 @@ import json
 import pathlib
 import sys
 
-# Benchmarks whose items/s are simulated instructions per second: the
-# hot-loop throughput that must not regress. SimulatorMcdMemBound (mcf)
-# gates the stalled-edge path, the gsm rows the issue-bound one.
+# Benchmarks whose items/s must not regress: simulated instructions
+# per second for the simulator rows, edges per second for ClockEdges.
+# SimulatorMcdMemBound (mcf) gates the stalled-edge path, the gsm rows
+# the issue-bound one, SimulatorSuite the paper suite end to end, and
+# ClockEdges the per-edge clock kernel every domain edge pays.
 GATED = (
     "SimulatorMcd",
     "SimulatorMcdAttackDecay",
     "SimulatorSynchronous",
     "SimulatorMcdMemBound",
+    "SimulatorSuite",
+    "ClockEdges",
 )
 
 
@@ -96,7 +101,7 @@ def main():
         drop = 1.0 - now / ref if ref > 0 else 0.0
         status = "FAIL" if drop > args.max_drop else "ok"
         print(
-            f"{status:4s} {name}: {now:,.0f} insns/s "
+            f"{status:4s} {name}: {now:,.0f} items/s "
             f"(baseline {ref:,.0f}, {-drop:+.1%})"
         )
         if drop > args.max_drop:

@@ -11,57 +11,27 @@ DomainClock::DomainClock(DomainId id, const DvfsModel &dvfs,
                          Hertz start_freq, std::uint64_t seed, bool jittered)
     : id_(id), dvfs_(&dvfs),
       rng_(seed ^ (0x5bd1e995u * (static_cast<std::uint64_t>(id) + 1))),
-      jittered_(jittered)
+      jittered_(jittered), sigma_(dvfs.config().jitterSigmaPs),
+      quantiles_(Rng::normalQuantiles())
 {
-    cur_freq_ = dvfs_->quantize(start_freq);
+    setCurrent(dvfs_->quantize(start_freq));
     target_freq_ = cur_freq_;
     // Randomized starting phase within one period (Section 4).
-    Tick period = periodFromFreq(cur_freq_);
     nominal_time_ = jittered_
-        ? static_cast<Tick>(rng_.uniform() * static_cast<double>(period))
+        ? static_cast<Tick>(rng_.uniform() * static_cast<double>(period_))
         : 0;
     last_edge_ = -1; // allows a first edge at time 0
     next_edge_ = jitteredEdge();
 }
 
-Tick
-DomainClock::advance()
-{
-    Tick edge = next_edge_;
-    last_edge_ = edge;
-    ++cycles_;
-
-    Tick period = periodFromFreq(cur_freq_);
-    stepSlew(period);
-    // Period for the upcoming cycle reflects the post-slew frequency.
-    nominal_time_ += periodFromFreq(cur_freq_);
-    next_edge_ = jitteredEdge();
-    return edge;
-}
-
 void
 DomainClock::stepSlew(Tick elapsed)
 {
-    if (cur_freq_ == target_freq_)
-        return;
     double delta = dvfs_->slewHzPerTick() * static_cast<double>(elapsed);
     if (cur_freq_ < target_freq_)
-        cur_freq_ = std::min(target_freq_, cur_freq_ + delta);
+        setCurrent(std::min(target_freq_, cur_freq_ + delta));
     else
-        cur_freq_ = std::max(target_freq_, cur_freq_ - delta);
-}
-
-Tick
-DomainClock::jitteredEdge()
-{
-    Tick edge = nominal_time_;
-    if (jittered_) {
-        double jitter = rng_.normal(0.0, dvfs_->config().jitterSigmaPs);
-        edge += static_cast<Tick>(jitter);
-    }
-    // Edges must remain strictly monotonic even under extreme jitter
-    // draws; clamp to one tick past the previous edge.
-    return std::max(edge, last_edge_ + 1);
+        setCurrent(std::max(target_freq_, cur_freq_ - delta));
 }
 
 void
@@ -81,18 +51,41 @@ DomainClock::saveState(std::string &out) const
 bool
 DomainClock::loadState(serial::Reader &in)
 {
-    cur_freq_ = in.readDouble();
-    target_freq_ = in.readDouble();
-    nominal_time_ = in.readI64();
-    next_edge_ = in.readI64();
-    last_edge_ = in.readI64();
-    cycles_ = in.readU64();
-    freq_changes_ = in.readU64();
+    Hertz cur_freq = in.readDouble();
+    Hertz target_freq = in.readDouble();
+    Tick nominal_time = in.readI64();
+    Tick next_edge = in.readI64();
+    Tick last_edge = in.readI64();
+    std::uint64_t cycles = in.readU64();
+    std::uint64_t freq_changes = in.readU64();
     std::array<std::uint64_t, 4> rng_state;
     for (std::uint64_t &word : rng_state)
         word = in.readU64();
+    if (!in.ok())
+        return false;
+    // The period is derived from cur_freq, so both frequencies must lie
+    // in the grid's range before anything is computed from them. The
+    // top grid point may round an ulp past freqMax; the negated range
+    // test also rejects NaN.
+    Hertz lowest = dvfs_->pointFreq(0);
+    Hertz highest = std::max(dvfs_->config().freqMax,
+                             dvfs_->pointFreq(dvfs_->numPoints() - 1));
+    for (Hertz freq : {cur_freq, target_freq}) {
+        if (!(freq >= lowest && freq <= highest))
+            return false;
+    }
+    if (next_edge <= last_edge)
+        return false;
+
+    setCurrent(cur_freq);
+    target_freq_ = target_freq;
+    nominal_time_ = nominal_time;
+    next_edge_ = next_edge;
+    last_edge_ = last_edge;
+    cycles_ = cycles;
+    freq_changes_ = freq_changes;
     rng_.setState(rng_state);
-    return in.ok();
+    return true;
 }
 
 Hertz
@@ -112,7 +105,7 @@ DomainClock::setFrequencyImmediate(Hertz freq)
     Hertz quantized = dvfs_->quantize(freq);
     if (quantized != cur_freq_)
         ++freq_changes_;
-    cur_freq_ = quantized;
+    setCurrent(quantized);
     target_freq_ = quantized;
     return quantized;
 }

@@ -14,11 +14,19 @@
  * during a change, with the period recomputed each edge while the
  * frequency slews toward its target at 49.1 ns/MHz. Voltage follows the
  * linear V(f) map of the DvfsModel during the ramp.
+ *
+ * advance() runs once per domain edge, tens of millions of times per
+ * run, so the edge is inline and draws on cached values: the period of
+ * the current frequency (derived state, recomputed wherever the
+ * frequency changes and never serialized), the jitter sigma, and the
+ * Rng's quantile table. A clock that is not slewing pays only the
+ * jitter draw.
  */
 
 #ifndef MCD_CLOCK_DOMAIN_CLOCK_HH
 #define MCD_CLOCK_DOMAIN_CLOCK_HH
 
+#include <algorithm>
 #include <cstdint>
 
 #include "clock/dvfs_model.hh"
@@ -59,7 +67,20 @@ class DomainClock
      * the time of the consumed edge. Steps the frequency slew by one
      * period's worth of time.
      */
-    Tick advance();
+    Tick
+    advance()
+    {
+        Tick edge = next_edge_;
+        last_edge_ = edge;
+        ++cycles_;
+        // The slew steps by one period of wall time; the upcoming
+        // cycle's period reflects the post-slew frequency.
+        if (slewing())
+            stepSlew(period_);
+        nominal_time_ += period_;
+        next_edge_ = jitteredEdge();
+        return edge;
+    }
 
     /** Instantaneous frequency (may be mid-slew). */
     Hertz frequency() const { return cur_freq_; }
@@ -94,7 +115,12 @@ class DomainClock
     /** Serialize frequency/slew/edge/RNG state (checkpointing). */
     void saveState(std::string &out) const;
 
-    /** Inverse of saveState; false on short data. */
+    /**
+     * Inverse of saveState; false on short data, on a frequency that
+     * is not finite or lies outside the model's range, and on a next
+     * edge that does not follow the last one. The clock is unchanged
+     * on failure.
+     */
     bool loadState(serial::Reader &in);
 
   private:
@@ -103,8 +129,12 @@ class DomainClock
     Rng rng_;
     bool jittered_;
 
+    double sigma_;              //!< jitter sigma (ps)
+    const double *quantiles_;   //!< Rng::normalQuantiles()
+
     Hertz cur_freq_;
     Hertz target_freq_;
+    Tick period_;               //!< periodFromFreq(cur_freq_)
 
     Tick nominal_time_;     //!< jitter-free accumulated edge time
     Tick next_edge_;        //!< nominal + jitter, monotonic-clamped
@@ -115,8 +145,29 @@ class DomainClock
     /** Advance the slew by `elapsed` ticks of wall time. */
     void stepSlew(Tick elapsed);
 
+    /** Set the current frequency and the period derived from it. */
+    void
+    setCurrent(Hertz freq)
+    {
+        cur_freq_ = freq;
+        period_ = periodFromFreq(freq);
+    }
+
     /** Compute the jittered edge for the current nominal time. */
-    Tick jitteredEdge();
+    Tick
+    jitteredEdge()
+    {
+        Tick edge = nominal_time_;
+        if (jittered_) {
+            // Rng::normal(0.0, sigma_)'s arithmetic, over the cached
+            // table, so every sample is bit-identical to it.
+            double jitter = 0.0 + sigma_ * rng_.normal(quantiles_);
+            edge += static_cast<Tick>(jitter);
+        }
+        // Edges must remain strictly monotonic even under extreme
+        // jitter draws; clamp to one tick past the previous edge.
+        return std::max(edge, last_edge_ + 1);
+    }
 };
 
 } // namespace mcd

@@ -8,8 +8,6 @@ namespace mcd
 namespace
 {
 
-constexpr int NORMAL_TABLE_SIZE = 4096;
-
 /** Acklam's rational approximation to the inverse normal CDF. */
 double
 inverseNormalCdf(double p)
@@ -52,24 +50,6 @@ inverseNormalCdf(double p)
            ((((d[0]*q + d[1])*q + d[2])*q + d[3])*q + 1);
 }
 
-/** Lazily built quantile table shared by all Rng instances. */
-const std::array<double, NORMAL_TABLE_SIZE + 1> &
-normalTable()
-{
-    static const auto table = [] {
-        std::array<double, NORMAL_TABLE_SIZE + 1> t{};
-        for (int i = 0; i <= NORMAL_TABLE_SIZE; ++i) {
-            // Clamp the tails so the table stays finite; the extreme
-            // quantiles map to about +/- 3.7 sigma, which is ample for
-            // jitter modeling.
-            double p = (i + 0.5) / (NORMAL_TABLE_SIZE + 1.0);
-            t[static_cast<std::size_t>(i)] = inverseNormalCdf(p);
-        }
-        return t;
-    }();
-    return table;
-}
-
 std::uint64_t
 splitmix64(std::uint64_t &x)
 {
@@ -80,13 +60,25 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-inline std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
+
+const double *
+Rng::normalQuantiles()
+{
+    // Built on first use and shared by all Rng instances.
+    static const auto table = [] {
+        std::array<double, NORMAL_TABLE_SIZE + 1> t{};
+        for (std::uint32_t i = 0; i <= NORMAL_TABLE_SIZE; ++i) {
+            // Clamp the tails so the table stays finite; the extreme
+            // quantiles map to about +/- 3.7 sigma, which is ample for
+            // jitter modeling.
+            double p = (i + 0.5) / (NORMAL_TABLE_SIZE + 1.0);
+            t[i] = inverseNormalCdf(p);
+        }
+        return t;
+    }();
+    return table.data();
+}
 
 Rng::Rng(std::uint64_t seed)
 {
@@ -97,20 +89,6 @@ Rng::Rng(std::uint64_t seed)
     // cannot produce four zero words, but be defensive anyway.
     if (state_[0] == 0 && state_[1] == 0 && state_[2] == 0 && state_[3] == 0)
         state_[0] = 1;
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
 }
 
 double
@@ -138,25 +116,6 @@ bool
 Rng::chance(double p)
 {
     return uniform() < p;
-}
-
-double
-Rng::normal()
-{
-    const auto &table = normalTable();
-    // Index with 12 bits, interpolate with the remaining fraction.
-    std::uint64_t r = next();
-    std::uint32_t idx = static_cast<std::uint32_t>(r >> 52); // 12 bits
-    double frac = static_cast<double>((r >> 20) & 0xffffffffull) * 0x1.0p-32;
-    double lo = table[idx];
-    double hi = table[idx + (idx < NORMAL_TABLE_SIZE ? 1u : 0u)];
-    return lo + (hi - lo) * frac;
-}
-
-double
-Rng::normal(double mean, double sigma)
-{
-    return mean + sigma * normal();
 }
 
 int

@@ -31,7 +31,19 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
     double uniform();
@@ -50,10 +62,39 @@ class Rng
      * linear interpolation. Mean 0, standard deviation 1 (to within the
      * table's quantization; see tests for measured moments).
      */
-    double normal();
+    double normal() { return normal(normalQuantiles()); }
+
+    /**
+     * normal() over the table normalQuantiles() returns, for hot loops
+     * that cache the pointer (the accessor's function-local static
+     * costs a guard check per call).
+     */
+    double
+    normal(const double *quantiles)
+    {
+        // Index with 12 bits, interpolate with the remaining fraction.
+        std::uint64_t r = next();
+        auto idx = static_cast<std::uint32_t>(r >> 52);
+        double frac =
+            static_cast<double>((r >> 20) & 0xffffffffull) * 0x1.0p-32;
+        double lo = quantiles[idx];
+        double hi = quantiles[idx + (idx < NORMAL_TABLE_SIZE ? 1u : 0u)];
+        return lo + (hi - lo) * frac;
+    }
 
     /** Normal draw with the given mean and standard deviation. */
-    double normal(double mean, double sigma);
+    double
+    normal(double mean, double sigma)
+    {
+        return mean + sigma * normal();
+    }
+
+    /** Entries of the inverse-CDF table, less one. */
+    static constexpr std::uint32_t NORMAL_TABLE_SIZE = 4096;
+
+    /** The shared inverse-CDF table (NORMAL_TABLE_SIZE + 1 quantiles),
+     *  built on first use. */
+    static const double *normalQuantiles();
 
     /**
      * Geometric-ish burst length: number of consecutive successes with
@@ -70,6 +111,12 @@ class Rng
 
   private:
     std::array<std::uint64_t, 4> state_;
+
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
 };
 
 } // namespace mcd

@@ -58,6 +58,10 @@ Simulator::Simulator(const SimConfig &config, WorkloadGenerator &workload,
       rename_(int_regs_, fp_regs_),
       state_(config.core.robSize, config.core.lsqSize)
 {
+    for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
+        clock_of_[static_cast<std::size_t>(d)] =
+            &clocks_.clock(static_cast<DomainId>(d));
+    }
     if (controller_)
         controller_->onStart(clocks_);
     refreshBatchVoltages();
@@ -72,6 +76,7 @@ Simulator::~Simulator()
         edgeCounter(id, false).inc(edges(id));
         edgeCounter(id, true).inc(quietEdges(id));
     }
+    quietRunCounter().inc(quiet_runs_);
 }
 
 telemetry::Counter &
@@ -80,6 +85,12 @@ Simulator::edgeCounter(DomainId domain, bool quiet)
     return telemetry::StatRegistry::instance().counter(
         std::string(quiet ? "sim.quiet_edges." : "sim.edges.") +
         domainName(domain));
+}
+
+telemetry::Counter &
+Simulator::quietRunCounter()
+{
+    return telemetry::StatRegistry::instance().counter("sim.quiet_runs");
 }
 
 Volt
@@ -156,9 +167,8 @@ Simulator::refreshBatchVoltages() const
 {
     for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
         auto di = static_cast<std::size_t>(d);
-        const DomainClock &clock = clocks_.clock(static_cast<DomainId>(d));
-        batch_.freq[di] = clock.frequency();
-        batch_.volt[di] = clock.voltage();
+        batch_.freq[di] = clock_of_[di]->frequency();
+        batch_.volt[di] = clock_of_[di]->voltage();
     }
 }
 
@@ -167,8 +177,8 @@ Simulator::syncBatchVoltages()
 {
     bool changed = false;
     for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
-        if (clocks_.clock(static_cast<DomainId>(d)).frequency() !=
-            batch_.freq[static_cast<std::size_t>(d)]) {
+        auto di = static_cast<std::size_t>(d);
+        if (clock_of_[di]->frequency() != batch_.freq[di]) {
             changed = true;
             break;
         }
@@ -225,38 +235,142 @@ Simulator::runTo(std::uint64_t target)
 void
 Simulator::step()
 {
+    // Quiet edges are taken in a tight loop up to the first edge on
+    // which some stage may run (see the file comment).
+    //
+    // A frequency changes only as a slewing clock advances, or in
+    // controller calls. Controller calls are followed by a sync
+    // (handleIntervalBoundary, engageController) or happen between
+    // runs, and runTo marks every memo dirty, so the first edge of a
+    // run takes the full path below. So inside the loop the batch
+    // voltages need syncing only after a slewing clock advanced: the
+    // sync flushes the earlier cycles at the old voltage before this
+    // edge's cycle is charged, exactly as on the full path.
+    std::array<std::uint64_t, NUM_CLOCKED_DOMAINS> run{}; // per domain
+
     if (clocks_.mode() == ClockMode::Synchronous) {
-        DomainClock &clock = clocks_.clock(DomainId::FrontEnd);
+        DomainClock &clock = *clock_of_[0];
+        auto quiet = [&](const WakeMemo &memo) {
+            return memo.quiet(clock.nextEdge(), clock.cycles() + 1);
+        };
+        std::uint64_t shared = 0;
+        while (std::all_of(wake_.begin(), wake_.end(), quiet)) {
+            bool slewing = clock.slewing();
+            clock.advance();
+            if (slewing)
+                syncBatchVoltages();
+            for (std::uint64_t &cycles : batch_.cycles)
+                ++cycles;
+            ++shared;
+        }
+        run.fill(shared);
+        endQuietRun(run);
+
         Tick edge = clock.advance();
         state_.now = edge;
         syncBatchVoltages();
         // Execution domains tick before the front end so same-edge
         // completion -> commit and dispatch -> next-edge issue orderings
         // match a conventional synchronous pipeline.
-        tickDomain(DomainId::Integer, edge);
-        tickDomain(DomainId::FloatingPoint, edge);
-        tickDomain(DomainId::LoadStore, edge);
-        tickDomain(DomainId::FrontEnd, edge);
+        std::uint64_t cycle = clock.cycles();
+        tickDomain(DomainId::Integer, edge, cycle);
+        tickDomain(DomainId::FloatingPoint, edge, cycle);
+        tickDomain(DomainId::LoadStore, edge, cycle);
+        tickDomain(DomainId::FrontEnd, edge, cycle);
         return;
     }
 
+    // The earliest pending edge; ties go to the first in this order.
     static constexpr DomainId ORDER[] = {
         DomainId::Integer, DomainId::FloatingPoint,
         DomainId::LoadStore, DomainId::FrontEnd,
     };
-    DomainId best = ORDER[0];
-    Tick best_edge = clocks_.clock(best).nextEdge();
-    for (int i = 1; i < NUM_CLOCKED_DOMAINS; ++i) {
-        Tick t = clocks_.clock(ORDER[i]).nextEdge();
-        if (t < best_edge) {
-            best = ORDER[i];
-            best_edge = t;
+    auto clockOf = [this](DomainId id) -> DomainClock & {
+        return *clock_of_[static_cast<std::size_t>(domainIndex(id))];
+    };
+    for (;;) {
+        DomainId best = ORDER[0];
+        Tick best_edge = clockOf(best).nextEdge();
+        for (int i = 1; i < NUM_CLOCKED_DOMAINS; ++i) {
+            Tick t = clockOf(ORDER[i]).nextEdge();
+            if (t < best_edge) {
+                best = ORDER[i];
+                best_edge = t;
+            }
         }
+        auto di = static_cast<std::size_t>(domainIndex(best));
+        DomainClock &clock = *clock_of_[di];
+        if (!wake_[di].quiet(best_edge, clock.cycles() + 1)) {
+            endQuietRun(run);
+            Tick edge = clock.advance();
+            state_.now = edge;
+            syncBatchVoltages();
+            tickDomain(best, edge, clock.cycles());
+            return;
+        }
+        bool slewing = clock.slewing();
+        clock.advance();
+        if (slewing)
+            syncBatchVoltages();
+        ++batch_.cycles[di];
+        ++run[di];
     }
-    Tick edge = clocks_.clock(best).advance();
-    state_.now = edge;
-    syncBatchVoltages();
-    tickDomain(best, edge);
+}
+
+void
+Simulator::endQuietRun(
+    const std::array<std::uint64_t, NUM_CLOCKED_DOMAINS> &run)
+{
+    bool any = false;
+    for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
+        auto di = static_cast<std::size_t>(d);
+        if (run[di] == 0)
+            continue;
+        accountEdges(static_cast<DomainId>(d), run[di]);
+        quiet_edges_[di] += run[di];
+        any = true;
+    }
+    if (any)
+        ++quiet_runs_;
+}
+
+void
+Simulator::accountEdges(DomainId domain, std::uint64_t n)
+{
+    // Occupancy sums are integer-valued doubles below 2^53, so adding
+    // n x occupancy once is exactly n single-edge adds.
+    auto count = static_cast<double>(n);
+    switch (domain) {
+      case DomainId::FrontEnd:
+        state_.feCycles += n;
+        state_.robOccupancySum +=
+            count * static_cast<double>(state_.robCount());
+        break;
+      case DomainId::Integer:
+        state_.ivOccupancySum[CTL_INT] +=
+            count * static_cast<double>(state_.intIq.size());
+        state_.ivCycles[CTL_INT] += n;
+        if (!state_.intIq.empty() || !state_.intExec.empty())
+            state_.ivBusyCycles[CTL_INT] += n;
+        break;
+      case DomainId::FloatingPoint:
+        state_.ivOccupancySum[CTL_FP] +=
+            count * static_cast<double>(state_.fpIq.size());
+        state_.ivCycles[CTL_FP] += n;
+        if (!state_.fpIq.empty() || !state_.fpExec.empty())
+            state_.ivBusyCycles[CTL_FP] += n;
+        break;
+      case DomainId::LoadStore:
+        state_.ivOccupancySum[CTL_LS] +=
+            count * static_cast<double>(state_.lsq.size());
+        state_.ivCycles[CTL_LS] += n;
+        if (!state_.lsq.empty())
+            state_.ivBusyCycles[CTL_LS] += n;
+        break;
+      default:
+        mcd_panic("cannot tick external domain");
+    }
+    edges_[static_cast<std::size_t>(domainIndex(domain))] += n;
 }
 
 void
@@ -267,46 +381,14 @@ Simulator::markAllDirty()
 }
 
 void
-Simulator::tickDomain(DomainId domain, Tick edge)
+Simulator::tickDomain(DomainId domain, Tick edge, std::uint64_t cycle)
 {
     chargeCycleB(domain);
-
-    // Per-edge accounting runs on every edge, quiet or not.
-    switch (domain) {
-      case DomainId::FrontEnd:
-        ++state_.feCycles;
-        state_.robOccupancySum += static_cast<double>(state_.robCount());
-        break;
-      case DomainId::Integer:
-        state_.ivOccupancySum[CTL_INT] +=
-            static_cast<double>(state_.intIq.size());
-        ++state_.ivCycles[CTL_INT];
-        if (!state_.intIq.empty() || !state_.intExec.empty())
-            ++state_.ivBusyCycles[CTL_INT];
-        break;
-      case DomainId::FloatingPoint:
-        state_.ivOccupancySum[CTL_FP] +=
-            static_cast<double>(state_.fpIq.size());
-        ++state_.ivCycles[CTL_FP];
-        if (!state_.fpIq.empty() || !state_.fpExec.empty())
-            ++state_.ivBusyCycles[CTL_FP];
-        break;
-      case DomainId::LoadStore:
-        state_.ivOccupancySum[CTL_LS] +=
-            static_cast<double>(state_.lsq.size());
-        ++state_.ivCycles[CTL_LS];
-        if (!state_.lsq.empty())
-            ++state_.ivBusyCycles[CTL_LS];
-        break;
-      default:
-        mcd_panic("cannot tick external domain");
-    }
+    accountEdges(domain, 1);
 
     auto di = static_cast<std::size_t>(domainIndex(domain));
-    ++edges_[di];
     WakeMemo &memo = wake_[di];
-    std::uint64_t cycle = clocks_.clock(domain).cycles();
-    if (!memo.dirty && edge < memo.wakeTime && cycle < memo.wakeCycle) {
+    if (memo.quiet(edge, cycle)) {
         ++quiet_edges_[di];
         return;
     }

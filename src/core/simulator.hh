@@ -53,6 +53,20 @@
  * skipping is exact, so results are byte-identical to scanning every
  * edge. `quietEdges()` reports how many edges were skipped.
  *
+ * Quiet edges are taken in bulk. step() advances clocks in a tight
+ * loop while the earliest pending edge is quiet (in Synchronous mode:
+ * while the shared edge is quiet for all four domains), charging each
+ * edge's cycle energy and drawing its jitter sample, and stops at the
+ * first edge on which some stage may run. No quiet edge changes
+ * machine state, so the occupancies the per-edge accumulators sample
+ * are constant across the run: accountEdges() charges the whole run
+ * per domain as count x occupancy, which is exact because those sums
+ * are integer-valued doubles below 2^53. Inside the loop the batch
+ * voltages are synced only after a slewing clock advanced: otherwise
+ * a frequency changes only in controller calls, which are followed by
+ * a sync, or between runs, and runTo marks every memo dirty so its
+ * first edge takes the full path. `quietRuns()` counts the runs.
+ *
  * Energy accounting is batched: per-edge cycle charges and per-access
  * structure charges accumulate in integer counters and are applied to
  * the PowerAccountant only when a domain voltage changes, at interval
@@ -210,9 +224,18 @@ class Simulator
             domainIndex(domain))];
     }
 
+    /**
+     * Runs of quiet edges step() took in bulk (see the file comment);
+     * diagnostics only, like edges().
+     */
+    std::uint64_t quietRuns() const { return quiet_runs_; }
+
     /** The StatRegistry counter `sim.edges.<domain>`, or with `quiet`
      *  `sim.quiet_edges.<domain>`, that profiled simulators add into. */
     static telemetry::Counter &edgeCounter(DomainId domain, bool quiet);
+
+    /** The StatRegistry counter `sim.quiet_runs`, likewise. */
+    static telemetry::Counter &quietRunCounter();
 
     ClockSystem &clocks() { return clocks_; }
     const PowerAccountant &power() const { return power_; }
@@ -259,16 +282,22 @@ class Simulator
     };
     mutable PowerBatch batch_;
 
-    /**
-     * Per-domain wake memo (see the file comment). A clean domain's
-     * edge is quiet while `edge < wakeTime` and its clock's cycles()
-     * is below `wakeCycle`.
-     */
+    /** Each domain's clock (the shared one in Synchronous mode). */
+    std::array<DomainClock *, NUM_CLOCKED_DOMAINS> clock_of_{};
+
+    /** Per-domain wake memo (see the file comment). */
     struct WakeMemo
     {
         bool dirty = true;
         Tick wakeTime = 0;
         std::uint64_t wakeCycle = 0;
+
+        /** Is the domain edge at `edge`, the clock's `cycle`-th, quiet? */
+        bool
+        quiet(Tick edge, std::uint64_t cycle) const
+        {
+            return !dirty && edge < wakeTime && cycle < wakeCycle;
+        }
     };
     std::array<WakeMemo, NUM_CLOCKED_DOMAINS> wake_{};
 
@@ -280,6 +309,7 @@ class Simulator
 
     std::array<std::uint64_t, NUM_CLOCKED_DOMAINS> edges_{};
     std::array<std::uint64_t, NUM_CLOCKED_DOMAINS> quiet_edges_{};
+    std::uint64_t quiet_runs_ = 0;
 
     std::function<void(const IntervalStats &)> interval_observer_;
 
@@ -294,7 +324,13 @@ class Simulator
 
     // --- main loop ---
     void step();
-    void tickDomain(DomainId domain, Tick edge);
+    void tickDomain(DomainId domain, Tick edge, std::uint64_t cycle);
+    /** Per-edge accumulators for `n` edges of `domain` at the current
+     *  occupancies. */
+    void accountEdges(DomainId domain, std::uint64_t n);
+    /** Charge a run of quiet edges, counted per domain. */
+    void endQuietRun(
+        const std::array<std::uint64_t, NUM_CLOCKED_DOMAINS> &run);
 
     // --- wake memo: called by the stages during a scan ---
     void mutated() { scan_mutated_ = true; }

@@ -255,7 +255,17 @@ ArtifactCache::fetch(
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto &slot = inflight_[key];
-        if (!slot)
+        // A caller that finds another caller's slot joins that
+        // caller's resolution of the key: an in-flight join, the
+        // cross-client dedup event the serve layer reports. It counts
+        // on arrival, so it is visible while the fetch is still in
+        // flight; each slot is resolved once, so the total equals the
+        // number of callers that did not resolve. (Requests after
+        // the slot's retirement get a fresh slot and resolve it
+        // themselves against the memory layer, so they never count.)
+        if (slot)
+            inflight_joins_.inc();
+        else
             slot = std::make_shared<Inflight>();
         flight = slot;
     }
@@ -264,9 +274,7 @@ ArtifactCache::fetch(
     // distinct artifacts still fan out in parallel, and nested
     // requests (a search's probes, always for *other* keys) recurse
     // freely.
-    bool resolved_here = false;
     std::call_once(flight->once, [&] {
-        resolved_here = true;
         std::string blob;
         if (memory_.get(key, blob) && validate(blob))
             return; // published earlier as another artifact's by-product
@@ -292,13 +300,6 @@ ArtifactCache::fetch(
     // makes a new slot whose call_once body hits the memory layer.
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        // A caller whose call_once body did not run waited on another
-        // caller's concurrent resolution of this key: an in-flight
-        // join, the cross-client dedup event the serve layer reports.
-        // (Post-resolution requests get a fresh slot and resolve it
-        // themselves against the memory layer, so they never count.)
-        if (!resolved_here)
-            inflight_joins_.inc();
         auto it = inflight_.find(key);
         if (it != inflight_.end() && it->second == flight)
             inflight_.erase(it);

@@ -264,8 +264,9 @@ class ArtifactCache
      * Lookups that joined another caller's in-flight fetch of the same
      * key instead of resolving it themselves — the cross-client dedup
      * counter: two concurrent requests for one uncached spec are one
-     * compute and one join. Requests arriving after resolution are
-     * plain memory hits, not joins.
+     * compute and one join. A join counts when it arrives, while the
+     * fetch it joined is still in flight. Requests arriving after
+     * resolution are plain memory hits, not joins.
      */
     std::uint64_t inflightJoins() const;
 

@@ -15,6 +15,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include <unistd.h>
@@ -190,6 +191,54 @@ TEST(SimulatorCheckpoint, RestoreRejectsWrongFormatAndTruncation)
     std::string cut = snapshot.substr(0, snapshot.size() / 2);
     serial::Reader truncated(cut);
     EXPECT_FALSE(target.restoreCheckpoint(truncated));
+}
+
+TEST(SimulatorCheckpoint, RestoreRejectsCorruptClockState)
+{
+    // A checkpoint whose clock bytes carry an impossible frequency or
+    // edge order is rejected before any period is derived from it.
+    for (ClockMode mode : {ClockMode::Mcd, ClockMode::Synchronous}) {
+        SimConfig config;
+        config.clocks.mode = mode;
+        auto workload = BenchmarkFactory::create("mcf", 100000);
+        Simulator sim(config, *workload);
+        sim.runTo(2000);
+        std::string snapshot;
+        sim.saveCheckpoint(snapshot);
+        std::string clocks;
+        sim.clocks().saveState(clocks);
+        // ClockSystem::saveState: a u64 clock count, then per clock
+        // cur_freq, target_freq, nominal, next_edge, last_edge, ...
+        std::size_t at = snapshot.find(clocks);
+        ASSERT_NE(std::string::npos, at);
+        std::size_t first_clock = at + 8;
+
+        auto restores = [&](const std::string &blob) {
+            auto fresh = BenchmarkFactory::create("mcf", 100000);
+            Simulator target(config, *fresh);
+            serial::Reader in(blob);
+            return target.restoreCheckpoint(in);
+        };
+        ASSERT_TRUE(restores(snapshot));
+
+        auto with = [&](std::size_t offset, double value) {
+            std::string bytes;
+            serial::appendDouble(bytes, value);
+            std::string blob = snapshot;
+            blob.replace(first_clock + offset, 8, bytes);
+            return blob;
+        };
+        for (double bad : {0.0, -2.0e9, 5.0e9,
+                           std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+            EXPECT_FALSE(restores(with(0, bad))) << bad;
+            EXPECT_FALSE(restores(with(8, bad))) << bad;
+        }
+        std::string backwards = snapshot;
+        std::string last_edge = snapshot.substr(first_clock + 32, 8);
+        backwards.replace(first_clock + 24, 8, last_edge);
+        EXPECT_FALSE(restores(backwards));
+    }
 }
 
 // ------------------------------------------------- artifact encoding

@@ -7,11 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string>
 
 #include "clock/clock_system.hh"
 #include "clock/domain_clock.hh"
 #include "clock/dvfs_model.hh"
+#include "common/serial.hh"
 #include "common/stats.hh"
 
 namespace mcd
@@ -172,6 +178,127 @@ TEST(DomainClock, DeterministicPerSeed)
     DomainClock b(DomainId::Integer, dvfs, 1.0e9, 5);
     for (int i = 0; i < 10000; ++i)
         EXPECT_EQ(a.advance(), b.advance());
+}
+
+std::string
+hex(std::uint64_t v)
+{
+    char buf[19];
+    std::snprintf(buf, sizeof buf, "0x%016" PRIx64, v);
+    return buf;
+}
+
+TEST(DomainClock, EdgeStreamDigest)
+{
+    // The FNV-1a digest of 200k edge times pins the jitter draws, the
+    // slew and the period arithmetic bit for bit. A retarget every
+    // 4096 edges alternates the ends of the range, so most edges slew;
+    // one immediate jump lands in between. Mid-slew, the clock is
+    // saved and restored into a clock built with another seed and
+    // start frequency, which must continue the identical stream.
+    constexpr int EDGES = 200000;
+    constexpr int JUMP_AT = 50000;
+    constexpr int ROUND_TRIP_AT = 100100;
+    DvfsModel dvfs;
+    const DvfsConfig &dc = dvfs.config();
+    DomainClock original(DomainId::LoadStore, dvfs, dc.freqMax, 42);
+    DomainClock restored(DomainId::LoadStore, dvfs, dc.freqMin, 7);
+    DomainClock *clock = &original;
+    std::string stream;
+    for (int i = 0; i < EDGES; ++i) {
+        if (i % 4096 == 0) {
+            Hertz target = (i / 4096) % 2 ? dc.freqMax : dc.freqMin;
+            original.setTargetFrequency(target);
+            restored.setTargetFrequency(target);
+        }
+        if (i == JUMP_AT)
+            original.setFrequencyImmediate(600.0e6);
+        if (i == ROUND_TRIP_AT) {
+            ASSERT_TRUE(original.slewing());
+            std::string blob;
+            original.saveState(blob);
+            serial::Reader in(blob);
+            ASSERT_TRUE(restored.loadState(in));
+            ASSERT_TRUE(in.atEnd());
+            clock = &restored;
+        }
+        Tick edge = clock->advance();
+        if (clock == &restored) {
+            ASSERT_EQ(original.advance(), edge) << "edge " << i;
+            ASSERT_EQ(original.frequency(), restored.frequency());
+        }
+        serial::appendI64(stream, edge);
+    }
+    EXPECT_EQ(hex(0xc99d5315c500f5dbull), hex(serial::fnv1a(stream)));
+}
+
+/** `blob` with the 8 bytes at `offset` replaced by `value`'s. */
+template <typename T>
+std::string
+overwrite(std::string blob, std::size_t offset, T value)
+{
+    static_assert(sizeof(T) == 8);
+    std::string bytes;
+    std::uint64_t bits;
+    std::memcpy(&bits, &value, sizeof bits);
+    serial::appendU64(bytes, bits);
+    blob.replace(offset, bytes.size(), bytes);
+    return blob;
+}
+
+TEST(DomainClock, LoadStateRejectsBadFrequenciesAndEdges)
+{
+    // saveState's layout: cur_freq, target_freq, nominal, next_edge,
+    // last_edge, ... A rejected blob must leave the clock as it was.
+    constexpr std::size_t CUR_FREQ = 0;
+    constexpr std::size_t TARGET_FREQ = 8;
+    constexpr std::size_t NEXT_EDGE = 24;
+    constexpr std::size_t LAST_EDGE = 32;
+    DvfsModel dvfs;
+    const DvfsConfig &dc = dvfs.config();
+    DomainClock saved(DomainId::Integer, dvfs, dc.freqMax, 3);
+    saved.setTargetFrequency(dc.freqMin);
+    for (int i = 0; i < 100; ++i)
+        saved.advance();
+    ASSERT_TRUE(saved.slewing());
+    std::string blob;
+    saved.saveState(blob);
+
+    DomainClock clock(DomainId::Integer, dvfs, 600.0e6, 11);
+    DomainClock twin(DomainId::Integer, dvfs, 600.0e6, 11);
+    auto rejects = [&](const std::string &bad) {
+        serial::Reader in(bad);
+        return !clock.loadState(in);
+    };
+
+    const double inf = std::numeric_limits<double>::infinity();
+    for (std::size_t field : {CUR_FREQ, TARGET_FREQ}) {
+        for (double freq : {0.0, -0.0, -1.0e9, dc.freqMin / 2,
+                            dc.freqMax * 2, inf, -inf,
+                            std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::denorm_min()}) {
+            EXPECT_TRUE(rejects(overwrite(blob, field, freq)))
+                << "field " << field << " = " << freq;
+        }
+    }
+    Tick last = saved.lastEdge();
+    EXPECT_TRUE(rejects(overwrite(blob, NEXT_EDGE, last)));
+    EXPECT_TRUE(rejects(overwrite(blob, NEXT_EDGE, last - 1)));
+    EXPECT_TRUE(rejects(overwrite(blob, LAST_EDGE, saved.nextEdge())));
+    EXPECT_TRUE(rejects(blob.substr(0, blob.size() - 1)));
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_EQ(twin.advance(), clock.advance());
+
+    // The genuine blob still loads and continues the saved stream,
+    // and so do the range's endpoints.
+    serial::Reader in(blob);
+    ASSERT_TRUE(clock.loadState(in));
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_EQ(saved.advance(), clock.advance());
+    for (double freq : {dc.freqMin, dc.freqMax}) {
+        EXPECT_FALSE(rejects(overwrite(blob, CUR_FREQ, freq)));
+        EXPECT_FALSE(rejects(overwrite(blob, TARGET_FREQ, freq)));
+    }
 }
 
 TEST(DomainClock, SlewReachesTargetGradually)

@@ -572,17 +572,22 @@ TEST(Simulator, FpDivOccupiesUnit)
 
 TEST(Simulator, QuietEdgesAreCountedPerDomain)
 {
-    // Every clock edge reaches its domain exactly once, quiet or not;
-    // a memory-bound app leaves most of them with nothing to do.
+    // Every clock edge reaches its domain exactly once, quiet or not,
+    // also when quiet edges are taken in bulk runs; a memory-bound app
+    // leaves most of them with nothing to do.
     auto workload = BenchmarkFactory::create("mcf", 100000);
     Simulator sim(fastConfig(), *workload);
     sim.run(5000);
+    std::uint64_t quiet = 0;
     for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
         auto id = static_cast<DomainId>(d);
         EXPECT_EQ(sim.clocks().clock(id).cycles(), sim.edges(id));
         EXPECT_GT(sim.quietEdges(id), sim.edges(id) / 2);
         EXPECT_LT(sim.quietEdges(id), sim.edges(id));
+        quiet += sim.quietEdges(id);
     }
+    EXPECT_GT(sim.quietRuns(), 0u);
+    EXPECT_LE(sim.quietRuns(), quiet);
 }
 
 TEST(Simulator, RunsAtMinimumFrequencyDomains)

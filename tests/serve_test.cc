@@ -16,13 +16,17 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "control/controller_registry.hh"
 #include "harness/experiment.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
@@ -174,6 +178,97 @@ runRequest(ServeClient &client, const std::string &request)
         return RunReply{};
     }
     return drainRun(client);
+}
+
+/**
+ * A one-shot latch for the test-only `test_latched` controller: its
+ * onStart announces that a simulation reached the measured window and
+ * blocks there until the test releases it, which holds that unit in
+ * flight for as long as the test needs, whatever the host's speed.
+ */
+class StartLatch
+{
+  public:
+    void
+    reset()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        arrived_ = false;
+        released_ = false;
+    }
+
+    /** Called by the controller: announce, then wait for release(). */
+    void
+    arrive()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        arrived_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+    }
+
+    void
+    awaitArrival()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait(lock, [this] { return arrived_; });
+    }
+
+    void
+    release()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        released_ = true;
+        cv_.notify_all();
+    }
+
+  private:
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    bool arrived_ = false;
+    bool released_ = false;
+};
+
+StartLatch &
+startLatch()
+{
+    static StartLatch latch;
+    return latch;
+}
+
+/** Opens the latch on scope exit, so a failed assertion cannot leave
+ *  a daemon worker blocked in it. */
+class LatchRelease
+{
+  public:
+    explicit LatchRelease(StartLatch &latch) : latch_(latch) {}
+    ~LatchRelease() { latch_.release(); }
+    LatchRelease(const LatchRelease &) = delete;
+    LatchRelease &operator=(const LatchRelease &) = delete;
+
+  private:
+    StartLatch &latch_;
+};
+
+class LatchedController : public FrequencyController
+{
+  public:
+    void onStart(ClockSystem &) override { startLatch().arrive(); }
+    void onInterval(const IntervalStats &, ClockSystem &) override {}
+};
+
+void
+registerLatchedController()
+{
+    static std::once_flag once;
+    std::call_once(once, [] {
+        ControllerRegistry::instance().add(
+            "test_latched", "test only: onStart blocks on a latch",
+            [](const ControllerSpec &spec) {
+                ControllerRegistry::checkParams(spec, {});
+                return std::make_unique<LatchedController>();
+            });
+    });
 }
 
 /** A raw (unframed-at-will) connection for protocol-abuse tests. */
@@ -434,37 +529,43 @@ TEST(ServeDaemon, WarmRepeatIsByteIdenticalWithZeroSimulations)
 
 TEST(ServeDaemon, ConcurrentClientsOneUncachedSpecSimulateOnce)
 {
+    // A's unit runs under a controller whose onStart blocks on a
+    // latch, so it is still in flight when B arrives on any host; the
+    // latch opens only once B has joined it.
+    registerLatchedController();
+    StartLatch &latch = startLatch();
+    latch.reset();
     TestDaemon daemon("dedup");
-    // A deliberately long unit (a per-request methodology override) so
-    // the second client reliably arrives while the first's simulation
-    // is still in flight.
+    LatchRelease release_on_exit(latch);
     const std::string request =
         "{\"op\": \"run\", \"benches\": [\"gsm\"], "
-        "\"instructions\": 2000000, \"warmup\": 5000}";
+        "\"controller\": \"test_latched\"}";
 
     ServeClient a;
     connectTo(a, daemon.path());
     std::string error;
     ASSERT_TRUE(a.send(request, &error)) << error;
+    latch.awaitArrival();
 
-    // Wait until A's unit is admitted (the in-flight gauge is visible
-    // through cache-stats) before B asks for the same spec.
+    // A's unit is admitted (the in-flight gauge is visible through
+    // cache-stats) before B asks for the same spec.
     ServeClient probe;
     connectTo(probe, daemon.path());
-    bool inflight = false;
-    for (int i = 0; i < 1000 && !inflight; ++i) {
-        json::Value stats = callOne(probe, "{\"op\": \"cache-stats\"}");
-        const json::Value *serve = stats.get("serve");
-        ASSERT_NE(nullptr, serve);
-        inflight = serve->getU64("inflight_units", 0) >= 1;
-        if (!inflight)
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
+    json::Value stats = callOne(probe, "{\"op\": \"cache-stats\"}");
+    const json::Value *serve = stats.get("serve");
+    ASSERT_NE(nullptr, serve);
+    bool inflight = serve->getU64("inflight_units", 0) >= 1;
     ASSERT_TRUE(inflight) << "first request never started";
 
     ServeClient b;
     connectTo(b, daemon.path());
-    RunReply reply_b = runRequest(b, request);
+    ASSERT_TRUE(b.send(request, &error)) << error;
+    // A join counts on arrival. B's only way to finish is through A's
+    // compute, so this wait ends as soon as B's unit reaches the cache.
+    while (daemon.cache().inflightJoins() < 1)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    latch.release();
+    RunReply reply_b = drainRun(b);
     RunReply reply_a = drainRun(a);
 
     ASSERT_TRUE(reply_a.transport_ok);
@@ -480,7 +581,7 @@ TEST(ServeDaemon, ConcurrentClientsOneUncachedSpecSimulateOnce)
     EXPECT_EQ(reply_a.payloads[0], reply_b.payloads[0]);
 
     // B's unit joined A's in-flight compute rather than re-resolving
-    // (the gauge poll above pinned A in flight when B was admitted).
+    // (the latch held A in flight until B had joined).
     EXPECT_GE(daemon.cache().inflightJoins(), 1u);
     EXPECT_EQ(2u, daemon.server().stats().unitsExecuted);
 }

@@ -7,8 +7,11 @@
  * Attack/Decay while the core waits on memory, the synchronous chip,
  * a load/store domain clocked at the minimum frequency, a
  * non-pipelined divide unit that stays busy for many cycles, a
- * parametric synthetic, and a checkpoint taken at an odd commit count
- * while a miss is outstanding.
+ * parametric synthetic, a checkpoint taken at an odd commit count
+ * while a miss is outstanding, and runs of stalled edges that cross a
+ * frequency change: every clock slewing to the minimum between two
+ * runTo calls (four clocks, or the one shared synchronous clock), and
+ * a schedule that jumps frequencies at every interval boundary.
  *
  * A change meant to make the simulator faster without changing what
  * it simulates must leave every digest as it is. A changed digest
@@ -24,6 +27,7 @@
 #include <vector>
 
 #include "common/serial.hh"
+#include "control/basic_controllers.hh"
 #include "control/controller_registry.hh"
 #include "core/simulator.hh"
 #include "harness/artifact.hh"
@@ -179,6 +183,59 @@ TEST(SimGolden, CheckpointMidMissResumesExactly)
     EXPECT_EQ(hex(digest(straight.stats())),
               hex(digest(resumed.stats())));
     expectDigest(resumed.stats(), 0x6ecf53df115ca70eull);
+}
+
+/** mcf from a cold start to `STOP`, then every clock retargeted to
+ *  the minimum frequency and run on to the end: the slew proceeds
+ *  edge by edge while the core waits on memory. */
+SimStats
+mcfSlewingToMinimum(ClockMode mode)
+{
+    constexpr std::uint64_t STOP = 8000;
+    auto workload = BenchmarkFactory::create("mcf", MEASURED + WARMUP);
+    SimConfig config;
+    config.clocks.mode = mode;
+    Simulator sim(config, *workload);
+    sim.runTo(STOP);
+    for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
+        sim.clocks()
+            .clock(static_cast<DomainId>(d))
+            .setTargetFrequency(config.dvfs.freqMin);
+    }
+    sim.runTo(MEASURED + WARMUP);
+    return sim.stats();
+}
+
+TEST(SimGolden, McfSlewsToMinimumBetweenRuns)
+{
+    expectDigest(mcfSlewingToMinimum(ClockMode::Mcd),
+                 0x1db4c72e77a82129ull);
+}
+
+TEST(SimGolden, McfSynchronousSlewsToMinimumBetweenRuns)
+{
+    // One shared clock: the slew crosses edges on which all four
+    // domains are stalled.
+    expectDigest(mcfSlewingToMinimum(ClockMode::Synchronous),
+                 0x2139f80578a4a691ull);
+}
+
+TEST(SimGolden, McfUnderAlternatingSchedule)
+{
+    // setFrequencyImmediate at every interval boundary, alternating
+    // two frequency vectors.
+    ExperimentSpec spec;
+    spec.benchmark = "mcf";
+    spec.controller.name = "schedule";
+    for (int i = 0; i < 60; ++i) {
+        spec.controller.schedule.push_back(
+            i % 2 ? FrequencyVector{1.0e9, 250.0e6, 400.0e6}
+                  : FrequencyVector{500.0e6, 1.0e9, 750.0e6});
+    }
+    spec.config.instructions = MEASURED;
+    spec.config.warmup = WARMUP;
+    spec.config.intervalInstructions = 500;
+    expectDigest(runExperiment(spec), 0x4afe267cfff27bdcull);
 }
 
 } // namespace

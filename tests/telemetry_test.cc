@@ -322,6 +322,7 @@ TEST(Profiler, OnOffLeavesResultsByteIdentical)
             Simulator::edgeCounter(static_cast<DomainId>(d), true)
                 .reset();
         }
+        Simulator::quietRunCounter().reset();
         std::string on =
             serve::experimentResultJson(spec, runExperiment(spec));
 
@@ -343,9 +344,12 @@ TEST(Profiler, OnOffLeavesResultsByteIdentical)
         EXPECT_LE(quiet, edges) << spec.benchmark;
         if (spec.benchmark == "mcf") {
             // Stalled on memory most of the time: a share of its
-            // edges must have been skipped.
+            // edges must have been skipped, in bulk runs.
             EXPECT_GT(quiet, 0u);
+            EXPECT_GT(Simulator::quietRunCounter().value(), 0u);
         }
+        EXPECT_LE(Simulator::quietRunCounter().value(), quiet)
+            << spec.benchmark;
     }
     resetPhaseHistograms();
 }
