@@ -1,6 +1,7 @@
 #include "core/simulator.hh"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <string>
 
@@ -24,12 +25,67 @@ constexpr std::uint64_t CHECKPOINT_FORMAT = 2;
 constexpr std::uint64_t NO_CYCLE =
     std::numeric_limits<std::uint64_t>::max();
 
+/** Quiet edges between checks that some domain can still wake. */
+constexpr std::uint64_t LIVENESS_PERIOD = 1ull << 20;
+
 /** Ordered erase of one sequence number from a queue. */
 void
 eraseSeq(std::vector<std::uint64_t> &queue, std::uint64_t seq)
 {
     std::erase(queue, seq);
 }
+
+// Simulator::Slot::flags bits.
+constexpr std::uint8_t SLOT_LATCHED = 1 << 0; //!< Inst::enqueued
+constexpr std::uint8_t SLOT_STORE = 1 << 1;   //!< Inst::isStore
+constexpr std::uint8_t SLOT_LOAD = 1 << 2;    //!< Inst::isLoad
+constexpr std::uint8_t SLOT_ADDR = 1 << 3;    //!< Inst::addrKnown
+constexpr std::uint8_t SLOT_DATA = 1 << 4;    //!< Inst::dataReady
+/** Select has nothing left to do: a store has completed
+ *  (Inst::completed), a load or an issue-queue entry has issued
+ *  (Inst::memIssued, Inst::issued). */
+constexpr std::uint8_t SLOT_DONE = 1 << 5;
+constexpr std::uint8_t SLOT_WRITE = 1 << 6;   //!< Inst::writeIssued
+/** On its domain's candidate list; the only bit no Inst field
+ *  mirrors. */
+constexpr std::uint8_t SLOT_LISTED = 1 << 7;
+
+/** The Slot::flags a window entry implies, SLOT_LISTED aside. */
+std::uint8_t
+slotFlags(const Inst &inst)
+{
+    std::uint8_t flags = 0;
+    flags |= inst.enqueued ? SLOT_LATCHED : 0;
+    flags |= inst.isStore ? SLOT_STORE : 0;
+    flags |= inst.isLoad ? SLOT_LOAD : 0;
+    flags |= inst.addrKnown ? SLOT_ADDR : 0;
+    flags |= inst.dataReady ? SLOT_DATA : 0;
+    bool done = inst.isStore ? inst.completed
+              : inst.isLoad  ? inst.memIssued
+                             : inst.issued;
+    flags |= done ? SLOT_DONE : 0;
+    flags |= inst.writeIssued ? SLOT_WRITE : 0;
+    return flags;
+}
+
+/**
+ * Does select still await operand A (0) or B (1) of a queue entry? An
+ * issue-queue entry awaits both until it issues; a store its address
+ * (A) and data (B) until each is known; a load its address until it
+ * issues.
+ */
+bool
+awaitsOperand(const Inst &inst, int operand)
+{
+    if (inst.isStore)
+        return operand == 0 ? !inst.addrKnown : !inst.dataReady;
+    if (inst.isLoad)
+        return operand == 0 && !inst.memIssued;
+    return true;
+}
+
+/** log2 of the per-word store table's bucket count. */
+constexpr int STORE_BUCKET_BITS = 8;
 
 } // namespace
 
@@ -65,6 +121,7 @@ Simulator::Simulator(const SimConfig &config, WorkloadGenerator &workload,
     if (controller_)
         controller_->onStart(clocks_);
     refreshBatchVoltages();
+    rebuildScheduler();
 }
 
 Simulator::~Simulator()
@@ -144,18 +201,19 @@ Simulator::flushPower() const
             batch_.cycles[di] = 0;
         }
     }
-    for (int s = 0; s < NUM_STRUCTURES; ++s) {
-        auto si = static_cast<std::size_t>(s);
-        for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
-            auto di = static_cast<std::size_t>(d);
-            if (batch_.accesses[si][di]) {
-                power_.chargeAccess(static_cast<StructureId>(s),
-                                    batch_.volt[di],
-                                    batch_.accesses[si][di]);
-                batch_.accesses[si][di] = 0;
-            }
+    // Set bits in ascending order: structures, then charging domains,
+    // the order the charges are always applied in.
+    for (std::uint64_t bits = batch_.pending; bits; bits &= bits - 1) {
+        auto bit = static_cast<std::size_t>(std::countr_zero(bits));
+        std::size_t si = bit / NUM_CLOCKED_DOMAINS;
+        std::size_t di = bit % NUM_CLOCKED_DOMAINS;
+        if (batch_.accesses[si][di]) {
+            power_.chargeAccess(static_cast<StructureId>(si),
+                                batch_.volt[di], batch_.accesses[si][di]);
+            batch_.accesses[si][di] = 0;
         }
     }
+    batch_.pending = 0;
     if (batch_.memAccesses) {
         power_.chargeMemoryAccess(batch_.memAccesses);
         batch_.memAccesses = 0;
@@ -165,10 +223,13 @@ Simulator::flushPower() const
 void
 Simulator::refreshBatchVoltages() const
 {
+    // A voltage is a function of the frequency alone.
     for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
         auto di = static_cast<std::size_t>(d);
-        batch_.freq[di] = clock_of_[di]->frequency();
-        batch_.volt[di] = clock_of_[di]->voltage();
+        if (clock_of_[di]->frequency() != batch_.freq[di]) {
+            batch_.freq[di] = clock_of_[di]->frequency();
+            batch_.volt[di] = clock_of_[di]->voltage();
+        }
     }
 }
 
@@ -201,9 +262,10 @@ void
 Simulator::chargeAccessB(StructureId structure, DomainId domain,
                          std::uint64_t count)
 {
-    batch_.accesses[static_cast<std::size_t>(structure)]
-                   [static_cast<std::size_t>(domainIndex(domain))] +=
-        count;
+    auto si = static_cast<std::size_t>(structure);
+    auto di = static_cast<std::size_t>(domainIndex(domain));
+    batch_.accesses[si][di] += count;
+    batch_.pending |= 1ull << (si * NUM_CLOCKED_DOMAINS + di);
 }
 
 void
@@ -226,26 +288,37 @@ void
 Simulator::runTo(std::uint64_t target)
 {
     // Callers may change the machine between runs (memory(), clocks()),
-    // which the wake memo cannot see: rescan on every domain's next edge.
+    // which the wake memo cannot see: rescan on every busy domain's
+    // next edge. An idle domain sleeps through them, so a frequency
+    // set between runs reaches the batch voltages here.
     markAllDirty();
+    syncBatchVoltages();
     while (state_.committed < target)
         step();
+}
+
+Tick
+Simulator::advance(DomainClock &clock)
+{
+    // The sync flushes the earlier cycles at the old voltage before
+    // this edge's cycle is charged.
+    bool slewing = clock.slewing();
+    Tick edge = clock.advance();
+    if (slewing)
+        syncBatchVoltages();
+    return edge;
 }
 
 void
 Simulator::step()
 {
     // Quiet edges are taken in a tight loop up to the first edge on
-    // which some stage may run (see the file comment).
-    //
-    // A frequency changes only as a slewing clock advances, or in
-    // controller calls. Controller calls are followed by a sync
-    // (handleIntervalBoundary, engageController) or happen between
-    // runs, and runTo marks every memo dirty, so the first edge of a
-    // run takes the full path below. So inside the loop the batch
-    // voltages need syncing only after a slewing clock advanced: the
-    // sync flushes the earlier cycles at the old voltage before this
-    // edge's cycle is charged, exactly as on the full path.
+    // which some stage may run (see the file comment). A frequency
+    // changes only as a slewing clock advances, in controller calls,
+    // which are followed by a sync (handleIntervalBoundary,
+    // engageController), or between runs, which runTo syncs. So every
+    // edge syncs the batch voltages only after a slewing clock
+    // advanced.
     std::array<std::uint64_t, NUM_CLOCKED_DOMAINS> run{}; // per domain
 
     if (clocks_.mode() == ClockMode::Synchronous) {
@@ -255,20 +328,17 @@ Simulator::step()
         };
         std::uint64_t shared = 0;
         while (std::all_of(wake_.begin(), wake_.end(), quiet)) {
-            bool slewing = clock.slewing();
-            clock.advance();
-            if (slewing)
-                syncBatchVoltages();
+            advance(clock);
             for (std::uint64_t &cycles : batch_.cycles)
                 ++cycles;
-            ++shared;
+            if (++shared % LIVENESS_PERIOD == 0)
+                checkLive();
         }
         run.fill(shared);
         endQuietRun(run);
 
-        Tick edge = clock.advance();
+        Tick edge = advance(clock);
         state_.now = edge;
-        syncBatchVoltages();
         // Execution domains tick before the front end so same-edge
         // completion -> commit and dispatch -> next-edge issue orderings
         // match a conventional synchronous pipeline.
@@ -288,7 +358,7 @@ Simulator::step()
     auto clockOf = [this](DomainId id) -> DomainClock & {
         return *clock_of_[static_cast<std::size_t>(domainIndex(id))];
     };
-    for (;;) {
+    for (std::uint64_t spins = 1;; ++spins) {
         DomainId best = ORDER[0];
         Tick best_edge = clockOf(best).nextEdge();
         for (int i = 1; i < NUM_CLOCKED_DOMAINS; ++i) {
@@ -302,19 +372,26 @@ Simulator::step()
         DomainClock &clock = *clock_of_[di];
         if (!wake_[di].quiet(best_edge, clock.cycles() + 1)) {
             endQuietRun(run);
-            Tick edge = clock.advance();
+            Tick edge = advance(clock);
             state_.now = edge;
-            syncBatchVoltages();
             tickDomain(best, edge, clock.cycles());
             return;
         }
-        bool slewing = clock.slewing();
-        clock.advance();
-        if (slewing)
-            syncBatchVoltages();
+        advance(clock);
         ++batch_.cycles[di];
         ++run[di];
+        if (spins % LIVENESS_PERIOD == 0)
+            checkLive();
     }
+}
+
+void
+Simulator::checkLive() const
+{
+    for (const WakeMemo &memo : wake_)
+        if (memo.wakeTime != MAX_TICK || memo.wakeCycle != NO_CYCLE)
+            return;
+    mcd_panic("no clock domain can wake: a wake event was lost");
 }
 
 void
@@ -373,11 +450,43 @@ Simulator::accountEdges(DomainId domain, std::uint64_t n)
     edges_[static_cast<std::size_t>(domainIndex(domain))] += n;
 }
 
+bool
+Simulator::busy(DomainId domain) const
+{
+    switch (domain) {
+      case DomainId::Integer:
+        return !state_.intIq.empty() || !state_.intExec.empty();
+      case DomainId::FloatingPoint:
+        return !state_.fpIq.empty() || !state_.fpExec.empty();
+      case DomainId::LoadStore:
+        return !state_.lsq.empty() || !state_.lsExec.empty();
+      default:
+        return true; // the front end always has work to scan
+    }
+}
+
+void
+Simulator::markDirty(DomainId domain)
+{
+    // An idle domain sleeps (see the file comment).
+    wake_[static_cast<std::size_t>(domainIndex(domain))] = busy(domain)
+        ? WakeMemo{}
+        : WakeMemo{MAX_TICK, NO_CYCLE, true};
+}
+
 void
 Simulator::markAllDirty()
 {
-    for (WakeMemo &memo : wake_)
-        memo.dirty = true;
+    for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d)
+        markDirty(static_cast<DomainId>(d));
+}
+
+void
+Simulator::wakeDomain(DomainId domain, Tick time)
+{
+    WakeMemo &memo = wake_[static_cast<std::size_t>(domainIndex(domain))];
+    memo.wakeTime = std::min(memo.wakeTime, time);
+    memo.asleep = false;
 }
 
 void
@@ -402,10 +511,11 @@ Simulator::tickDomain(DomainId domain, Tick edge, std::uint64_t cycle)
       case DomainId::FloatingPoint: fpTick(edge, cycle); break;
       default:                      loadStoreTick(edge, cycle); break;
     }
+    // Other domains learned of the scan's changes through wake events.
     if (scan_mutated_)
-        markAllDirty();
+        markDirty(domain);
     else
-        memo = {false, scan_wake_time_, scan_wake_cycle_};
+        memo = {scan_wake_time_, scan_wake_cycle_, false};
 }
 
 // ---------------------------------------------------------------------
@@ -458,8 +568,10 @@ Simulator::commitStage(Tick edge)
             head.lsqFreed = true;
             eraseSeq(state_.lsq, head.seq);
         }
-        if (head.isStore)
+        if (head.isStore) {
             head.committedStore = true;
+            wakeDomain(DomainId::LoadStore, edge); // it may drain now
+        }
 
         ++state_.robHead;
         ++state_.committed;
@@ -469,7 +581,10 @@ Simulator::commitStage(Tick edge)
             static_cast<std::uint64_t>(config_.core.intervalInstructions))
             handleIntervalBoundary(edge);
     }
-    state_.retireHead();
+    // The window head moves past retired entries: the ones committed
+    // here, and stores whose LSQ slot was freed (see processCompletions).
+    if (budget < config_.core.retireWidth)
+        state_.retireHead();
 }
 
 void
@@ -644,7 +759,10 @@ Simulator::fetchAndDispatch(Tick edge)
 bool
 Simulator::dispatchOne(const MicroOp &op, Tick edge)
 {
+    std::size_t ring_size = state_.ring.size();
     Inst &inst = state_.allocate();
+    if (state_.ring.size() != ring_size)
+        rebuildScheduler(); // slots moved; the new entry is not queued
     inst.op = op;
     inst.dispatchTime = edge;
     inst.isLoad = isLoadClass(op.cls);
@@ -683,6 +801,8 @@ Simulator::dispatchOne(const MicroOp &op, Tick edge)
     chargeAccessB(StructureId::Rob, DomainId::FrontEnd);
     // ROB membership is implicit: every live seq >= robHead is in it.
 
+    trackEntry(inst);
+    wakeDomain(inst.execDomain, slots_[inst.seq & state_.ringMask].latchAt);
     if (isMemClass(op.cls)) {
         state_.lsq.push_back(inst.seq);
         chargeAccessB(StructureId::Lsq, DomainId::LoadStore);
@@ -713,27 +833,23 @@ Simulator::regReadyTime(int logical, int phys, DomainId domain) const
     return file.readyTime(phys, domain, clocks_);
 }
 
-Tick
-Simulator::operandsReadyTime(const Inst &inst, DomainId domain) const
-{
-    return std::max(regReadyTime(inst.op.srcA, inst.physA, domain),
-                    regReadyTime(inst.op.srcB, inst.physB, domain));
-}
-
 void
-Simulator::latchEnqueue(Inst &inst, DomainId domain, Tick edge)
+Simulator::latchEnqueue(Slot &slot, std::uint64_t seq, Tick edge)
 {
     // Queue-write latency: the entry is latched into the issue queue
     // on the first domain edge that satisfies the sync rule and
     // becomes issue-eligible the following edge.
-    Tick latch_at =
-        clocks_.visibleAt(DomainId::FrontEnd, inst.dispatchTime, domain);
-    if (edge < latch_at) {
-        wakeAt(latch_at);
+    if (edge < slot.latchAt) {
+        wakeAt(slot.latchAt);
         return;
     }
-    inst.enqueued = true;
-    mutated();
+    slot.flags |= SLOT_LATCHED;
+    state_.inst(seq).enqueued = true;
+    // Only select reads the latch, and it can act on the entry from
+    // the next edge once an operand it awaits is visible.
+    wakeAt((slot.flags & SLOT_STORE)
+               ? std::min(slot.operandAt[0], slot.operandAt[1])
+               : std::max(slot.operandAt[0], slot.operandAt[1]));
 }
 
 void
@@ -749,6 +865,31 @@ Simulator::completeInst(Inst &inst, DomainId domain, Tick edge)
                                      : StructureId::IntRegFile,
                       domain);
         chargeAccessB(StructureId::ResultBus, domain);
+        // Wake the register's waiters with the tick at which the value
+        // becomes visible in each one's domain.
+        std::int32_t &head =
+            waiter_head_[static_cast<std::size_t>(
+                regKey(inst.op.dst, inst.physDst))];
+        for (std::int32_t node = head; node >= 0;
+             node = waiter_next_[static_cast<std::size_t>(node)]) {
+            auto slot = static_cast<std::size_t>(node >> 1);
+            Slot &waiter = slots_[slot];
+            Tick at = clocks_.visibleAt(domain, edge, waiter.domain);
+            waiter.operandAt[static_cast<std::size_t>(node & 1)] = at;
+            // An unlatched entry is listed, and its domain wakes for
+            // the latch; a latched one that select can now act on
+            // wakes its domain when it can.
+            if ((waiter.flags & SLOT_LATCHED) && isCandidate(waiter)) {
+                if (!(waiter.flags & SLOT_LISTED))
+                    listCandidate(slot);
+                wakeDomain(waiter.domain,
+                           (waiter.flags & SLOT_STORE)
+                               ? at
+                               : std::max(waiter.operandAt[0],
+                                          waiter.operandAt[1]));
+            }
+        }
+        head = -1;
     }
     if (inst.usesMshr && inst.isLoad) {
         --state_.mshrInUse;
@@ -757,7 +898,20 @@ Simulator::completeInst(Inst &inst, DomainId domain, Tick edge)
     if (inst.mispredicted && isControlClass(inst.op.cls)) {
         state_.branchResolveTime = edge;
         state_.branchResolveDomain = domain;
+        wakeDomain(DomainId::FrontEnd,
+                   clocks_.visibleAt(domain, edge, DomainId::FrontEnd));
     }
+    wakeIfHead(inst.seq, domain, edge);
+}
+
+void
+Simulator::wakeIfHead(std::uint64_t seq, DomainId domain, Tick edge)
+{
+    // The commit stage stops at the first entry it cannot retire, so
+    // only the head's completion can change its next scan.
+    if (seq == state_.robHead)
+        wakeDomain(DomainId::FrontEnd,
+                   clocks_.visibleAt(domain, edge, DomainId::FrontEnd));
 }
 
 void
@@ -788,7 +942,10 @@ Simulator::processCompletions(std::vector<std::uint64_t> &exec_list,
                 --state_.mshrInUse;
                 inst.usesMshr = false;
             }
+            removeStore(inst.seq & state_.ringMask);
             eraseSeq(state_.lsq, inst.seq);
+            state_.retireHead();
+            wakeDomain(DomainId::FrontEnd, edge); // a free LSQ entry
         } else {
             completeInst(inst, domain, edge);
         }
@@ -801,7 +958,7 @@ void
 Simulator::integerTick(Tick edge, std::uint64_t cycle)
 {
     processCompletions(state_.intExec, DomainId::Integer, edge, cycle);
-    issueInteger(edge, cycle);
+    issueQueue(DomainId::Integer, edge, cycle);
 }
 
 void
@@ -809,145 +966,89 @@ Simulator::fpTick(Tick edge, std::uint64_t cycle)
 {
     processCompletions(state_.fpExec, DomainId::FloatingPoint, edge,
                        cycle);
-    issueFp(edge, cycle);
+    issueQueue(DomainId::FloatingPoint, edge, cycle);
 }
 
 void
-Simulator::issueInteger(Tick edge, std::uint64_t cycle)
+Simulator::issueQueue(DomainId domain, Tick edge, std::uint64_t cycle)
 {
-    ScopedTimer timer(Phase::SimIssueInt);
+    bool fp = domain == DomainId::FloatingPoint;
+    ScopedTimer timer(fp ? Phase::SimIssueFp : Phase::SimIssueInt);
     const CoreConfig &c = config_.core;
-    std::vector<std::uint64_t> &q = state_.intIq;
-    int budget = c.intIssueWidth;
-    int alu_slots = c.intAluCount;
-    int mult_slots = cycle >= state_.intDivFreeCycle ? 1 : 0;
+    std::vector<std::uint64_t> &list = candidates(domain);
+    std::uint64_t &div_free_cycle =
+        fp ? state_.fpDivFreeCycle : state_.intDivFreeCycle;
+    int budget = fp ? c.fpIssueWidth : c.intIssueWidth;
+    int alu_slots = fp ? c.fpAluCount : c.intAluCount;
+    int mult_slots = cycle >= div_free_cycle ? 1 : 0;
 
-    for (std::size_t i = 0; i < q.size() && budget > 0;) {
-        Inst &inst = state_.inst(q[i]);
-        if (!inst.enqueued) {
-            latchEnqueue(inst, DomainId::Integer, edge);
-            ++i;
-            continue;
-        }
-        Tick ready_at = operandsReadyTime(inst, DomainId::Integer);
-        if (edge < ready_at) {
+    std::size_t kept = 0;
+    std::size_t i = 0;
+    for (; i < list.size() && budget > 0; ++i) {
+        std::uint64_t seq = list[i];
+        Slot &slot = slots_[seq & state_.ringMask];
+        Tick ready_at = std::max(slot.operandAt[0], slot.operandAt[1]);
+        if (!(slot.flags & SLOT_LATCHED)) {
+            latchEnqueue(slot, seq, edge);
+        } else if (edge < ready_at) {
             wakeAt(ready_at);
-            ++i;
-            continue;
-        }
-
-        OpClass cls = inst.op.cls;
-        if (cls == OpClass::IntMult) {
-            if (mult_slots == 0) {
-                wakeAtCycle(state_.intDivFreeCycle);
-                ++i;
-                continue;
-            }
-            --mult_slots;
-            chargeAccessB(StructureId::IntMult, DomainId::Integer);
-        } else if (cls == OpClass::IntDiv) {
-            if (mult_slots == 0) {
-                wakeAtCycle(state_.intDivFreeCycle);
-                ++i;
-                continue;
-            }
-            mult_slots = 0;
-            state_.intDivFreeCycle =
-                cycle + static_cast<std::uint64_t>(c.intDivLatency);
-            chargeAccessB(StructureId::IntMult, DomainId::Integer);
         } else {
-            if (alu_slots == 0) {
-                ++i;
-                continue;
+            OpClass cls = slot.cls;
+            bool divide = cls == OpClass::IntDiv || cls == OpClass::FpDiv ||
+                          cls == OpClass::FpSqrt;
+            if (divide || cls == OpClass::IntMult ||
+                cls == OpClass::FpMult) {
+                // The mult unit also divides, unpipelined.
+                if (mult_slots == 0) {
+                    wakeAtCycle(div_free_cycle);
+                    list[kept++] = seq;
+                    continue;
+                }
+                if (divide) {
+                    mult_slots = 0;
+                    div_free_cycle = cycle +
+                        static_cast<std::uint64_t>(execLatency(cls));
+                } else {
+                    --mult_slots;
+                }
+                chargeAccessB(fp ? StructureId::FpMult
+                                 : StructureId::IntMult,
+                              domain);
+            } else {
+                if (alu_slots == 0) {
+                    list[kept++] = seq;
+                    continue;
+                }
+                --alu_slots;
+                chargeAccessB(fp ? StructureId::FpAlu : StructureId::IntAlu,
+                              domain);
             }
-            --alu_slots;
-            chargeAccessB(StructureId::IntAlu, DomainId::Integer);
-        }
 
-        mutated();
-        inst.issued = true;
-        inst.doneCycle =
-            cycle + static_cast<std::uint64_t>(execLatency(cls));
-        state_.intExec.push_back(inst.seq);
-        chargeAccessB(StructureId::IntIssueQueue, DomainId::Integer);
-        int reads = (inst.op.srcA > 0 ? 1 : 0) +
-                    (inst.op.srcB > 0 ? 1 : 0);
-        chargeAccessB(StructureId::IntRegFile, DomainId::Integer,
-                      static_cast<std::uint64_t>(reads));
-        ++state_.ivIssued[CTL_INT];
-        q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
-        --budget;
+            mutated();
+            slot.flags |= SLOT_DONE;
+            Inst &inst = state_.inst(seq);
+            inst.issued = true;
+            inst.doneCycle =
+                cycle + static_cast<std::uint64_t>(execLatency(cls));
+            (fp ? state_.fpExec : state_.intExec).push_back(seq);
+            std::vector<std::uint64_t> &q = fp ? state_.fpIq : state_.intIq;
+            q.erase(std::lower_bound(q.begin(), q.end(), seq));
+            wakeDomain(DomainId::FrontEnd, edge); // a free queue entry
+            chargeAccessB(fp ? StructureId::FpIssueQueue
+                             : StructureId::IntIssueQueue,
+                          domain);
+            int reads = (inst.op.srcA > 0 ? 1 : 0) +
+                        (inst.op.srcB > 0 ? 1 : 0);
+            chargeAccessB(fp ? StructureId::FpRegFile
+                             : StructureId::IntRegFile,
+                          domain, static_cast<std::uint64_t>(reads));
+            ++state_.ivIssued[fp ? CTL_FP : CTL_INT];
+            --budget;
+        }
+        keepCandidate(list, kept, seq);
     }
-}
-
-void
-Simulator::issueFp(Tick edge, std::uint64_t cycle)
-{
-    ScopedTimer timer(Phase::SimIssueFp);
-    const CoreConfig &c = config_.core;
-    std::vector<std::uint64_t> &q = state_.fpIq;
-    int budget = c.fpIssueWidth;
-    int alu_slots = c.fpAluCount;
-    int mult_slots = cycle >= state_.fpDivFreeCycle ? 1 : 0;
-
-    for (std::size_t i = 0; i < q.size() && budget > 0;) {
-        Inst &inst = state_.inst(q[i]);
-        if (!inst.enqueued) {
-            latchEnqueue(inst, DomainId::FloatingPoint, edge);
-            ++i;
-            continue;
-        }
-        Tick ready_at = operandsReadyTime(inst, DomainId::FloatingPoint);
-        if (edge < ready_at) {
-            wakeAt(ready_at);
-            ++i;
-            continue;
-        }
-
-        OpClass cls = inst.op.cls;
-        if (cls == OpClass::FpMult) {
-            if (mult_slots == 0) {
-                wakeAtCycle(state_.fpDivFreeCycle);
-                ++i;
-                continue;
-            }
-            --mult_slots;
-            chargeAccessB(StructureId::FpMult, DomainId::FloatingPoint);
-        } else if (cls == OpClass::FpDiv || cls == OpClass::FpSqrt) {
-            if (mult_slots == 0) {
-                wakeAtCycle(state_.fpDivFreeCycle);
-                ++i;
-                continue;
-            }
-            mult_slots = 0;
-            state_.fpDivFreeCycle = cycle + static_cast<std::uint64_t>(
-                cls == OpClass::FpDiv ? c.fpDivLatency
-                                      : c.fpSqrtLatency);
-            chargeAccessB(StructureId::FpMult, DomainId::FloatingPoint);
-        } else {
-            if (alu_slots == 0) {
-                ++i;
-                continue;
-            }
-            --alu_slots;
-            chargeAccessB(StructureId::FpAlu, DomainId::FloatingPoint);
-        }
-
-        mutated();
-        inst.issued = true;
-        inst.doneCycle =
-            cycle + static_cast<std::uint64_t>(execLatency(cls));
-        state_.fpExec.push_back(inst.seq);
-        chargeAccessB(StructureId::FpIssueQueue,
-                      DomainId::FloatingPoint);
-        int reads = (inst.op.srcA > 0 ? 1 : 0) +
-                    (inst.op.srcB > 0 ? 1 : 0);
-        chargeAccessB(StructureId::FpRegFile, DomainId::FloatingPoint,
-                      static_cast<std::uint64_t>(reads));
-        ++state_.ivIssued[CTL_FP];
-        q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
-        --budget;
-    }
+    list.erase(list.begin() + static_cast<std::ptrdiff_t>(kept),
+               list.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 // ---------------------------------------------------------------------
@@ -955,23 +1056,22 @@ Simulator::issueFp(Tick edge, std::uint64_t cycle)
 // ---------------------------------------------------------------------
 
 bool
-Simulator::olderStoreBlocks(const Inst &load, const Inst *&forward) const
+Simulator::olderStoreBlocks(std::uint64_t load_seq, std::uint64_t word,
+                            bool &forward) const
 {
-    forward = nullptr;
-    std::uint64_t load_word = load.op.memAddr >> 3;
-    for (std::uint64_t seq : state_.lsq) {
-        if (seq >= load.seq)
-            break;
-        const Inst &p = state_.inst(seq);
-        if (!p.isStore)
-            continue;
-        if (!p.addrKnown)
-            return true; // conservative disambiguation
-        if ((p.op.memAddr >> 3) == load_word) {
-            if (!p.dataReady)
+    // Conservative disambiguation: any older store with an unknown
+    // address blocks the load.
+    forward = false;
+    if (!unknown_stores_.empty() && unknown_stores_.front() < load_seq)
+        return true;
+    for (std::int32_t s = store_head_[storeBucket(word)]; s >= 0;) {
+        const StoreLink &store = store_link_[static_cast<std::size_t>(s)];
+        if (store.word == word && store.seq < load_seq) {
+            if (!(slots_[static_cast<std::size_t>(s)].flags & SLOT_DATA))
                 return true; // matching store, data not yet ready
-            forward = &p;    // newest matching store wins
+            forward = true;  // the newest matching store forwards
         }
+        s = store.next;
     }
     return false;
 }
@@ -1020,99 +1120,129 @@ Simulator::startDataAccess(Inst &inst, Tick edge, std::uint64_t cycle,
 }
 
 void
+Simulator::issueStore(Slot &slot, std::uint64_t seq, Tick edge,
+                      int &budget)
+{
+    std::uint8_t flags = slot.flags;
+    if (!(flags & SLOT_ADDR)) {
+        if (edge >= slot.operandAt[0]) {
+            mutated();
+            flags |= SLOT_ADDR;
+            Inst &inst = state_.inst(seq);
+            inst.addrKnown = true; // AGU operation
+            unknown_stores_.erase(std::lower_bound(
+                unknown_stores_.begin(), unknown_stores_.end(), seq));
+            insertStore(seq & state_.ringMask, seq, inst.op.memAddr >> 3);
+            chargeAccessB(StructureId::Lsq, DomainId::LoadStore);
+            --budget;
+        } else {
+            wakeAt(slot.operandAt[0]);
+        }
+    }
+    if (!(flags & SLOT_DATA)) {
+        if (edge >= slot.operandAt[1]) {
+            mutated();
+            flags |= SLOT_DATA;
+            state_.inst(seq).dataReady = true;
+        } else {
+            wakeAt(slot.operandAt[1]);
+        }
+    }
+    if ((flags & (SLOT_ADDR | SLOT_DATA)) == (SLOT_ADDR | SLOT_DATA)) {
+        mutated();
+        flags |= SLOT_DONE;
+        Inst &inst = state_.inst(seq);
+        inst.completed = true;
+        inst.completeTime = edge;
+        inst.execDomain = DomainId::LoadStore;
+        ++state_.ivIssued[CTL_LS];
+        wakeIfHead(seq, DomainId::LoadStore, edge);
+    }
+    slot.flags = flags;
+}
+
+void
+Simulator::issueLoad(Slot &slot, std::uint64_t seq, Tick edge,
+                     std::uint64_t cycle, int &budget)
+{
+    if (edge < slot.operandAt[0]) {
+        wakeAt(slot.operandAt[0]);
+        return;
+    }
+
+    // Blocks from here on (an older store, no free MSHR) are released
+    // only by another scan's state change.
+    Inst &inst = state_.inst(seq);
+    bool forward = false;
+    if (olderStoreBlocks(seq, inst.op.memAddr >> 3, forward))
+        return;
+
+    if (forward) {
+        mutated();
+        slot.flags |= SLOT_DONE;
+        inst.memIssued = true;
+        inst.forwarded = true;
+        inst.doneCycle = cycle + 1;
+        state_.lsExec.push_back(seq);
+        chargeAccessB(StructureId::Lsq, DomainId::LoadStore);
+        ++state_.ivIssued[CTL_LS];
+        --budget;
+        return;
+    }
+
+    bool hit = memory_.l1d().probe(inst.op.memAddr);
+    if (!hit && state_.mshrInUse >= config_.core.mshrCount)
+        return; // no MSHR free; retry next cycle
+    chargeAccessB(StructureId::Lsq, DomainId::LoadStore);
+    slot.flags |= SLOT_DONE;
+    startDataAccess(inst, edge, cycle, false);
+    ++state_.ivIssued[CTL_LS];
+    --budget;
+}
+
+void
 Simulator::issueLoadStore(Tick edge, std::uint64_t cycle)
 {
     ScopedTimer timer(Phase::SimIssueLs);
     const CoreConfig &c = config_.core;
     int budget = c.memIssueWidth;
 
-    for (std::size_t i = 0;
-         i < state_.lsq.size() && budget > 0; ++i) {
-        Inst &inst = state_.inst(state_.lsq[i]);
-        if (!inst.enqueued) {
-            latchEnqueue(inst, DomainId::LoadStore, edge);
-            continue;
-        }
-
-        if (inst.isStore) {
-            if (!inst.addrKnown) {
-                Tick addr_at = regReadyTime(inst.op.srcA, inst.physA,
-                                            DomainId::LoadStore);
-                if (edge >= addr_at) {
-                    mutated();
-                    inst.addrKnown = true; // AGU operation
-                    chargeAccessB(StructureId::Lsq, DomainId::LoadStore);
-                    --budget;
-                } else {
-                    wakeAt(addr_at);
-                }
-            }
-            if (!inst.dataReady) {
-                Tick data_at = regReadyTime(inst.op.srcB, inst.physB,
-                                            DomainId::LoadStore);
-                if (edge >= data_at) {
-                    mutated();
-                    inst.dataReady = true;
-                } else {
-                    wakeAt(data_at);
-                }
-            }
-            if (inst.addrKnown && inst.dataReady && !inst.completed) {
-                mutated();
-                inst.completed = true;
-                inst.completeTime = edge;
-                inst.execDomain = DomainId::LoadStore;
-                ++state_.ivIssued[CTL_LS];
-            }
-            continue;
-        }
-
-        if (!inst.isLoad || inst.memIssued)
-            continue;
-        Tick addr_at =
-            regReadyTime(inst.op.srcA, inst.physA, DomainId::LoadStore);
-        if (edge < addr_at) {
-            wakeAt(addr_at);
-            continue;
-        }
-
-        // Blocks from here on (an older store, no free MSHR) are
-        // released only by another scan's state change.
-        const Inst *forward = nullptr;
-        if (olderStoreBlocks(inst, forward))
-            continue;
-
-        if (forward) {
-            mutated();
-            inst.memIssued = true;
-            inst.forwarded = true;
-            inst.doneCycle = cycle + 1;
-            state_.lsExec.push_back(inst.seq);
-            chargeAccessB(StructureId::Lsq, DomainId::LoadStore);
-            ++state_.ivIssued[CTL_LS];
-            --budget;
-            continue;
-        }
-
-        bool hit = memory_.l1d().probe(inst.op.memAddr);
-        if (!hit && state_.mshrInUse >= c.mshrCount)
-            continue; // no MSHR free; retry next cycle
-        chargeAccessB(StructureId::Lsq, DomainId::LoadStore);
-        startDataAccess(inst, edge, cycle, false);
-        ++state_.ivIssued[CTL_LS];
-        --budget;
+    // The candidates are uncommitted: a committed entry has completed.
+    std::vector<std::uint64_t> &list = candidates(DomainId::LoadStore);
+    std::size_t kept = 0;
+    std::size_t i = 0;
+    for (; i < list.size() && budget > 0; ++i) {
+        std::uint64_t seq = list[i];
+        Slot &slot = slots_[seq & state_.ringMask];
+        if (!(slot.flags & SLOT_LATCHED))
+            latchEnqueue(slot, seq, edge);
+        else if (slot.flags & SLOT_STORE)
+            issueStore(slot, seq, edge, budget);
+        else
+            issueLoad(slot, seq, edge, cycle, budget);
+        keepCandidate(list, kept, seq);
     }
+    list.erase(list.begin() + static_cast<std::ptrdiff_t>(kept),
+               list.begin() + static_cast<std::ptrdiff_t>(i));
 
     // Drain committed stores into the cache with leftover bandwidth.
-    for (std::size_t i = 0;
-         i < state_.lsq.size() && budget > 0; ++i) {
-        Inst &inst = state_.inst(state_.lsq[i]);
-        if (!inst.isStore || !inst.committedStore || inst.writeIssued)
+    // Loads leave the LSQ at commit, so the entries older than the ROB
+    // head are exactly the committed stores.
+    const std::vector<std::uint64_t> &lsq = state_.lsq;
+    auto committed_stores = static_cast<std::size_t>(
+        std::lower_bound(lsq.begin(), lsq.end(), state_.robHead) -
+        lsq.begin());
+    for (std::size_t j = 0; j < committed_stores && budget > 0; ++j) {
+        std::uint64_t seq = lsq[j];
+        Slot &slot = slots_[seq & state_.ringMask];
+        if (slot.flags & SLOT_WRITE)
             continue;
+        Inst &inst = state_.inst(seq);
         bool hit = memory_.l1d().probe(inst.op.memAddr);
         if (!hit && state_.mshrInUse >= c.mshrCount)
             break; // stores drain in order
         chargeAccessB(StructureId::Lsq, DomainId::LoadStore);
+        slot.flags |= SLOT_WRITE;
         startDataAccess(inst, edge, cycle, true);
         --budget;
     }
@@ -1123,7 +1253,383 @@ Simulator::loadStoreTick(Tick edge, std::uint64_t cycle)
 {
     processCompletions(state_.lsExec, DomainId::LoadStore, edge, cycle);
     issueLoadStore(edge, cycle);
-    state_.retireHead();
+}
+
+// ---------------------------------------------------------------------
+// Issue-select state
+// ---------------------------------------------------------------------
+
+int
+Simulator::regKey(int logical, int phys) const
+{
+    return RenameMap::isFp(logical) ? int_regs_.size() + phys : phys;
+}
+
+std::size_t
+Simulator::storeBucket(std::uint64_t word) const
+{
+    return static_cast<std::size_t>((word * 0x9e3779b97f4a7c15ull) >>
+                                    (64 - STORE_BUCKET_BITS));
+}
+
+void
+Simulator::insertStore(std::size_t slot, std::uint64_t seq,
+                       std::uint64_t word)
+{
+    std::int32_t &head = store_head_[storeBucket(word)];
+    store_link_[slot] = {seq, word, head};
+    head = static_cast<std::int32_t>(slot);
+}
+
+void
+Simulator::removeStore(std::size_t slot)
+{
+    std::int32_t *link = &store_head_[storeBucket(store_link_[slot].word)];
+    while (*link != static_cast<std::int32_t>(slot))
+        link = &store_link_[static_cast<std::size_t>(*link)].next;
+    *link = store_link_[slot].next;
+}
+
+void
+Simulator::awaitOperand(std::size_t slot, int operand, int logical,
+                        int phys)
+{
+    Slot &entry = slots_[slot];
+    Tick &at = entry.operandAt[static_cast<std::size_t>(operand)];
+    at = regReadyTime(logical, phys, entry.domain);
+    if (at != MAX_TICK)
+        return;
+    // Unwritten: wait on the register until completeInst stamps it.
+    auto node = static_cast<std::int32_t>(slot * 2) + operand;
+    std::int32_t &head =
+        waiter_head_[static_cast<std::size_t>(regKey(logical, phys))];
+    waiter_next_[static_cast<std::size_t>(node)] = head;
+    head = node;
+}
+
+bool
+Simulator::isCandidate(const Slot &slot)
+{
+    std::uint8_t flags = slot.flags;
+    if (!(flags & SLOT_LATCHED))
+        return true; // the latch is pending
+    if (flags & SLOT_DONE)
+        return false;
+    bool a = slot.operandAt[0] != MAX_TICK;
+    bool b = slot.operandAt[1] != MAX_TICK;
+    if (flags & SLOT_STORE)
+        return (!(flags & SLOT_ADDR) && a) || (!(flags & SLOT_DATA) && b);
+    return a && b;
+}
+
+std::vector<std::uint64_t> &
+Simulator::candidates(DomainId domain)
+{
+    return candidates_[static_cast<std::size_t>(domainIndex(domain) - 1)];
+}
+
+void
+Simulator::listCandidate(std::size_t slot)
+{
+    Slot &entry = slots_[slot];
+    entry.flags |= SLOT_LISTED;
+    // Every live seq lies within one ring length of the window head.
+    std::uint64_t seq = state_.windowHead +
+        ((slot - state_.windowHead) & state_.ringMask);
+    std::vector<std::uint64_t> &list = candidates(entry.domain);
+    list.insert(std::upper_bound(list.begin(), list.end(), seq), seq);
+}
+
+void
+Simulator::keepCandidate(std::vector<std::uint64_t> &list,
+                         std::size_t &kept, std::uint64_t seq)
+{
+    Slot &slot = slots_[seq & state_.ringMask];
+    if (isCandidate(slot))
+        list[kept++] = seq;
+    else
+        slot.flags &= static_cast<std::uint8_t>(~SLOT_LISTED);
+}
+
+void
+Simulator::trackEntry(const Inst &inst)
+{
+    std::size_t slot = inst.seq & state_.ringMask;
+    Slot &entry = slots_[slot];
+    entry = Slot{};
+    entry.flags = slotFlags(inst);
+    entry.cls = inst.op.cls;
+    entry.domain = inst.execDomain;
+    entry.latchAt = clocks_.visibleAt(DomainId::FrontEnd,
+                                      inst.dispatchTime, inst.execDomain);
+    if (awaitsOperand(inst, 0))
+        awaitOperand(slot, 0, inst.op.srcA, inst.physA);
+    if (awaitsOperand(inst, 1))
+        awaitOperand(slot, 1, inst.op.srcB, inst.physB);
+    if (inst.isStore && inst.addrKnown)
+        insertStore(slot, inst.seq, inst.op.memAddr >> 3);
+    // Entries are tracked oldest first, per queue, so appending keeps
+    // these lists in age order.
+    if (inst.isStore && !inst.addrKnown)
+        unknown_stores_.push_back(inst.seq);
+    if (isCandidate(entry)) {
+        entry.flags |= SLOT_LISTED;
+        candidates(inst.execDomain).push_back(inst.seq);
+    }
+}
+
+void
+Simulator::rebuildScheduler()
+{
+    std::size_t ring = state_.ring.size();
+    slots_.assign(ring, Slot{});
+    waiter_head_.assign(
+        static_cast<std::size_t>(int_regs_.size() + fp_regs_.size()), -1);
+    waiter_next_.assign(2 * ring, -1);
+    store_head_.assign(std::size_t{1} << STORE_BUCKET_BITS, -1);
+    store_link_.assign(ring, StoreLink{});
+    for (std::vector<std::uint64_t> &list : candidates_)
+        list.clear();
+    unknown_stores_.clear();
+    for (const auto *queue : {&state_.intIq, &state_.fpIq, &state_.lsq})
+        for (std::uint64_t seq : *queue)
+            trackEntry(state_.inst(seq));
+}
+
+std::string
+Simulator::checkScheduler() const
+{
+    auto fail = [](std::uint64_t seq, const char *what) {
+        return "seq " + std::to_string(seq) + ": " + what;
+    };
+    std::size_t ring = state_.ring.size();
+    if (slots_.size() != ring || waiter_next_.size() != 2 * ring ||
+        store_link_.size() != ring)
+        return "issue-select tables do not match the ring size";
+
+    // Waiter nodes, known-address stores, unknown-address stores and
+    // candidates the window implies.
+    std::vector<std::int32_t> expected_reg(2 * ring, -1);
+    std::vector<bool> expected_store(ring, false);
+    std::vector<std::uint64_t> unknown_stores;
+    std::array<std::vector<std::uint64_t>, NUM_CONTROLLED> expected_lists;
+    std::size_t waiters = 0;
+    std::size_t stores = 0;
+    const std::vector<std::uint64_t> *queues[] = {
+        &state_.intIq, &state_.fpIq, &state_.lsq};
+    for (int q = 0; q < NUM_CONTROLLED; ++q) {
+        const std::vector<std::uint64_t> &queue = *queues[q];
+        for (std::size_t i = 0; i < queue.size(); ++i) {
+            std::uint64_t seq = queue[i];
+            const Inst &inst = state_.inst(seq);
+            std::size_t slot = seq & state_.ringMask;
+            const Slot &entry = slots_[slot];
+            if (inst.seq != seq || (i > 0 && queue[i - 1] >= seq))
+                return fail(seq, "queue is not in age order");
+            if ((entry.flags & ~SLOT_LISTED) != slotFlags(inst) ||
+                entry.cls != inst.op.cls ||
+                entry.domain != inst.execDomain ||
+                domainIndex(inst.execDomain) - 1 != q)
+                return fail(seq, "slot does not mirror the entry");
+            if (entry.latchAt !=
+                clocks_.visibleAt(DomainId::FrontEnd, inst.dispatchTime,
+                                  inst.execDomain))
+                return fail(seq, "stale queue latch tick");
+            if (q == CTL_LS && seq < state_.robHead &&
+                !(inst.isStore && inst.committedStore))
+                return fail(seq, "LSQ entry older than the ROB head is "
+                                 "not a committed store");
+            const std::pair<int, int> operands[] = {
+                {inst.op.srcA, inst.physA}, {inst.op.srcB, inst.physB}};
+            for (int op = 0; op < 2; ++op) {
+                if (!awaitsOperand(inst, op))
+                    continue;
+                auto [logical, phys] = operands[op];
+                Tick fresh = regReadyTime(logical, phys, inst.execDomain);
+                if (entry.operandAt[static_cast<std::size_t>(op)] != fresh)
+                    return fail(seq, "cached operand tick differs from "
+                                     "the register file");
+                if (fresh == MAX_TICK) {
+                    expected_reg[slot * 2 + static_cast<std::size_t>(op)] =
+                        regKey(logical, phys);
+                    ++waiters;
+                }
+            }
+            if (inst.isStore && inst.addrKnown) {
+                expected_store[slot] = true;
+                ++stores;
+            }
+            if (inst.isStore && !inst.addrKnown)
+                unknown_stores.push_back(seq);
+            if (isCandidate(entry))
+                expected_lists[static_cast<std::size_t>(q)].push_back(seq);
+            if (isCandidate(entry) != bool(entry.flags & SLOT_LISTED))
+                return fail(seq, "candidate flag is stale");
+        }
+    }
+    if (expected_lists != candidates_)
+        return "a candidate list differs from its queue's candidates";
+    if (unknown_stores != unknown_stores_)
+        return "unknown-address store list differs from the LSQ";
+
+    std::size_t linked = 0;
+    for (std::size_t reg = 0; reg < waiter_head_.size(); ++reg) {
+        for (std::int32_t node = waiter_head_[reg]; node >= 0;
+             node = waiter_next_[static_cast<std::size_t>(node)]) {
+            if (static_cast<std::size_t>(node) >= 2 * ring ||
+                ++linked > waiters ||
+                expected_reg[static_cast<std::size_t>(node)] !=
+                    static_cast<std::int32_t>(reg))
+                return "waiter list of register " + std::to_string(reg) +
+                       " holds an entry that does not await it";
+        }
+    }
+    if (linked != waiters)
+        return "an entry awaiting an unwritten register is on no "
+               "waiter list";
+
+    linked = 0;
+    for (std::size_t bucket = 0; bucket < store_head_.size(); ++bucket) {
+        for (std::int32_t s = store_head_[bucket]; s >= 0;) {
+            auto slot = static_cast<std::size_t>(s);
+            if (slot >= ring || ++linked > stores || !expected_store[slot])
+                return "store table holds a stale entry in bucket " +
+                       std::to_string(bucket);
+            const StoreLink &store = store_link_[slot];
+            const Inst &inst = state_.inst(store.seq);
+            if (inst.seq != store.seq || (store.seq & state_.ringMask) !=
+                    slot || store.word != inst.op.memAddr >> 3 ||
+                storeBucket(store.word) != bucket)
+                return fail(store.seq, "store table entry is stale");
+            s = store.next;
+        }
+    }
+    if (linked != stores)
+        return "a known-address store is missing from the store table";
+
+    return checkWakeMemos();
+}
+
+std::string
+Simulator::checkWakeMemos() const
+{
+    // Each memo is asleep only while its domain is idle, and quiet on
+    // no edge at which something its scan acts on falls due.
+    std::string late;
+    auto expect = [&](DomainId id, Tick time, const char *what) {
+        auto d = static_cast<std::size_t>(domainIndex(id));
+        const DomainClock &clock = *clock_of_[d];
+        bool ok = time == MAX_TICK ||
+            (time >= clock.nextEdge()
+                 ? wake_[d].wakeTime <= time
+                 : !wake_[d].quiet(clock.nextEdge(), clock.cycles() + 1));
+        if (!ok && late.empty())
+            late = std::string("domain ") + domainName(id) +
+                   " sleeps through " + what;
+    };
+    auto expectCycle = [&](DomainId id, std::uint64_t cycle,
+                           const char *what) {
+        auto d = static_cast<std::size_t>(domainIndex(id));
+        if (wake_[d].wakeCycle > cycle && late.empty())
+            late = std::string("domain ") + domainName(id) +
+                   " sleeps through " + what;
+    };
+
+    for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
+        auto id = static_cast<DomainId>(d);
+        if (wake_[static_cast<std::size_t>(d)].asleep && busy(id))
+            return std::string("domain ") + domainName(id) +
+                   " sleeps with work queued";
+    }
+
+    for (int q = 0; q < NUM_CONTROLLED; ++q) {
+        DomainId id = controlledDomainId(q);
+        const DomainClock &clock = *clock_of_[static_cast<std::size_t>(
+            domainIndex(id))];
+        std::uint64_t div_free = id == DomainId::FloatingPoint
+            ? state_.fpDivFreeCycle
+            : state_.intDivFreeCycle;
+        for (std::uint64_t seq : candidates_[static_cast<std::size_t>(q)]) {
+            const Slot &slot = slots_[seq & state_.ringMask];
+            Tick ready_at = std::max(slot.operandAt[0], slot.operandAt[1]);
+            bool mult_unit = slot.cls == OpClass::IntMult ||
+                slot.cls == OpClass::IntDiv || slot.cls == OpClass::FpMult ||
+                slot.cls == OpClass::FpDiv || slot.cls == OpClass::FpSqrt;
+            if (!(slot.flags & SLOT_LATCHED)) {
+                expect(id, slot.latchAt, "a queue latch");
+            } else if (slot.flags & SLOT_STORE) {
+                if (!(slot.flags & SLOT_ADDR))
+                    expect(id, slot.operandAt[0], "a store address");
+                if (!(slot.flags & SLOT_DATA))
+                    expect(id, slot.operandAt[1], "store data");
+            } else if (slot.flags & SLOT_LOAD) {
+                // A due load may wait on an older store or an MSHR.
+                if (slot.operandAt[0] >= clock.nextEdge())
+                    expect(id, slot.operandAt[0], "a load address");
+            } else if (mult_unit && ready_at < clock.nextEdge() &&
+                       clock.cycles() + 1 < div_free) {
+                expectCycle(id, div_free, "a free mult unit");
+            } else {
+                expect(id, ready_at, "ready operands");
+            }
+        }
+    }
+
+    const std::pair<const std::vector<std::uint64_t> *, DomainId> exec[] = {
+        {&state_.intExec, DomainId::Integer},
+        {&state_.fpExec, DomainId::FloatingPoint},
+        {&state_.lsExec, DomainId::LoadStore}};
+    for (auto [list, id] : exec) {
+        const DomainClock &clock = *clock_of_[static_cast<std::size_t>(
+            domainIndex(id))];
+        // A scan waits on the cycle deadline first, then on the time.
+        bool scans_next = wake_[static_cast<std::size_t>(domainIndex(id))]
+                              .wakeCycle <= clock.cycles() + 1;
+        for (std::uint64_t seq : *list) {
+            const Inst &inst = state_.inst(seq);
+            if (clock.cycles() + 1 < inst.doneCycle)
+                expectCycle(id, inst.doneCycle, "an execution deadline");
+            else if (!scans_next)
+                expect(id, inst.absDoneTime, "a memory return");
+        }
+    }
+
+    // The first committed store not yet written drains unless it
+    // misses with every MSHR taken.
+    for (std::uint64_t seq : state_.lsq) {
+        if (seq >= state_.robHead)
+            break;
+        const Inst &store = state_.inst(seq);
+        if (store.writeIssued)
+            continue;
+        if (memory_.l1d().probe(store.op.memAddr) ||
+            state_.mshrInUse < config_.core.mshrCount)
+            expect(DomainId::LoadStore, 0, "a store drain");
+        break;
+    }
+
+    if (state_.robHead != state_.nextSeq) {
+        const Inst &head = state_.inst(state_.robHead);
+        if (head.completed)
+            expect(DomainId::FrontEnd,
+                   clocks_.visibleAt(head.execDomain, head.completeTime,
+                                     DomainId::FrontEnd),
+                   "a commit");
+    }
+    if (state_.stallBranchSeq != NO_SEQ) {
+        if (state_.branchResolveTime != MAX_TICK)
+            expect(DomainId::FrontEnd,
+                   clocks_.visibleAt(state_.branchResolveDomain,
+                                     state_.branchResolveTime,
+                                     DomainId::FrontEnd),
+                   "a branch redirect");
+    } else if (state_.icacheStallUntil >=
+               clock_of_[static_cast<std::size_t>(
+                   domainIndex(DomainId::FrontEnd))]->nextEdge()) {
+        expect(DomainId::FrontEnd, state_.icacheStallUntil,
+               "an I-cache refill");
+    }
+    return late;
 }
 
 // ---------------------------------------------------------------------
@@ -1149,6 +1655,7 @@ Simulator::resetMeasurement()
     batch_.cycles.fill(0);
     for (auto &per_domain : batch_.accesses)
         per_domain.fill(0);
+    batch_.pending = 0;
     batch_.memAccesses = 0;
     power_.reset();
 
@@ -1220,17 +1727,20 @@ Simulator::restoreCheckpoint(serial::Reader &in)
         return false;
     for (std::uint64_t &cycles : batch_.cycles)
         cycles = in.readU64();
+    batch_.pending = ~0ull; // recomputed by the next flush
     for (auto &per_domain : batch_.accesses)
         for (std::uint64_t &count : per_domain)
             count = in.readU64();
     batch_.memAccesses = in.readU64();
     if (!workload_->loadState(in))
         return false;
-    // Voltage caches and the wake memo are derived state: recompute
-    // the former from the restored clocks (cur_freq round-trips
-    // bit-exactly, so these match too) and rescan on every domain's
-    // next edge.
+    // Voltage caches, the issue-select state and the wake memo are
+    // derived state: recompute the first from the restored clocks
+    // (cur_freq round-trips bit-exactly, so these match too), the
+    // second from the window and register files, and rescan on every
+    // busy domain's next edge.
     refreshBatchVoltages();
+    rebuildScheduler();
     markAllDirty();
     return in.ok();
 }

@@ -43,15 +43,34 @@
  * name: the earliest edge time at which a blocked entry becomes
  * visible (queue latch, operand, commit, redirect, I-cache refill) and
  * the earliest cycle deadline. The per-domain wake memo records them.
- * Until that time or cycle, or until some domain changes machine state
- * (which marks every domain dirty), the domain's edges are *quiet*:
- * they draw their clock edge (and jitter sample), charge cycle energy
- * and update the per-edge occupancy accumulators, but run no stage.
- * Blocks on a resource (full ROB/queue/LSQ, MSHRs, an older store, no
- * free register) need no wake time: only another domain's state change
- * can release them. The memo is derived state, never serialized;
- * skipping is exact, so results are byte-identical to scanning every
- * edge. `quietEdges()` reports how many edges were skipped.
+ * Until that time or cycle the domain's edges are *quiet*: they draw
+ * their clock edge (and jitter sample), charge cycle energy and update
+ * the per-edge occupancy accumulators, but run no stage. Blocks on a
+ * resource (full ROB/queue/LSQ, MSHRs, an older store, no free
+ * register) need no wake time: only a state change elsewhere can
+ * release them.
+ *
+ * State changes reach other domains as wake events rather than as a
+ * blanket rescan. A scan that changes what it reads itself marks its
+ * own domain dirty (it rescans on its next edge); latching a queue
+ * entry instead records when select can act on it. Every input a scan
+ * reads from another domain has one event that lowers the reader's
+ * wake time:
+ *   - a dispatch wakes the entry's domain at its queue latch;
+ *   - a completion wakes each waiter's domain when the waiter becomes
+ *     selectable, and the front end when the completed entry is the
+ *     ROB head or a mispredicted branch;
+ *   - an issue or a freed LSQ entry wakes the front end (queue space);
+ *   - committing a store wakes the load/store domain (it may drain).
+ * A busy domain, marked dirty, rescans on its next edge; an idle one,
+ * with nothing queued or executing, sleeps (wake time MAX_TICK) until a
+ * dispatch wakes it. runTo and restoreCheckpoint mark every domain so:
+ * callers may change memory() or clocks() between runs. The memo is
+ * derived state, never serialized; skipping is exact, so results are
+ * byte-identical to scanning every edge. checkScheduler() checks that
+ * no memo is later than an event its domain acts on, and the quiet loop
+ * panics if no domain can ever wake. `quietEdges()` reports how many
+ * edges were skipped.
  *
  * Quiet edges are taken in bulk. step() advances clocks in a tight
  * loop while the earliest pending edge is quiet (in Synchronous mode:
@@ -61,16 +80,36 @@
  * machine state, so the occupancies the per-edge accumulators sample
  * are constant across the run: accountEdges() charges the whole run
  * per domain as count x occupancy, which is exact because those sums
- * are integer-valued doubles below 2^53. Inside the loop the batch
- * voltages are synced only after a slewing clock advanced: otherwise
- * a frequency changes only in controller calls, which are followed by
- * a sync, or between runs, and runTo marks every memo dirty so its
- * first edge takes the full path. `quietRuns()` counts the runs.
+ * are integer-valued doubles below 2^53. `quietRuns()` counts the runs.
+ * On every edge, quiet or not, the batch voltages are synced only
+ * after a slewing clock advanced. Otherwise a frequency changes only
+ * in controller calls, which are followed by a sync, or between runs;
+ * because a sleeping domain may take a run's first edges quietly,
+ * runTo syncs before its first edge.
+ *
+ * Issue select is driven by events too. At dispatch each queue entry
+ * registers on the physical registers it still waits for;
+ * completeInst drains the written register's waiter list and stamps
+ * each waiter's operand tick with the edge at which the value becomes
+ * visible in the waiter's domain. That is exact because the
+ * synchronization window is fixed per DvfsModel. Select walks, in age
+ * order, only its domain's candidates: entries whose visit could
+ * change something (unlatched, or with every awaited operand written).
+ * It reads compact per-slot flags and ticks, and touches an Inst only
+ * when the entry can issue or changes state. Every LSQ entry older
+ * than the ROB head is a committed store, since loads leave at commit,
+ * so the store drain walks just that prefix. A load is disambiguated
+ * against the oldest store with an unknown address and a per-word
+ * table of known-address stores. All of this is derived state:
+ * never serialized, rebuilt after a restore or a ring growth, and
+ * checked on demand by checkScheduler().
  *
  * Energy accounting is batched: per-edge cycle charges and per-access
  * structure charges accumulate in integer counters and are applied to
  * the PowerAccountant only when a domain voltage changes, at interval
- * boundaries, at measurement resets, and when stats are read.
+ * boundaries, at measurement resets, and when stats are read. A flush
+ * visits only the counters a bit mask marks as touched, in the fixed
+ * order, so the sums are the same.
  */
 
 #ifndef MCD_CORE_SIMULATOR_HH
@@ -237,6 +276,17 @@ class Simulator
     /** The StatRegistry counter `sim.quiet_runs`, likewise. */
     static telemetry::Counter &quietRunCounter();
 
+    /**
+     * Check the derived issue-select state against the machine state
+     * it caches: every awaited operand tick equals a fresh register
+     * lookup, the waiter lists hold exactly the entries that await an
+     * unwritten register, the per-word store table holds exactly the
+     * known-address stores, a sleeping domain has empty queues, and
+     * no wake memo is later than an event its domain's scan acts on.
+     * Returns the first violation, or an empty string.
+     */
+    std::string checkScheduler() const;
+
     ClockSystem &clocks() { return clocks_; }
     const PowerAccountant &power() const { return power_; }
     MemoryHierarchy &memory() { return memory_; }
@@ -278,25 +328,31 @@ class Simulator
         std::array<std::array<std::uint64_t, NUM_CLOCKED_DOMAINS>,
                    NUM_STRUCTURES>
             accesses{};
+        /** Bit `structure * NUM_CLOCKED_DOMAINS + domain` is set once
+         *  that access count may be nonzero, so a flush visits only
+         *  those. */
+        std::uint64_t pending = 0;
         std::uint64_t memAccesses = 0;
     };
+    static_assert(NUM_STRUCTURES * NUM_CLOCKED_DOMAINS <= 64);
     mutable PowerBatch batch_;
 
     /** Each domain's clock (the shared one in Synchronous mode). */
     std::array<DomainClock *, NUM_CLOCKED_DOMAINS> clock_of_{};
 
-    /** Per-domain wake memo (see the file comment). */
+    /** Per-domain wake memo (see the file comment). The default, a
+     *  wake time of 0, rescans on the next edge. */
     struct WakeMemo
     {
-        bool dirty = true;
         Tick wakeTime = 0;
         std::uint64_t wakeCycle = 0;
+        bool asleep = false; //!< idle: no queued or executing entry
 
         /** Is the domain edge at `edge`, the clock's `cycle`-th, quiet? */
         bool
         quiet(Tick edge, std::uint64_t cycle) const
         {
-            return !dirty && edge < wakeTime && cycle < wakeCycle;
+            return edge < wakeTime && cycle < wakeCycle;
         }
     };
     std::array<WakeMemo, NUM_CLOCKED_DOMAINS> wake_{};
@@ -306,6 +362,49 @@ class Simulator
     bool scan_mutated_ = false;
     Tick scan_wake_time_ = MAX_TICK;
     std::uint64_t scan_wake_cycle_ = 0;
+
+    /**
+     * Issue-select state of one ring slot (`seq & ringMask`), derived
+     * from the window entry it mirrors (see the file comment).
+     */
+    struct Slot
+    {
+        /** When each awaited operand (A, B) becomes visible in the
+         *  entry's domain: MAX_TICK while unwritten, 0 when not awaited
+         *  or absent. */
+        std::array<Tick, 2> operandAt{};
+        Tick latchAt = 0;        //!< first edge the queue latches it
+        std::uint8_t flags = 0;  //!< SLOT_* bits mirroring the Inst
+        OpClass cls = OpClass::Nop;
+        DomainId domain = DomainId::Integer;
+    };
+    std::vector<Slot> slots_;
+
+    /** Waiter lists: per physical register (integer file, then FP),
+     *  the first waiter node (`slot * 2 + operand`), -1 for none;
+     *  per node, the next one. */
+    std::vector<std::int32_t> waiter_head_;
+    std::vector<std::int32_t> waiter_next_;
+
+    /** Per-word table of the LSQ's known-address stores: buckets of
+     *  slots chained through `StoreLink::next`. */
+    struct StoreLink
+    {
+        std::uint64_t seq = 0;
+        std::uint64_t word = 0;
+        std::int32_t next = -1;
+    };
+    std::vector<std::int32_t> store_head_;
+    std::vector<StoreLink> store_link_;
+
+    /** The LSQ's stores with unknown addresses, oldest first. */
+    std::vector<std::uint64_t> unknown_stores_;
+
+    /** Per execution domain (CTL_* order), oldest first: the queue
+     *  entries select visits. An entry latched and still awaiting an
+     *  unwritten register, or one select has finished with, is off
+     *  the list, since its visit could change nothing. */
+    std::array<std::vector<std::uint64_t>, NUM_CONTROLLED> candidates_;
 
     std::array<std::uint64_t, NUM_CLOCKED_DOMAINS> edges_{};
     std::array<std::uint64_t, NUM_CLOCKED_DOMAINS> quiet_edges_{};
@@ -324,6 +423,12 @@ class Simulator
 
     // --- main loop ---
     void step();
+    /** Advance `clock` one edge, syncing the batch voltages if it was
+     *  slewing; returns the edge. */
+    Tick advance(DomainClock &clock);
+    /** Panic if every wake memo says never: the loop would spin
+     *  forever. */
+    void checkLive() const;
     void tickDomain(DomainId domain, Tick edge, std::uint64_t cycle);
     /** Per-edge accumulators for `n` edges of `domain` at the current
      *  occupancies. */
@@ -344,7 +449,13 @@ class Simulator
     {
         scan_wake_cycle_ = std::min(scan_wake_cycle_, cycle);
     }
+    /** Has `domain` a queued or executing entry? */
+    bool busy(DomainId domain) const;
+    /** Rescan `domain` on its next edge, or put it to sleep if idle. */
+    void markDirty(DomainId domain);
     void markAllDirty();
+    /** An event makes `domain`'s scan from `time` on differ. */
+    void wakeDomain(DomainId domain, Tick time);
 
     // --- per-domain stages (`cycle` is the domain clock's cycles()) ---
     void frontEndTick(Tick edge);
@@ -364,18 +475,49 @@ class Simulator
                             DomainId domain, Tick edge,
                             std::uint64_t cycle);
     void completeInst(Inst &inst, DomainId domain, Tick edge);
-    void issueInteger(Tick edge, std::uint64_t cycle);
-    void issueFp(Tick edge, std::uint64_t cycle);
+    /** Wake the front end if `seq`, completed at `edge` in `domain`,
+     *  is the ROB head. */
+    void wakeIfHead(std::uint64_t seq, DomainId domain, Tick edge);
+    void issueQueue(DomainId domain, Tick edge, std::uint64_t cycle);
     void issueLoadStore(Tick edge, std::uint64_t cycle);
-    void latchEnqueue(Inst &inst, DomainId domain, Tick edge);
-    Tick operandsReadyTime(const Inst &inst, DomainId domain) const;
+    void latchEnqueue(Slot &slot, std::uint64_t seq, Tick edge);
     Tick regReadyTime(int logical, int phys, DomainId domain) const;
     int execLatency(OpClass cls) const;
 
     // Load/store helpers.
-    bool olderStoreBlocks(const Inst &load, const Inst *&forward) const;
+    void issueStore(Slot &slot, std::uint64_t seq, Tick edge, int &budget);
+    void issueLoad(Slot &slot, std::uint64_t seq, Tick edge,
+                   std::uint64_t cycle, int &budget);
+    bool olderStoreBlocks(std::uint64_t load_seq, std::uint64_t word,
+                          bool &forward) const;
     void startDataAccess(Inst &inst, Tick edge, std::uint64_t cycle,
                          bool is_write);
+
+    // --- issue-select state (derived; see the file comment) ---
+    void rebuildScheduler();
+    /** checkScheduler()'s wake-memo half. */
+    std::string checkWakeMemos() const;
+    /** Set up the slot of a queue entry, the youngest tracked so far
+     *  in its queue. */
+    void trackEntry(const Inst &inst);
+    /** Could a visit by select change anything (see the file
+     *  comment)? */
+    static bool isCandidate(const Slot &slot);
+    std::vector<std::uint64_t> &candidates(DomainId domain);
+    /** Put the entry in `slot`, a new candidate, on its domain's
+     *  list. */
+    void listCandidate(std::size_t slot);
+    /** After select visited `seq` at list[kept..]: keep it listed at
+     *  `kept` if it is still a candidate, else unlist it. */
+    void keepCandidate(std::vector<std::uint64_t> &list,
+                       std::size_t &kept, std::uint64_t seq);
+    void awaitOperand(std::size_t slot, int operand, int logical,
+                      int phys);
+    int regKey(int logical, int phys) const;
+    std::size_t storeBucket(std::uint64_t word) const;
+    void insertStore(std::size_t slot, std::uint64_t seq,
+                     std::uint64_t word);
+    void removeStore(std::size_t slot);
 
     Volt voltage(DomainId domain) const;
     std::uint64_t lineOf(std::uint64_t addr) const;

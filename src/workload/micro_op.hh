@@ -17,7 +17,8 @@
 namespace mcd
 {
 
-/** Operation classes with distinct scheduling/latency behavior. */
+/** Operation classes with distinct scheduling/latency behavior. The
+ *  predicates below rely on each group being contiguous. */
 enum class OpClass : std::uint8_t
 {
     IntAlu = 0,
@@ -38,19 +39,39 @@ enum class OpClass : std::uint8_t
 };
 
 /** True for classes executed by the floating-point domain. */
-bool isFpClass(OpClass cls);
+inline bool
+isFpClass(OpClass cls)
+{
+    return cls >= OpClass::FpAdd && cls <= OpClass::FpSqrt;
+}
 
 /** True for loads and stores (handled by the load/store domain). */
-bool isMemClass(OpClass cls);
+inline bool
+isMemClass(OpClass cls)
+{
+    return cls >= OpClass::Load && cls <= OpClass::FpStore;
+}
 
 /** True for any control transfer. */
-bool isControlClass(OpClass cls);
+inline bool
+isControlClass(OpClass cls)
+{
+    return cls >= OpClass::Branch && cls <= OpClass::Return;
+}
 
 /** True for loads (int or fp destination). */
-bool isLoadClass(OpClass cls);
+inline bool
+isLoadClass(OpClass cls)
+{
+    return cls == OpClass::Load || cls == OpClass::FpLoad;
+}
 
 /** True for stores (int or fp data). */
-bool isStoreClass(OpClass cls);
+inline bool
+isStoreClass(OpClass cls)
+{
+    return cls == OpClass::Store || cls == OpClass::FpStore;
+}
 
 /** Number of architectural integer registers (reg 0 is the zero reg). */
 constexpr int NUM_INT_ARCH_REGS = 32;

@@ -11,7 +11,11 @@
  * while a miss is outstanding, and runs of stalled edges that cross a
  * frequency change: every clock slewing to the minimum between two
  * runTo calls (four clocks, or the one shared synchronous clock), and
- * a schedule that jumps frequencies at every interval boundary.
+ * a schedule that jumps frequencies at every interval boundary. The
+ * issue-select paths are pinned too: an FP-heavy app under
+ * Attack/Decay, clocks moved between runs while a domain sits idle,
+ * store-to-load aliasing through the LSQ, and a checkpoint taken while
+ * queue entries wait on registers not yet written.
  *
  * A change meant to make the simulator faster without changing what
  * it simulates must leave every digest as it is. A changed digest
@@ -105,6 +109,54 @@ fpDivideTrace()
     return TraceWorkload("divs", ops);
 }
 
+/** Stores and loads that alias through the LSQ: a store whose address
+ *  waits on a divide, a load behind it, a matching store whose data
+ *  arrives late, two matching stores where the newest forwards, and an
+ *  FP store/load pair. */
+TraceWorkload
+aliasingTrace()
+{
+    std::vector<MicroOp> ops;
+    std::uint64_t pc = 0x2000;
+    auto add = [&](OpClass cls, int dst, int src_a, int src_b,
+                   std::uint64_t addr = 0) {
+        MicroOp op;
+        op.pc = pc;
+        pc += 4;
+        op.cls = cls;
+        op.dst = dst;
+        op.srcA = src_a;
+        op.srcB = src_b;
+        op.memAddr = addr;
+        ops.push_back(op);
+    };
+    add(OpClass::IntDiv, 5, 5, 6);             // slow address
+    add(OpClass::Store, NO_REG, 5, 7, 0x8000); // unknown address
+    add(OpClass::Load, 8, 0, NO_REG, 0x9000);  // blocked behind it
+    add(OpClass::IntMult, 9, 9, 10);           // late data
+    add(OpClass::Store, NO_REG, 0, 9, 0xa000);
+    add(OpClass::Load, 11, 0, NO_REG, 0xa004); // same word, waits
+    add(OpClass::IntAlu, 12, 12, 0);
+    add(OpClass::Store, NO_REG, 0, 12, 0xb000);
+    add(OpClass::IntAlu, 13, 12, 0);
+    add(OpClass::Store, NO_REG, 0, 13, 0xb000);
+    add(OpClass::Load, 14, 0, NO_REG, 0xb000); // newest store forwards
+    add(OpClass::Load, 15, 0, NO_REG, 0xb008); // next word: no match
+    add(OpClass::FpAdd, 33, 33, 34);
+    add(OpClass::FpStore, NO_REG, 0, 33, 0xc000);
+    add(OpClass::FpLoad, 35, 0, NO_REG, 0xc000);
+    add(OpClass::IntAlu, 16, 8, 11);
+    add(OpClass::IntAlu, 17, 14, 15);
+    MicroOp back;
+    back.pc = pc;
+    back.cls = OpClass::Branch;
+    back.srcA = 0;
+    back.taken = true;
+    back.target = 0x2000;
+    ops.push_back(back);
+    return TraceWorkload("aliasing", ops);
+}
+
 TEST(SimGolden, MemoryBoundAppsUncontrolled)
 {
     expectDigest(experiment("mcf", "none"), 0x3c5588c5e8b3d9a6ull);
@@ -131,6 +183,12 @@ TEST(SimGolden, SyntheticMarkov)
                  0x0f5b0ca7483168b4ull);
 }
 
+TEST(SimGolden, FpHeavyUnderAttackDecay)
+{
+    expectDigest(experiment("power", "attack_decay"),
+                 0x8849a9eca21ffacbull);
+}
+
 TEST(SimGolden, LoadStoreDomainAtMinimumFrequency)
 {
     auto workload = BenchmarkFactory::create("mcf", MEASURED + WARMUP);
@@ -154,6 +212,66 @@ TEST(SimGolden, FpDivideOccupiesUnit)
                                       ? 0x72bcb85533d721edull
                                       : 0x282c76953cdf7e43ull);
     }
+}
+
+TEST(SimGolden, StoreLoadAliasing)
+{
+    for (ClockMode mode : {ClockMode::Synchronous, ClockMode::Mcd}) {
+        TraceWorkload trace = aliasingTrace();
+        SimConfig config;
+        config.clocks.mode = mode;
+        Simulator sim(config, trace);
+        sim.runTo(6000);
+        expectDigest(sim.stats(), mode == ClockMode::Synchronous
+                                      ? 0x14609da16e24cbaeull
+                                      : 0x4a6c9dd3f2edb3d2ull);
+    }
+}
+
+TEST(SimGolden, GsmClocksMovedBetweenRuns)
+{
+    // gsm leaves the FP domain idle, so its edges between the two runs
+    // and after the move charge cycles with no stage running.
+    auto workload = BenchmarkFactory::create("gsm", MEASURED + WARMUP);
+    SimConfig config;
+    Simulator sim(config, *workload);
+    sim.runTo(7001);
+    sim.clocks().clock(DomainId::Integer).setFrequencyImmediate(600.0e6);
+    sim.clocks().clock(DomainId::FloatingPoint)
+        .setFrequencyImmediate(config.dvfs.freqMin);
+    sim.clocks().clock(DomainId::LoadStore).setFrequencyImmediate(
+        450.0e6);
+    sim.runTo(MEASURED + WARMUP);
+    expectDigest(sim.stats(), 0xd8e0117c48373f3eull);
+}
+
+TEST(SimGolden, CheckpointWithWaitingQueuesResumesExactly)
+{
+    // 9999 is odd and lands while gsm's issue queues and LSQ hold
+    // entries waiting on registers not yet written.
+    constexpr std::uint64_t STOP = 9999;
+    constexpr std::uint64_t END = MEASURED + WARMUP;
+
+    auto straight_workload = BenchmarkFactory::create("gsm", END);
+    Simulator straight(SimConfig{}, *straight_workload);
+    straight.runTo(END);
+
+    std::string snapshot;
+    {
+        auto workload = BenchmarkFactory::create("gsm", END);
+        Simulator sim(SimConfig{}, *workload);
+        sim.runTo(STOP);
+        sim.saveCheckpoint(snapshot);
+    }
+    auto workload = BenchmarkFactory::create("gsm", END);
+    Simulator resumed(SimConfig{}, *workload);
+    serial::Reader in(snapshot);
+    ASSERT_TRUE(resumed.restoreCheckpoint(in));
+    resumed.runTo(END);
+
+    EXPECT_EQ(hex(digest(straight.stats())),
+              hex(digest(resumed.stats())));
+    expectDigest(resumed.stats(), 0x03b40557f73f201eull);
 }
 
 TEST(SimGolden, CheckpointMidMissResumesExactly)
