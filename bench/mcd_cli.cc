@@ -482,17 +482,13 @@ int
 runExperimentsCli(const std::vector<std::string> &benches,
                   const ControllerSpec &controller, ClockMode mode,
                   Hertz freq, std::uint64_t seed, bool have_seed,
-                  const std::string &store,
-                  std::uint64_t checkpoint_every, bool have_checkpoint,
-                  bool json)
+                  const std::string &store, bool json)
 {
     RunnerConfig config = standardConfig();
     if (have_seed)
         config.clockSeed = seed;
     if (!store.empty())
         config.store = store; // --store overrides MCD_STORE
-    if (have_checkpoint) // --checkpoint-every overrides MCD_CHECKPOINT
-        config.checkpointEvery = checkpoint_every;
 
     std::vector<ExperimentSpec> specs;
     for (const auto &bench : benches) {
@@ -1153,16 +1149,12 @@ usage()
         "  mcd_cli run --bench <name>[,<name>...]\n"
         "              [--controller <name>[:<k=v>,...]]\n"
         "              [--mode mcd|sync] [--freq <hz>] [--seed <n>]\n"
-        "              [--store <dir>] [--checkpoint-every <insns>]\n"
-        "              [--json]\n"
-        "                                   run experiments; with\n"
-        "                                   --checkpoint-every, "
+        "              [--store <dir>] [--json]\n"
+        "                                   run experiments; each "
         "warm-up\n"
-        "                                   resolves through stored\n"
-        "                                   machine snapshots "
-        "(bit-identical\n"
-        "                                   fast-forward on a warm "
-        "store)\n"
+        "                                   resolves through one "
+        "stored\n"
+        "                                   machine snapshot\n"
         "  mcd_cli cache [--store <dir>] [--json]\n"
         "                                   print artifact-store "
         "statistics\n"
@@ -1263,9 +1255,7 @@ usage()
         "\n"
         "environment: MCD_INSNS, MCD_WARMUP, MCD_INTERVAL, MCD_JOBS,\n"
         "             MCD_STORE (persistent artifact store root;\n"
-        "             --store overrides), MCD_CHECKPOINT (checkpoint\n"
-        "             ladder spacing in instructions;\n"
-        "             --checkpoint-every overrides), MCD_PROF=1 (phase\n"
+        "             --store overrides), MCD_PROF=1 (phase\n"
         "             profiler on for any tool), MCD_EVENTS (serve\n"
         "             request-trace path; --events overrides),\n"
         "             MCD_LOG_JSON=1 (structured JSON log lines)\n");
@@ -1317,8 +1307,6 @@ main(int argc, char **argv)
     Hertz freq = 0.0;
     std::uint64_t seed = 0;
     bool have_seed = false;
-    std::uint64_t checkpoint_every = 0;
-    bool have_checkpoint = false;
     std::string store; // --store; "" defers to MCD_STORE
     std::string fleet_socket; // fleet --socket: serve-daemon mode
     // Fleet worker processes. Deliberately defaults to serial: each
@@ -1422,10 +1410,6 @@ main(int argc, char **argv)
         } else if (arg == "--seed") {
             seed = std::strtoull(value(i).c_str(), nullptr, 10);
             have_seed = true;
-        } else if (arg == "--checkpoint-every") {
-            checkpoint_every =
-                parseU64Flag("--checkpoint-every", value(i));
-            have_checkpoint = true;
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
@@ -1441,8 +1425,7 @@ main(int argc, char **argv)
         if (benches.empty())
             mcd_fatal("run needs --bench <name>[,<name>...]");
         return runExperimentsCli(benches, controller, mode, freq, seed,
-                                 have_seed, store, checkpoint_every,
-                                 have_checkpoint, json);
+                                 have_seed, store, json);
     }
     if (do_tournament) {
         // Workers share the parent's store; resolve the root here so

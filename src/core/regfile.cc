@@ -69,14 +69,21 @@ PhysRegFile::loadState(serial::Reader &in)
     for (Entry &e : regs_) {
         e.written = in.readU64() != 0;
         e.writeTime = in.readI64();
-        e.producer = static_cast<DomainId>(in.readI64());
+        std::int64_t producer = in.readI64();
+        if (producer < 0 || producer >= NUM_DOMAINS)
+            return false;
+        e.producer = static_cast<DomainId>(producer);
     }
     std::uint64_t free_count = in.readU64();
     if (!in.ok() || free_count > regs_.size())
         return false;
     free_list_.clear();
-    for (std::uint64_t i = 0; i < free_count; ++i)
-        free_list_.push_back(static_cast<int>(in.readI64()));
+    for (std::uint64_t i = 0; i < free_count; ++i) {
+        std::int64_t r = in.readI64();
+        if (r < 0 || r >= size())
+            return false;
+        free_list_.push_back(static_cast<int>(r));
+    }
     return in.ok();
 }
 
@@ -90,12 +97,24 @@ RenameMap::saveState(std::string &out) const
 bool
 RenameMap::loadState(serial::Reader &in)
 {
-    for (int &phys : map_)
-        phys = static_cast<int>(in.readI64());
-    return in.ok();
+    std::array<int, NUM_ARCH_REGS> map;
+    for (int l = 0; l < NUM_ARCH_REGS; ++l) {
+        std::int64_t phys = in.readI64();
+        // The zero register stays unmapped; every other register maps
+        // into its own file.
+        if (l == 0 ? phys != -1
+                   : phys < 0 || phys >= (isFp(l) ? fp_size_ : int_size_))
+            return false;
+        map[static_cast<std::size_t>(l)] = static_cast<int>(phys);
+    }
+    if (!in.ok())
+        return false;
+    map_ = map;
+    return true;
 }
 
 RenameMap::RenameMap(PhysRegFile &int_file, PhysRegFile &fp_file)
+    : int_size_(int_file.size()), fp_size_(fp_file.size())
 {
     map_[0] = -1; // zero register
     for (int l = 1; l < NUM_INT_ARCH_REGS; ++l) {

@@ -72,7 +72,8 @@ class PhysRegFile
      *  and must round-trip exactly. */
     void saveState(std::string &out) const;
 
-    /** Inverse of saveState; false on size mismatch. */
+    /** Inverse of saveState; false on size mismatch, an unknown
+     *  producer domain or a free-list entry outside the file. */
     bool loadState(serial::Reader &in);
 
   private:
@@ -108,10 +109,15 @@ class RenameMap
     static bool isFp(int logical) { return logical >= NUM_INT_ARCH_REGS; }
 
     void saveState(std::string &out) const;
+
+    /** Inverse of saveState; false (map unchanged) unless every
+     *  mapping indexes its register file. */
     bool loadState(serial::Reader &in);
 
   private:
     std::array<int, NUM_ARCH_REGS> map_;
+    int int_size_; //!< integer file size, bounding restored mappings
+    int fp_size_;  //!< FP file size, bounding restored mappings
 };
 
 } // namespace mcd

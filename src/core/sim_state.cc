@@ -1,5 +1,7 @@
 #include "core/sim_state.hh"
 
+#include <limits>
+
 #include "common/logging.hh"
 
 namespace mcd
@@ -60,24 +62,55 @@ saveInst(std::string &out, const Inst &inst)
     serial::appendI64(out, inst.absDoneTime);
 }
 
-void
-loadInst(serial::Reader &in, Inst &inst)
+/** Read a micro-op; false if its class or an architectural register
+ *  is out of range. */
+bool
+loadOp(serial::Reader &in, MicroOp &op)
 {
-    inst.op.pc = in.readU64();
-    inst.op.cls = static_cast<OpClass>(in.readI64());
-    inst.op.srcA = static_cast<int>(in.readI64());
-    inst.op.srcB = static_cast<int>(in.readI64());
-    inst.op.dst = static_cast<int>(in.readI64());
-    inst.op.memAddr = in.readU64();
-    inst.op.taken = in.readU64() != 0;
-    inst.op.target = in.readU64();
+    op.pc = in.readU64();
+    std::int64_t cls = in.readI64();
+    std::int64_t regs[3];
+    for (std::int64_t &r : regs)
+        r = in.readI64();
+    op.memAddr = in.readU64();
+    op.taken = in.readU64() != 0;
+    op.target = in.readU64();
+    if (cls < 0 || cls > static_cast<std::int64_t>(OpClass::Nop))
+        return false;
+    for (std::int64_t r : regs)
+        if (r < NO_REG || r >= NUM_ARCH_REGS)
+            return false;
+    op.cls = static_cast<OpClass>(cls);
+    op.srcA = static_cast<int>(regs[0]);
+    op.srcB = static_cast<int>(regs[1]);
+    op.dst = static_cast<int>(regs[2]);
+    return true;
+}
+
+/** Read one window entry; false unless it is entry `seq`, executes in
+ *  a domain with an issue queue, and names each physical register as
+ *  NO_REG or an index (the register files bound it from above). */
+bool
+loadInst(serial::Reader &in, Inst &inst, std::uint64_t seq)
+{
+    if (!loadOp(in, inst.op))
+        return false;
 
     inst.seq = in.readU64();
-    inst.execDomain = static_cast<DomainId>(in.readI64());
-    inst.physDst = static_cast<int>(in.readI64());
-    inst.physA = static_cast<int>(in.readI64());
-    inst.physB = static_cast<int>(in.readI64());
-    inst.oldPhysDst = static_cast<int>(in.readI64());
+    std::int64_t domain = in.readI64();
+    if (inst.seq != seq ||
+        (domain != domainIndex(DomainId::Integer) &&
+         domain != domainIndex(DomainId::FloatingPoint) &&
+         domain != domainIndex(DomainId::LoadStore)))
+        return false;
+    inst.execDomain = static_cast<DomainId>(domain);
+    for (int *phys : {&inst.physDst, &inst.physA, &inst.physB,
+                      &inst.oldPhysDst}) {
+        std::int64_t r = in.readI64();
+        if (r < NO_REG || r > std::numeric_limits<int>::max())
+            return false;
+        *phys = static_cast<int>(r);
+    }
 
     std::uint64_t flags = in.readU64();
     inst.enqueued = (flags >> 0) & 1;
@@ -100,6 +133,7 @@ loadInst(serial::Reader &in, Inst &inst)
     inst.completeTime = in.readI64();
     inst.doneCycle = in.readU64();
     inst.absDoneTime = in.readI64();
+    return in.ok();
 }
 
 void
@@ -110,15 +144,21 @@ saveSeqList(std::string &out, const std::vector<std::uint64_t> &list)
         serial::appendU64(out, s);
 }
 
+/** Read a queue of sequence numbers; false unless every one names a
+ *  live window entry in [head, next). */
 bool
-loadSeqList(serial::Reader &in, std::vector<std::uint64_t> &list)
+loadSeqList(serial::Reader &in, std::vector<std::uint64_t> &list,
+            std::uint64_t head, std::uint64_t next)
 {
     std::uint64_t n = in.readU64();
-    if (!in.ok() || n > (1u << 24))
+    if (!in.ok() || n > next - head)
         return false;
     list.resize(n);
-    for (std::uint64_t &s : list)
+    for (std::uint64_t &s : list) {
         s = in.readU64();
+        if (s < head || s >= next)
+            return false;
+    }
     return in.ok();
 }
 
@@ -249,7 +289,7 @@ SimState::loadState(serial::Reader &in)
     std::uint64_t next_seq = in.readU64();
     std::uint64_t rob_head = in.readU64();
     if (!in.ok() || next_seq < rob_head || rob_head < window_head ||
-        next_seq - window_head > (1u << 24))
+        next_seq - window_head > in.remaining())
         return false;
 
     std::uint64_t span = next_seq - window_head;
@@ -258,19 +298,13 @@ SimState::loadState(serial::Reader &in)
         capacity *= 2;
     std::vector<Inst> new_ring(capacity);
     std::uint64_t mask = capacity - 1;
-    for (std::uint64_t s = window_head; s != next_seq; ++s) {
-        Inst &slot = new_ring[s & mask];
-        loadInst(in, slot);
-        if (slot.seq != s)
-            return false; // stream out of step with header
-    }
-    if (!in.ok())
-        return false;
+    for (std::uint64_t s = window_head; s != next_seq; ++s)
+        if (!loadInst(in, new_ring[s & mask], s))
+            return false;
 
-    if (!loadSeqList(in, intIq) || !loadSeqList(in, fpIq) ||
-        !loadSeqList(in, lsq) || !loadSeqList(in, intExec) ||
-        !loadSeqList(in, fpExec) || !loadSeqList(in, lsExec))
-        return false;
+    for (auto *list : {&intIq, &fpIq, &lsq, &intExec, &fpExec, &lsExec})
+        if (!loadSeqList(in, *list, window_head, next_seq))
+            return false;
 
     ring = std::move(new_ring);
     ringMask = mask;
@@ -283,20 +317,20 @@ SimState::loadState(serial::Reader &in)
     mshrInUse = static_cast<int>(in.readI64());
 
     havePendingOp = in.readU64() != 0;
-    pendingOp.pc = in.readU64();
-    pendingOp.cls = static_cast<OpClass>(in.readI64());
-    pendingOp.srcA = static_cast<int>(in.readI64());
-    pendingOp.srcB = static_cast<int>(in.readI64());
-    pendingOp.dst = static_cast<int>(in.readI64());
-    pendingOp.memAddr = in.readU64();
-    pendingOp.taken = in.readU64() != 0;
-    pendingOp.target = in.readU64();
+    if (!loadOp(in, pendingOp))
+        return false;
     lastFetchLine = in.readU64();
     icacheStallUntil = in.readI64();
     stallBranchSeq = in.readU64();
     branchResolveTime = in.readI64();
-    branchResolveDomain = static_cast<DomainId>(in.readI64());
-    redirectPenaltyLeft = static_cast<int>(in.readI64());
+    std::int64_t resolve_domain = in.readI64();
+    std::int64_t redirect_left = in.readI64();
+    if (mshrInUse < 0 || resolve_domain < 0 ||
+        resolve_domain >= NUM_DOMAINS || redirect_left < 0 ||
+        redirect_left > std::numeric_limits<int>::max())
+        return false;
+    branchResolveDomain = static_cast<DomainId>(resolve_domain);
+    redirectPenaltyLeft = static_cast<int>(redirect_left);
 
     now = in.readI64();
     committed = in.readU64();

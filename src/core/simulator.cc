@@ -18,8 +18,9 @@ using telemetry::Phase;
 using telemetry::ScopedTimer;
 
 /** Bumped whenever the checkpoint byte layout changes (2: execution
- *  timing as absolute cycle deadlines instead of countdowns). */
-constexpr std::uint64_t CHECKPOINT_FORMAT = 2;
+ *  timing as absolute cycle deadlines instead of countdowns; 3: sparse
+ *  varint caches, BTB and predictor tables, and a digested body). */
+constexpr std::uint64_t CHECKPOINT_FORMAT = 3;
 
 /** wakeCycle of a scan that found no cycle deadline. */
 constexpr std::uint64_t NO_CYCLE =
@@ -1682,33 +1683,44 @@ void
 Simulator::saveCheckpoint(std::string &out) const
 {
     ScopedTimer timer(Phase::CkptSave);
-    serial::appendU64(out, CHECKPOINT_FORMAT);
-    state_.saveState(out);
-    clocks_.saveState(out);
-    memory_.saveState(out);
-    bpred_.saveState(out);
-    int_regs_.saveState(out);
-    fp_regs_.saveState(out);
-    rename_.saveState(out);
-    power_.saveState(out);
+    std::string body;
+    state_.saveState(body);
+    clocks_.saveState(body);
+    memory_.saveState(body);
+    bpred_.saveState(body);
+    int_regs_.saveState(body);
+    fp_regs_.saveState(body);
+    rename_.saveState(body);
+    power_.saveState(body);
     // Pending charge batch: serialized rather than flushed, so the
     // resumed run flushes at the same points (and therefore sums the
     // same floating-point terms in the same order) as an unbroken run.
     for (std::uint64_t cycles : batch_.cycles)
-        serial::appendU64(out, cycles);
+        serial::appendU64(body, cycles);
     for (const auto &per_domain : batch_.accesses)
         for (std::uint64_t count : per_domain)
-            serial::appendU64(out, count);
-    serial::appendU64(out, batch_.memAccesses);
-    workload_->saveState(out);
+            serial::appendU64(body, count);
+    serial::appendU64(body, batch_.memAccesses);
+    workload_->saveState(body);
+
+    serial::appendU64(out, CHECKPOINT_FORMAT);
+    serial::appendU64(out, serial::fnv1a(body));
+    serial::appendString(out, body);
 }
 
 bool
-Simulator::restoreCheckpoint(serial::Reader &in)
+Simulator::restoreCheckpoint(serial::Reader &outer)
 {
     ScopedTimer timer(Phase::CkptRestore);
-    if (in.readU64() != CHECKPOINT_FORMAT)
+    if (outer.readU64() != CHECKPOINT_FORMAT)
         return false;
+    // The digest rejects corrupted bytes as a whole; behind it, every
+    // decoder also bounds the indices and counts it reads.
+    std::uint64_t digest = outer.readU64();
+    std::string body = outer.readString();
+    if (!outer.ok() || serial::fnv1a(body) != digest)
+        return false;
+    serial::Reader in(body);
     if (!state_.loadState(in))
         return false;
     if (!clocks_.loadState(in))
@@ -1723,6 +1735,21 @@ Simulator::restoreCheckpoint(serial::Reader &in)
         return false;
     if (!rename_.loadState(in))
         return false;
+    // Each window entry's physical registers must index the file its
+    // architectural register lives in (NO_REG where it has none).
+    auto fits = [&](int logical, int phys) {
+        return phys == NO_REG ||
+               phys < (RenameMap::isFp(logical) ? fp_regs_ : int_regs_)
+                          .size();
+    };
+    for (std::uint64_t s = state_.windowHead; s != state_.nextSeq; ++s) {
+        const Inst &inst = state_.inst(s);
+        if (!fits(inst.op.srcA, inst.physA) ||
+            !fits(inst.op.srcB, inst.physB) ||
+            !fits(inst.op.dst, inst.physDst) ||
+            !fits(inst.op.dst, inst.oldPhysDst))
+            return false;
+    }
     if (!power_.loadState(in))
         return false;
     for (std::uint64_t &cycles : batch_.cycles)
@@ -1732,7 +1759,7 @@ Simulator::restoreCheckpoint(serial::Reader &in)
         for (std::uint64_t &count : per_domain)
             count = in.readU64();
     batch_.memAccesses = in.readU64();
-    if (!workload_->loadState(in))
+    if (!workload_->loadState(in) || !in.atEnd())
         return false;
     // Voltage caches, the issue-select state and the wake memo are
     // derived state: recompute the first from the restored clocks
@@ -1742,7 +1769,7 @@ Simulator::restoreCheckpoint(serial::Reader &in)
     refreshBatchVoltages();
     rebuildScheduler();
     markAllDirty();
-    return in.ok();
+    return true;
 }
 
 // ---------------------------------------------------------------------

@@ -236,13 +236,22 @@ class Simulator
      * workload position. Side-effect free: saving does not perturb the
      * run. A simulator built from the identical SimConfig + workload
      * spec that restores this blob continues bit-identically to the
-     * run that saved it.
+     * run that saved it. Layout: format version, FNV-1a digest of the
+     * body, length-prefixed body; caches, BTB and predictor tables
+     * write only their valid or changed entries, as varints.
      */
     void saveCheckpoint(std::string &out) const;
 
-    /** Inverse of saveCheckpoint; false leaves no guarantees about
-     *  partial state, so callers must treat failure as fatal for this
-     *  instance (checkpoint artifacts re-simulate on failure). */
+    /**
+     * Inverse of saveCheckpoint. Rejects another format version, a
+     * body that fails its digest or leaves trailing bytes, and any
+     * count, class, domain or register, queue or table index out of
+     * range. It does not check that a restored machine is
+     * self-consistent (a well-indexed but corrupt body may stall).
+     * False leaves no guarantees about partial state, so callers must
+     * treat failure as fatal for this instance (checkpoint artifacts
+     * re-simulate on failure).
+     */
     bool restoreCheckpoint(serial::Reader &in);
 
     /**

@@ -90,7 +90,7 @@ EvalTrace
 TraceSpec::build(ArtifactCache &cache) const
 {
     auto instance = ControllerRegistry::instance().create(controller);
-    Runner runner(config);
+    Runner runner(config, cache);
     EvalTrace trace;
     trace.stats = runner.runWithOptionalController(
         benchmark, ClockMode::Mcd, config.dvfs.freqMax, instance.get(),

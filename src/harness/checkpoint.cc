@@ -28,8 +28,10 @@ ArtifactTraits<SimCheckpoint>::decodePayload(serial::Reader &in,
 std::string
 CheckpointSpec::cacheKey() const
 {
+    // "checkpoint/2": format-3 machine snapshots. The bump retires
+    // every format-2 entry as a plain miss instead of a failed restore.
     std::string key;
-    appendString(key, "checkpoint/1");
+    appendString(key, "checkpoint/2");
     appendString(key, benchmark);
     serial::appendI64(key, static_cast<std::int64_t>(mode));
     serial::appendDouble(key, resolvedStartFreq());
@@ -50,6 +52,15 @@ CheckpointSpec::describe() const
 }
 
 SimCheckpoint
+SimCheckpoint::capture(const Simulator &sim)
+{
+    SimCheckpoint out;
+    out.atInstructions = sim.committed();
+    sim.saveCheckpoint(out.state);
+    return out;
+}
+
+SimCheckpoint
 CheckpointSpec::build(ArtifactCache &cache) const
 {
     // The workload horizon must match the runner's exactly: scenario
@@ -57,37 +68,12 @@ CheckpointSpec::build(ArtifactCache &cache) const
     // the horizon) is part of this spec's key.
     auto workload = BenchmarkFactory::create(
         benchmark, config.instructions + config.warmup);
-    SimConfig sim_config =
-        makeSimConfig(config, mode, resolvedStartFreq());
-    Simulator sim(sim_config, *workload, nullptr);
-
-    // Ladder: resume from the snapshot at the largest checkpointEvery
-    // multiple strictly below `at` (a nested artifact request, itself
-    // laddering down to a cold start). The intermediate stops are
-    // behavior-free, so the chain is bit-identical to one straight
-    // run.
-    std::uint64_t every = config.checkpointEvery;
-    std::uint64_t base = (every > 0 && at > 0)
-        ? (at - 1) / every * every : 0;
-    if (base > 0) {
-        CheckpointSpec parent = *this;
-        parent.at = base;
-        SimCheckpoint resume = cache.getOrRun(parent);
-        serial::Reader in(resume.state);
-        if (!sim.restoreCheckpoint(in))
-            mcd_panic("validated checkpoint artifact failed to "
-                      "restore");
-    }
-
-    std::uint64_t stepped_from = sim.committed();
+    Simulator sim(makeSimConfig(config, mode, resolvedStartFreq()),
+                  *workload, nullptr);
     sim.runTo(at);
     cache.noteSimulation();
-    cache.noteInstructions(sim.committed() - stepped_from);
-
-    SimCheckpoint out;
-    out.atInstructions = sim.committed();
-    sim.saveCheckpoint(out.state);
-    return out;
+    cache.noteInstructions(sim.committed());
+    return SimCheckpoint::capture(sim);
 }
 
 } // namespace mcd

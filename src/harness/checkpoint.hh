@@ -3,29 +3,33 @@
  * Warm-up checkpoints as first-class artifacts. A `CheckpointSpec`
  * names one point of one run's uncontrolled prefix — benchmark,
  * machine mode, start frequency, commit-count target, methodology —
- * and resolves through the process-wide `ArtifactCache` to a
- * `SimCheckpoint`: the exact serialized machine
- * (`Simulator::saveCheckpoint`) at that point.
+ * and resolves through an `ArtifactCache` to a `SimCheckpoint`: the
+ * exact serialized machine (`Simulator::saveCheckpoint`) at that
+ * point.
+ *
+ * Every run with a warm-up resolves its warm-up boundary this way
+ * (Runner::runWithOptionalController): warm-up runs uncontrolled
+ * (methodology v2), so the controller never appears in the key and
+ * every variant of one (benchmark, mode, start frequency, config) —
+ * controller variants, a search's schedule probes — shares one
+ * snapshot. The first run to miss warms its own machine, snapshots it
+ * in place and carries on; later runs restore it and simulate only
+ * their measured window.
  *
  * The bit-identity contract: restoring a checkpoint and running on is
  * byte-identical to having simulated straight through. It rests on
  * two invariants the core layer tests pin down:
  *
  *  - run composition (`SplitRunsComposeExactly`): `runTo` stops are
- *    behavior-free, so the ladder's intermediate stops change nothing;
+ *    behavior-free, so stopping at the boundary changes nothing;
  *  - exact state capture: every stateful subsystem serializes with
  *    raw-bit encodings (IEEE-754 doubles included) and the pending
  *    power batch is saved unflushed, so even floating-point summation
- *    order is reproduced.
+ *    order is reproduced. Caches, BTB and predictor tables store only
+ *    their valid or changed entries, which is exact because a run
+ *    never reads an invalid entry's fields.
  *
- * Checkpoints ladder: building the snapshot at instruction K first
- * resolves the snapshot at the largest `checkpointEvery` multiple
- * strictly below K (recursively, down to a cold start), so one long
- * warm-up populates a chain of resume points and later requests
- * fast-forward from the nearest one. The controller never appears in
- * the key — warm-up runs uncontrolled (methodology v2), so every
- * controller variant of a figure shares the same snapshots. Stale
- * versions and corrupt blobs decode as cache misses and heal by
+ * Stale versions and corrupt blobs decode as cache misses and heal by
  * re-simulation, like every other artifact.
  */
 
@@ -52,6 +56,9 @@ struct SimCheckpoint
 
     /** Simulator::saveCheckpoint bytes (restoreCheckpoint's input). */
     std::string state;
+
+    /** Snapshot `sim` as it stands (saving does not perturb it). */
+    static SimCheckpoint capture(const Simulator &sim);
 };
 
 template <> struct ArtifactTraits<SimCheckpoint>
@@ -68,8 +75,7 @@ template <> struct ArtifactTraits<SimCheckpoint>
  * point `at` of one run's uncontrolled prefix. The key covers
  * everything that shapes the machine up to that point — benchmark,
  * mode, start frequency, `at`, methodology/machine config — and
- * nothing else: controllers engage only after warm-up, and
- * `config.checkpointEvery` shapes the build ladder, never the value.
+ * nothing else: controllers engage only after warm-up.
  */
 struct CheckpointSpec
 {
@@ -87,16 +93,14 @@ struct CheckpointSpec
         return startFreq > 0.0 ? startFreq : config.dvfs.freqMax;
     }
 
-    /** Exact, collision-free artifact key (namespace "checkpoint/1"). */
+    /** Exact, collision-free artifact key (namespace "checkpoint/2"). */
     std::string cacheKey() const;
 
     /** One-line human-readable description (provenance sidecars). */
     std::string describe() const;
 
-    /**
-     * Simulate (or fast-forward, via the ladder) to `at` and snapshot.
-     * Counts one simulation plus the instructions actually stepped.
-     */
+    /** Simulate a machine of its own to `at` and snapshot it
+     *  (capture()); counts one simulation and its instructions. */
     SimCheckpoint build(ArtifactCache &cache) const;
 };
 

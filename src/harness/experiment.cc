@@ -191,22 +191,23 @@ GlobalMatchSpec::describe() const
 }
 
 SimStats
-runExperiment(const ExperimentSpec &spec)
+runExperiment(const ExperimentSpec &spec, ArtifactCache &cache)
 {
     auto controller = ControllerRegistry::instance().create(
         spec.controller);
-    Runner runner(spec.config);
+    Runner runner(spec.config, cache);
     return runner.runWithOptionalController(
         spec.benchmark, spec.mode, spec.resolvedStartFreq(),
         controller.get());
 }
 
 std::vector<SimStats>
-runExperiments(const std::vector<ExperimentSpec> &specs, int jobs)
+runExperiments(const std::vector<ExperimentSpec> &specs, int jobs,
+               ArtifactCache &cache)
 {
     ParallelSweep sweep(jobs);
     return sweep.map<SimStats>(specs.size(), [&](std::size_t i) {
-        return ArtifactCache::instance().getOrRun(specs[i]);
+        return cache.getOrRun(specs[i]);
     });
 }
 
@@ -343,7 +344,7 @@ ArtifactCache::getOrRun(const ExperimentSpec &spec)
     std::string blob = fetch(
         spec.cacheKey(), validBlob<SimStats>,
         [&] {
-            SimStats stats = runExperiment(spec);
+            SimStats stats = runExperiment(spec, *this);
             noteSimulation();
             return encodeArtifact(stats);
         },
@@ -365,7 +366,7 @@ ArtifactCache::getOrRun(const ProfileSpec &spec)
             ExperimentSpec run = spec.experimentSpec();
             auto controller =
                 ControllerRegistry::instance().create(run.controller);
-            Runner runner(spec.config);
+            Runner runner(spec.config, *this);
             SimStats stats = runner.runWithOptionalController(
                 spec.benchmark, run.mode, run.resolvedStartFreq(),
                 controller.get());
@@ -390,7 +391,7 @@ ArtifactCache::getOrRun(const OfflineSearchSpec &spec)
             // The search itself runs no simulation directly: its grid
             // probes are nested ExperimentSpec requests that memoize
             // (and count) themselves.
-            Runner runner(spec.config);
+            Runner runner(spec.config, *this);
             return encodeArtifact(runner.searchOfflineDynamic(
                 spec.benchmark, spec.targetDeg, spec.mcdBase,
                 spec.profile));
@@ -406,7 +407,7 @@ ArtifactCache::getOrRun(const GlobalMatchSpec &spec)
     std::string blob = fetch(
         spec.cacheKey(), validBlob<GlobalResult>,
         [&] {
-            Runner runner(spec.config);
+            Runner runner(spec.config, *this);
             return encodeArtifact(runner.searchGlobalMatching(
                 spec.benchmark, spec.targetTime));
         },

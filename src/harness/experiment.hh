@@ -141,20 +141,6 @@ struct GlobalMatchSpec
     std::string describe() const;
 };
 
-/** Run one ExperimentSpec directly, bypassing the cache. */
-SimStats runExperiment(const ExperimentSpec &spec);
-
-/**
- * Run a batch of specs fanned across ParallelSweep workers (`jobs` as
- * in RunnerConfig::jobs: 0 = default workers, 1 = serial), each
- * resolved through the process-wide ArtifactCache. Results are in
- * spec order and bit-identical for any worker count; duplicate specs
- * — within the batch or against anything cached earlier in the
- * process or persisted in the disk store — simulate only once.
- */
-std::vector<SimStats>
-runExperiments(const std::vector<ExperimentSpec> &specs, int jobs = 0);
-
 /**
  * The typed artifact cache: spec-keyed storage for every experiment
  * product, layered memory-over-disk. Thread-safe; concurrent requests
@@ -165,9 +151,12 @@ runExperiments(const std::vector<ExperimentSpec> &specs, int jobs = 0);
  * `lookups() - hits()` artifacts were computed, of which
  * `simulationsRun()` required running the simulator.
  *
- * `instance()` is the process-wide cache every Runner and bench
- * consumer resolves through; independently-constructed instances are
- * for tests (e.g. simulating a cold process against a warm DiskStore).
+ * `instance()` is the process-wide cache Runners and bench consumers
+ * resolve through by default; independently-constructed instances
+ * serve tests (e.g. simulating a cold process against a warm
+ * DiskStore) and the serve daemon. Every nested request an artifact's
+ * build makes — its warm-up checkpoint, a search's probes — resolves
+ * through the cache building it, never the process-wide one.
  */
 class ArtifactCache
 {
@@ -206,6 +195,20 @@ class ArtifactCache
     typename Spec::Artifact
     getOrRun(const Spec &spec)
     {
+        return getOrBuild(spec, [&] { return spec.build(*this); });
+    }
+
+    /**
+     * getOrRun with a caller-supplied compute for the miss: `build`
+     * returns the Spec::Artifact in place of `spec.build(*this)`. This
+     * is how a run produces its own warm-up checkpoint
+     * (Runner::runWithOptionalController): the first run to miss warms
+     * its machine, snapshots it, and keeps the machine running.
+     */
+    template <typename Spec, typename Build>
+    typename Spec::Artifact
+    getOrBuild(const Spec &spec, Build &&build)
+    {
         using Artifact = typename Spec::Artifact;
         attachDiskStore(spec.config.store);
         std::string blob = fetch(
@@ -214,8 +217,7 @@ class ArtifactCache
                 Artifact value;
                 return decodeArtifact(b, value);
             },
-            [&] { return encodeArtifact(spec.build(*this)); },
-            spec.describe());
+            [&] { return encodeArtifact(build()); }, spec.describe());
         Artifact value;
         if (!decodeArtifact(blob, value))
             mcd_panic("validated artifact blob failed to decode");
@@ -359,6 +361,31 @@ class ArtifactCache
     telemetry::Counter sim_insns_;
     telemetry::Counter inflight_joins_;
 };
+
+/**
+ * Run one ExperimentSpec directly, bypassing the cache for its result.
+ * Its warm-up boundary checkpoint still resolves through `cache` (the
+ * cache building the result when this runs inside a getOrRun), and so
+ * does its side effect: the first call stores the checkpoint there —
+ * and in the disk store when `spec.config.store` is set — and a later
+ * call for the same benchmark and config restores it instead of
+ * simulating the warm-up. Pass a fresh ArtifactCache for an
+ * independent, straight-through run.
+ */
+SimStats runExperiment(const ExperimentSpec &spec,
+                       ArtifactCache &cache = ArtifactCache::instance());
+
+/**
+ * Run a batch of specs fanned across ParallelSweep workers (`jobs` as
+ * in RunnerConfig::jobs: 0 = default workers, 1 = serial), each
+ * resolved through `cache`. Results are in spec order and
+ * bit-identical for any worker count; duplicate specs — within the
+ * batch or against anything cached earlier in the process or
+ * persisted in the disk store — simulate only once.
+ */
+std::vector<SimStats>
+runExperiments(const std::vector<ExperimentSpec> &specs, int jobs = 0,
+               ArtifactCache &cache = ArtifactCache::instance());
 
 /**
  * The canonical `store:` stderr status line, e.g.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <iterator>
+#include <optional>
 
 #include "common/env.hh"
 #include "common/logging.hh"
@@ -105,8 +106,6 @@ RunnerConfig::applyEnvOverrides()
     intervalInstructions = envInt("MCD_INTERVAL", intervalInstructions);
     jobs = envInt("MCD_JOBS", jobs);
     store = envString("MCD_STORE", store);
-    checkpointEvery = envU64("MCD_CHECKPOINT", checkpointEvery,
-                             /*min=*/0);
 }
 
 void
@@ -155,7 +154,12 @@ makeSimConfig(const RunnerConfig &config, ClockMode mode,
 }
 
 Runner::Runner(const RunnerConfig &config)
-    : config_(config)
+    : Runner(config, ArtifactCache::instance())
+{
+}
+
+Runner::Runner(const RunnerConfig &config, ArtifactCache &cache)
+    : config_(config), cache_(&cache)
 {
 }
 
@@ -168,42 +172,45 @@ Runner::runWithOptionalController(
     auto workload = BenchmarkFactory::create(bench, horizon());
     SimConfig sim_config = makeSimConfig(config_, mode, start_freq);
 
-    // Warm-up runs uncontrolled (methodology v2): the pre-measurement
-    // machine state is controller-independent, so a checkpoint of it
-    // fast-forwards every variant of this benchmark.
-    Simulator sim(sim_config, *workload, nullptr);
+    // The machine is built only once the boundary checkpoint is in
+    // hand, or as its build, so a run never holds a second simulator.
+    std::optional<Simulator> sim;
+    auto make = [&]() -> Simulator & {
+        return sim.emplace(sim_config, *workload, nullptr);
+    };
     std::uint64_t stepped_from = 0;
-
     if (config_.warmup > 0) {
-        if (config_.checkpointEvery > 0) {
-            // Resolve the warm-up prefix through the checkpoint
-            // artifact; by the run-composition contract the restored
-            // machine is bit-identical to having simulated it here.
-            CheckpointSpec spec;
-            spec.benchmark = bench;
-            spec.mode = mode;
-            spec.startFreq = start_freq;
-            spec.at = config_.warmup;
-            spec.config = config_;
-            SimCheckpoint ckpt =
-                ArtifactCache::instance().getOrRun(spec);
+        CheckpointSpec spec;
+        spec.benchmark = bench;
+        spec.mode = mode;
+        spec.startFreq = start_freq;
+        spec.at = config_.warmup;
+        spec.config = config_;
+        SimCheckpoint ckpt = cache_->getOrBuild(spec, [&] {
+            // First to miss: warm up in place, snapshot, carry on.
+            Simulator &warm = make();
+            warm.runTo(spec.at);
+            return SimCheckpoint::capture(warm);
+        });
+        if (!sim) {
+            // By the run-composition contract the restored machine is
+            // bit-identical to having simulated the warm-up here.
             serial::Reader in(ckpt.state);
-            if (!sim.restoreCheckpoint(in))
+            if (!make().restoreCheckpoint(in))
                 mcd_panic("validated checkpoint artifact failed to "
                           "restore");
-            stepped_from = sim.committed();
-        } else {
-            sim.run(config_.warmup);
+            stepped_from = sim->committed();
         }
-        sim.resetMeasurement();
+        sim->resetMeasurement();
+    } else {
+        make();
     }
-    sim.engageController(controller);
+    sim->engageController(controller);
     if (observer)
-        sim.setIntervalObserver(std::move(observer));
-    sim.run(config_.instructions);
-    ArtifactCache::instance().noteInstructions(sim.committed() -
-                                               stepped_from);
-    return sim.stats();
+        sim->setIntervalObserver(std::move(observer));
+    sim->run(config_.instructions);
+    cache_->noteInstructions(sim->committed() - stepped_from);
+    return sim->stats();
 }
 
 SimStats
@@ -226,8 +233,8 @@ Runner::runMcdBaseline(const std::string &bench,
     spec.benchmark = bench;
     spec.config = config_;
     if (profile)
-        *profile = ArtifactCache::instance().getOrRun(spec);
-    return ArtifactCache::instance().getOrRun(spec.experimentSpec());
+        *profile = cache_->getOrRun(spec);
+    return cache_->getOrRun(spec.experimentSpec());
 }
 
 SimStats
@@ -277,7 +284,7 @@ Runner::runOfflineDynamic(const std::string &bench, double target_deg,
     spec.mcdBase = mcd_base;
     spec.profile = profile;
     spec.config = config_;
-    return ArtifactCache::instance().getOrRun(spec);
+    return cache_->getOrRun(spec);
 }
 
 OfflineResult
@@ -320,7 +327,7 @@ Runner::searchOfflineDynamic(
             spec.config = config_;
             specs.push_back(std::move(spec));
         }
-        auto stats = runExperiments(specs, config_.jobs);
+        auto stats = runExperiments(specs, config_.jobs, *cache_);
         std::vector<Probe> probes(batch.size());
         for (std::size_t i = 0; i < batch.size(); ++i) {
             probes[i].margins = batch[i];
@@ -468,15 +475,15 @@ Runner::searchOfflineDynamic(
 // comparators probe synchronous operating points, and the full-speed
 // point in particular is a baseline every figure shares.
 static SimStats
-cachedSynchronous(const RunnerConfig &config, const std::string &bench,
-                  Hertz freq)
+cachedSynchronous(ArtifactCache &cache, const RunnerConfig &config,
+                  const std::string &bench, Hertz freq)
 {
     ExperimentSpec spec;
     spec.benchmark = bench;
     spec.mode = ClockMode::Synchronous;
     spec.startFreq = freq;
     spec.config = config;
-    return ArtifactCache::instance().getOrRun(spec);
+    return cache.getOrRun(spec);
 }
 
 Hertz
@@ -493,7 +500,8 @@ Runner::runGlobalAtDegradation(const std::string &bench,
 {
     GlobalResult result;
     result.freq = globalMatchedFrequency(target_deg);
-    result.stats = cachedSynchronous(config_, bench, result.freq);
+    result.stats =
+        cachedSynchronous(*cache_, config_, bench, result.freq);
     return result;
 }
 
@@ -504,7 +512,7 @@ Runner::runGlobalMatching(const std::string &bench, Tick target_time)
     spec.benchmark = bench;
     spec.targetTime = target_time;
     spec.config = config_;
-    return ArtifactCache::instance().getOrRun(spec);
+    return cache_->getOrRun(spec);
 }
 
 GlobalResult
@@ -517,8 +525,8 @@ Runner::searchGlobalMatching(const std::string &bench,
     // Fit T(f) = a + b/f from two calibration runs.
     Hertz f1 = f_max;
     Hertz f2 = 0.5 * (f_max + f_min);
-    SimStats s1 = cachedSynchronous(config_, bench, f1);
-    SimStats s2 = cachedSynchronous(config_, bench, f2);
+    SimStats s1 = cachedSynchronous(*cache_, config_, bench, f1);
+    SimStats s2 = cachedSynchronous(*cache_, config_, bench, f2);
     double t1 = static_cast<double>(s1.time);
     double t2 = static_cast<double>(s2.time);
     double b = (t2 - t1) / (1.0 / f2 - 1.0 / f1);
@@ -533,7 +541,7 @@ Runner::searchGlobalMatching(const std::string &bench,
 
     double target = static_cast<double>(target_time);
     Hertz f = solve(target);
-    SimStats stats = cachedSynchronous(config_, bench, f);
+    SimStats stats = cachedSynchronous(*cache_, config_, bench, f);
 
     // One secant refinement against the measured point.
     double t_f = static_cast<double>(stats.time);
@@ -543,7 +551,7 @@ Runner::searchGlobalMatching(const std::string &bench,
         double denom = target - a;
         if (denom > 0.0 && b2 > 0.0) {
             Hertz f_refined = std::clamp(b2 / denom, f_min, f_max);
-            SimStats refined = cachedSynchronous(config_, bench,
+            SimStats refined = cachedSynchronous(*cache_, config_, bench,
                                                  f_refined);
             if (std::abs(static_cast<double>(refined.time) - target) <
                 std::abs(t_f - target)) {

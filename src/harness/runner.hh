@@ -69,22 +69,8 @@ struct RunnerConfig
      */
     std::string store;
 
-    /**
-     * Checkpoint ladder spacing in committed instructions (0 = off;
-     * `MCD_CHECKPOINT` / `mcd_cli --checkpoint-every`). When set, the
-     * uncontrolled warm-up prefix of every run resolves through a
-     * `CheckpointSpec` artifact (harness/checkpoint.hh): a warm store
-     * fast-forwards the machine to the warm-up point by deserializing
-     * a snapshot instead of re-simulating it, bit-identically to the
-     * cold run. Like `jobs` and `store`, excluded from cache keys —
-     * the run-composition contract makes results independent of where
-     * (or whether) a run was checkpointed; only the cost of producing
-     * them changes.
-     */
-    std::uint64_t checkpointEvery = 0;
-
     /** Apply MCD_INSNS / MCD_WARMUP / MCD_INTERVAL / MCD_JOBS /
-     *  MCD_STORE / MCD_CHECKPOINT env overrides. */
+     *  MCD_STORE env overrides. */
     void applyEnvOverrides();
 
     /**
@@ -93,11 +79,9 @@ struct RunnerConfig
      * leading methodology version retires every cached artifact when
      * the measurement procedure itself changes (v2: warm-up runs
      * uncontrolled and the controller engages at the measurement
-     * boundary). `jobs`, `store`, and `checkpointEvery` are
-     * deliberately excluded: the determinism contract makes results
-     * worker-count independent, the storage location never changes a
-     * value, and checkpointing changes only the cost of a run, never
-     * its result.
+     * boundary). `jobs` and `store` are deliberately excluded: the
+     * determinism contract makes results worker-count independent, and
+     * the storage location never changes a value.
      */
     void appendTo(std::string &out) const;
 
@@ -130,6 +114,8 @@ struct GlobalResult
     Hertz freq = 0.0;
 };
 
+class ArtifactCache;
+
 /**
  * Runs one benchmark under the canonical machine variants. Every
  * variant method is a thin wrapper over one spec-driven path: it
@@ -137,11 +123,21 @@ struct GlobalResult
  * ControllerRegistry, and executes under the shared methodology
  * (runWithOptionalController). The declarative layer on top is
  * harness/experiment.hh.
+ *
+ * Every artifact a Runner requests — warm-up checkpoints, baselines,
+ * search probes — resolves through one ArtifactCache: the process-wide
+ * instance by default, or the cache building the artifact this Runner
+ * computes, so a private cache's nested requests and counters stay in
+ * that cache.
  */
 class Runner
 {
   public:
+    /** A runner resolving through ArtifactCache::instance(). */
     explicit Runner(const RunnerConfig &config = RunnerConfig{});
+
+    /** A runner resolving through `cache` (which must outlive it). */
+    Runner(const RunnerConfig &config, ArtifactCache &cache);
 
     const RunnerConfig &config() const { return config_; }
 
@@ -156,9 +152,12 @@ class Runner
      * interval observer engage at the measurement boundary, right
      * after `resetMeasurement()`. The warm-up machine state is
      * therefore a pure function of (benchmark, mode, start frequency,
-     * config) — shared by every controller — which is what lets
-     * `checkpointEvery` fast-forward all of a figure's variants from
-     * one stored snapshot.
+     * config) — shared by every controller — so it resolves through
+     * one `CheckpointSpec{at = warmup}` artifact: the first run to miss
+     * warms its own machine and snapshots it in place, and every later
+     * variant builds its machine, restores the snapshot and simulates
+     * only the measured window. Counts the instructions it steps, not
+     * the simulation (the caller's artifact build does that).
      */
     SimStats runWithOptionalController(
         const std::string &bench, ClockMode mode, Hertz start_freq,
@@ -264,6 +263,7 @@ class Runner
 
   private:
     RunnerConfig config_;
+    ArtifactCache *cache_;
 
     std::uint64_t horizon() const
     {

@@ -1,5 +1,6 @@
 #include "memory/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.hh"
@@ -40,6 +41,7 @@ Cache::Cache(const CacheConfig &config)
                   config_.name.c_str());
     line_shift_ = std::countr_zero(
         static_cast<std::uint64_t>(config_.lineBytes));
+    set_bits_ = std::countr_zero(static_cast<std::uint64_t>(num_sets_));
     lines_.resize(num_lines);
 }
 
@@ -135,38 +137,50 @@ Cache::invalidate(std::uint64_t addr)
     }
 }
 
+// Valid lines only (serial::appendSparse): per line the tag above the
+// set bits (the set is the line's position) with the dirty bit, and
+// the LRU stamp. Invalid lines load as default lines, which is exact:
+// a run never reads an invalid line's fields (findLine tests `valid`
+// first, and victim choice takes the first invalid way before
+// comparing any stamp).
 void
 Cache::saveState(std::string &out) const
 {
-    serial::appendU64(out, lines_.size());
-    for (const Line &line : lines_) {
-        serial::appendU64(out, line.tag);
-        serial::appendU64(out, (line.valid ? 1u : 0u) |
-                                   (line.dirty ? 2u : 0u));
-        serial::appendU64(out, line.lruStamp);
-    }
-    serial::appendU64(out, lru_clock_);
-    serial::appendU64(out, hits_.value());
-    serial::appendU64(out, misses_.value());
-    serial::appendU64(out, writebacks_.value());
+    serial::appendSparse(
+        out, lines_.size(), [&](std::size_t i) { return lines_[i].valid; },
+        [&](std::size_t i) {
+            const Line &line = lines_[i];
+            serial::appendVar(out, (line.tag >> set_bits_) << 1 |
+                                       (line.dirty ? 1 : 0));
+            serial::appendVar(out, line.lruStamp);
+        });
+    serial::appendVar(out, lru_clock_);
+    serial::appendVar(out, hits_.value());
+    serial::appendVar(out, misses_.value());
+    serial::appendVar(out, writebacks_.value());
 }
 
 bool
 Cache::loadState(serial::Reader &in)
 {
-    if (in.readU64() != lines_.size())
+    std::fill(lines_.begin(), lines_.end(), Line{});
+    auto ways = static_cast<std::size_t>(config_.associativity);
+    bool lines_ok =
+        serial::readSparse(in, lines_.size(), [&](std::size_t i) {
+            std::uint64_t tag_dirty = in.readVar();
+            Line &line = lines_[i];
+            line.valid = true;
+            line.dirty = (tag_dirty & 1) != 0;
+            line.tag = (tag_dirty >> 1) << set_bits_ | i / ways;
+            line.lruStamp = in.readVar();
+            return true;
+        });
+    if (!lines_ok)
         return false;
-    for (Line &line : lines_) {
-        line.tag = in.readU64();
-        std::uint64_t flags = in.readU64();
-        line.valid = (flags & 1u) != 0;
-        line.dirty = (flags & 2u) != 0;
-        line.lruStamp = in.readU64();
-    }
-    lru_clock_ = in.readU64();
-    hits_.set(in.readU64());
-    misses_.set(in.readU64());
-    writebacks_.set(in.readU64());
+    lru_clock_ = in.readVar();
+    hits_.set(in.readVar());
+    misses_.set(in.readVar());
+    writebacks_.set(in.readVar());
     return in.ok();
 }
 

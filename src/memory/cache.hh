@@ -74,10 +74,12 @@ class Cache
 
     double missRate() const;
 
-    /** Serialize tags/LRU/counters (checkpointing). */
+    /** Serialize the valid lines' tags/LRU and the counters
+     *  (checkpointing; compact varint layout). */
     void saveState(std::string &out) const;
 
-    /** Inverse of saveState; false on size mismatch or short data. */
+    /** Inverse of saveState; false on a size mismatch, short data, or
+     *  line indices that do not rise within the table. */
     bool loadState(serial::Reader &in);
 
   private:
@@ -92,6 +94,7 @@ class Cache
     CacheConfig config_;
     int num_sets_;
     int line_shift_;
+    int set_bits_; //!< log2(num_sets_)
     std::vector<Line> lines_;
     std::uint64_t lru_clock_ = 0;
 

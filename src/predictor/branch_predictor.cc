@@ -1,5 +1,8 @@
 #include "predictor/branch_predictor.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace mcd
@@ -24,31 +27,46 @@ pcIndex(std::uint64_t pc)
     return pc >> 2;
 }
 
-/** Byte-table serialization shared by the counter arrays. */
+/** A 2-bit counter's reset state: weakly taken. */
+constexpr std::uint8_t WEAKLY_TAKEN = 2;
+
+/** Largest 2-bit counter value. */
+constexpr std::uint64_t COUNTER_MAX = 3;
+
+/**
+ * Predictor arrays serialize sparsely (serial::appendSparse): only the
+ * entries that differ from the table's reset value `fill`. Warm-up
+ * touches a small share of each table, so most entries cost nothing.
+ */
 template <typename T>
 void
-saveTable(std::string &out, const std::vector<T> &table)
+saveTable(std::string &out, const std::vector<T> &table, T fill)
 {
-    serial::appendU64(out, table.size());
-    for (T v : table)
-        serial::appendU64(out, static_cast<std::uint64_t>(v));
+    serial::appendSparse(
+        out, table.size(), [&](std::size_t i) { return table[i] != fill; },
+        [&](std::size_t i) {
+            serial::appendVar(out, static_cast<std::uint64_t>(table[i]));
+        });
 }
 
+/** Inverse of saveTable; also rejects values above `max`. */
 template <typename T>
 bool
-loadTable(serial::Reader &in, std::vector<T> &table)
+loadTable(serial::Reader &in, std::vector<T> &table, T fill,
+          std::uint64_t max)
 {
-    if (in.readU64() != table.size())
-        return false;
-    for (T &v : table)
-        v = static_cast<T>(in.readU64());
-    return in.ok();
+    std::fill(table.begin(), table.end(), fill);
+    return serial::readSparse(in, table.size(), [&](std::size_t i) {
+        std::uint64_t value = in.readVar();
+        table[i] = static_cast<T>(value);
+        return value <= max;
+    });
 }
 
 } // namespace
 
 BimodalPredictor::BimodalPredictor(int entries)
-    : counters_(static_cast<std::size_t>(entries), 2), // weakly taken
+    : counters_(static_cast<std::size_t>(entries), WEAKLY_TAKEN),
       mask_(maskFor(entries))
 {
 }
@@ -69,7 +87,7 @@ BimodalPredictor::update(std::uint64_t pc, bool taken)
 TwoLevelPredictor::TwoLevelPredictor(int l1_entries, int history_bits,
                                      int l2_entries)
     : history_(static_cast<std::size_t>(l1_entries), 0),
-      pht_(static_cast<std::size_t>(l2_entries), 2),
+      pht_(static_cast<std::size_t>(l2_entries), WEAKLY_TAKEN),
       l1_mask_(maskFor(l1_entries)),
       l2_mask_(maskFor(l2_entries)),
       history_mask_(static_cast<std::uint16_t>((1u << history_bits) - 1))
@@ -108,7 +126,7 @@ CombiningPredictor::CombiningPredictor(int chooser_entries,
                                        int l2_entries)
     : bimodal_(bimodal_entries),
       two_level_(l1_entries, history_bits, l2_entries),
-      chooser_(static_cast<std::size_t>(chooser_entries), 2),
+      chooser_(static_cast<std::size_t>(chooser_entries), WEAKLY_TAKEN),
       chooser_mask_(maskFor(chooser_entries))
 {
 }
@@ -136,10 +154,10 @@ CombiningPredictor::update(std::uint64_t pc, bool taken)
 
 Btb::Btb(int sets, int ways)
     : sets_(sets), ways_(ways),
+      set_bits_(std::countr_zero(maskFor(sets) + 1)),
       entries_(static_cast<std::size_t>(sets) *
                static_cast<std::size_t>(ways))
 {
-    maskFor(sets); // validates power of two
 }
 
 std::size_t
@@ -219,26 +237,27 @@ Ras::pop()
 void
 BimodalPredictor::saveState(std::string &out) const
 {
-    saveTable(out, counters_);
+    saveTable(out, counters_, WEAKLY_TAKEN);
 }
 
 bool
 BimodalPredictor::loadState(serial::Reader &in)
 {
-    return loadTable(in, counters_);
+    return loadTable(in, counters_, WEAKLY_TAKEN, COUNTER_MAX);
 }
 
 void
 TwoLevelPredictor::saveState(std::string &out) const
 {
-    saveTable(out, history_);
-    saveTable(out, pht_);
+    saveTable(out, history_, std::uint16_t{0});
+    saveTable(out, pht_, WEAKLY_TAKEN);
 }
 
 bool
 TwoLevelPredictor::loadState(serial::Reader &in)
 {
-    return loadTable(in, history_) && loadTable(in, pht_);
+    return loadTable(in, history_, std::uint16_t{0}, history_mask_) &&
+           loadTable(in, pht_, WEAKLY_TAKEN, COUNTER_MAX);
 }
 
 void
@@ -246,60 +265,74 @@ CombiningPredictor::saveState(std::string &out) const
 {
     bimodal_.saveState(out);
     two_level_.saveState(out);
-    saveTable(out, chooser_);
+    saveTable(out, chooser_, WEAKLY_TAKEN);
 }
 
 bool
 CombiningPredictor::loadState(serial::Reader &in)
 {
     return bimodal_.loadState(in) && two_level_.loadState(in) &&
-           loadTable(in, chooser_);
+           loadTable(in, chooser_, WEAKLY_TAKEN, COUNTER_MAX);
 }
 
+// Valid entries only, as in Cache::saveState: the tag above the set
+// bits, the target and the LRU stamp. Entries are never invalidated
+// and update() never reads an invalid entry's fields, so invalid
+// entries load as default ones.
 void
 Btb::saveState(std::string &out) const
 {
-    serial::appendU64(out, entries_.size());
-    for (const Entry &entry : entries_) {
-        serial::appendU64(out, entry.tag);
-        serial::appendU64(out, entry.target);
-        serial::appendU64(out, entry.valid ? 1 : 0);
-        serial::appendU64(out, entry.lruStamp);
-    }
-    serial::appendU64(out, lru_clock_);
+    serial::appendSparse(
+        out, entries_.size(),
+        [&](std::size_t i) { return entries_[i].valid; },
+        [&](std::size_t i) {
+            const Entry &entry = entries_[i];
+            serial::appendVar(out, entry.tag >> set_bits_);
+            serial::appendVar(out, entry.target);
+            serial::appendVar(out, entry.lruStamp);
+        });
+    serial::appendVar(out, lru_clock_);
 }
 
 bool
 Btb::loadState(serial::Reader &in)
 {
-    if (in.readU64() != entries_.size())
-        return false;
-    for (Entry &entry : entries_) {
-        entry.tag = in.readU64();
-        entry.target = in.readU64();
-        entry.valid = in.readU64() != 0;
-        entry.lruStamp = in.readU64();
-    }
-    lru_clock_ = in.readU64();
-    return in.ok();
+    std::fill(entries_.begin(), entries_.end(), Entry{});
+    auto ways = static_cast<std::size_t>(ways_);
+    bool entries_ok =
+        serial::readSparse(in, entries_.size(), [&](std::size_t i) {
+            Entry &entry = entries_[i];
+            entry.valid = true;
+            entry.tag = in.readVar() << set_bits_ | i / ways;
+            entry.target = in.readVar();
+            entry.lruStamp = in.readVar();
+            return true;
+        });
+    lru_clock_ = in.readVar();
+    return entries_ok && in.ok();
 }
 
 void
 Ras::saveState(std::string &out) const
 {
-    saveTable(out, stack_);
-    serial::appendI64(out, top_);
-    serial::appendI64(out, size_);
+    saveTable(out, stack_, std::uint64_t{0});
+    serial::appendVar(out, static_cast<std::uint64_t>(top_));
+    serial::appendVar(out, static_cast<std::uint64_t>(size_));
 }
 
 bool
 Ras::loadState(serial::Reader &in)
 {
-    if (!loadTable(in, stack_))
+    if (!loadTable(in, stack_, std::uint64_t{0},
+                   ~std::uint64_t{0}))
         return false;
-    top_ = static_cast<int>(in.readI64());
-    size_ = static_cast<int>(in.readI64());
-    return in.ok();
+    std::uint64_t top = in.readVar();
+    std::uint64_t size = in.readVar();
+    if (!in.ok() || top >= stack_.size() || size > stack_.size())
+        return false;
+    top_ = static_cast<int>(top);
+    size_ = static_cast<int>(size);
+    return true;
 }
 
 void

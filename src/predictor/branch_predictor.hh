@@ -125,6 +125,7 @@ class Btb
 
     int sets_;
     int ways_;
+    int set_bits_; //!< log2(sets_); maskFor validates the power of two
     std::vector<Entry> entries_;
     std::uint64_t lru_clock_ = 0;
 
@@ -180,10 +181,12 @@ class BranchPredictor
 
     const Counter &lookups() const { return lookups_; }
 
-    /** Serialize every predictor table (checkpointing). */
+    /** Serialize every predictor table (checkpointing; compact:
+     *  changed counters and valid BTB entries only). */
     void saveState(std::string &out) const;
 
-    /** Inverse of saveState; false on table-size mismatch. */
+    /** Inverse of saveState; false on a table-size mismatch, indices
+     *  that do not rise within a table, or out-of-range values. */
     bool loadState(serial::Reader &in);
 
   private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -522,16 +523,25 @@ SyntheticProgram::saveState(std::string &out) const
     serial::appendU64(out, region_base_.size());
     for (std::uint64_t b : region_base_)
         serial::appendU64(out, b);
+    // Bodies are the bulk of the state (a large-footprint app such as
+    // gcc holds thousands of slots), so each slot is varints: class,
+    // stream, a flags word, the hammock size, and the taken bias only
+    // where it differs from the default (flag 4).
+    const double default_bias = StaticOp{}.takenBias;
     serial::appendU64(out, bodies_.size());
     for (const std::vector<StaticOp> &body : bodies_) {
-        serial::appendU64(out, body.size());
+        serial::appendVar(out, body.size());
         for (const StaticOp &sop : body) {
-            serial::appendI64(out, static_cast<int>(sop.cls));
-            serial::appendI64(out, sop.stream);
-            serial::appendU64(out, sop.noisyBranch ? 1 : 0);
-            serial::appendU64(out, sop.fixedTaken ? 1 : 0);
-            serial::appendDouble(out, sop.takenBias);
-            serial::appendI64(out, sop.skipCount);
+            bool biased = std::bit_cast<std::uint64_t>(sop.takenBias) !=
+                          std::bit_cast<std::uint64_t>(default_bias);
+            serial::appendVar(out, static_cast<std::uint64_t>(sop.cls));
+            serial::appendSVar(out, sop.stream);
+            serial::appendVar(out, (sop.noisyBranch ? 1u : 0u) |
+                                       (sop.fixedTaken ? 2u : 0u) |
+                                       (biased ? 4u : 0u));
+            serial::appendSVar(out, sop.skipCount);
+            if (biased)
+                serial::appendDouble(out, sop.takenBias);
         }
     }
     serial::appendU64(out, region_stride_);
@@ -568,7 +578,7 @@ SyntheticProgram::loadState(serial::Reader &in)
     int phase_index = static_cast<int>(in.readI64());
 
     std::uint64_t n_streams = in.readU64();
-    if (!in.ok() || n_streams > (1u << 20))
+    if (!in.ok() || n_streams > in.remaining())
         return false;
     std::vector<StreamState> streams(n_streams);
     for (StreamState &s : streams) {
@@ -580,27 +590,32 @@ SyntheticProgram::loadState(serial::Reader &in)
         s.fp = in.readU64() != 0;
     }
     std::uint64_t n_bases = in.readU64();
-    if (!in.ok() || n_bases > (1u << 20))
+    if (!in.ok() || n_bases > in.remaining())
         return false;
     std::vector<std::uint64_t> region_base(n_bases);
     for (std::uint64_t &b : region_base)
         b = in.readU64();
     std::uint64_t n_bodies = in.readU64();
-    if (!in.ok() || n_bodies > (1u << 20))
+    if (!in.ok() || n_bodies > in.remaining())
         return false;
     std::vector<std::vector<StaticOp>> bodies(n_bodies);
     for (std::vector<StaticOp> &body : bodies) {
-        std::uint64_t n_ops = in.readU64();
-        if (!in.ok() || n_ops > (1u << 20))
+        std::uint64_t n_ops = in.readVar();
+        if (!in.ok() || n_ops > in.remaining())
             return false;
         body.resize(n_ops);
         for (StaticOp &sop : body) {
-            sop.cls = static_cast<OpClass>(in.readI64());
-            sop.stream = static_cast<int>(in.readI64());
-            sop.noisyBranch = in.readU64() != 0;
-            sop.fixedTaken = in.readU64() != 0;
-            sop.takenBias = in.readDouble();
-            sop.skipCount = static_cast<int>(in.readI64());
+            std::uint64_t cls = in.readVar();
+            if (cls > static_cast<std::uint64_t>(OpClass::Nop))
+                return false;
+            sop.cls = static_cast<OpClass>(cls);
+            sop.stream = static_cast<int>(in.readSVar());
+            std::uint64_t flags = in.readVar();
+            sop.noisyBranch = (flags & 1) != 0;
+            sop.fixedTaken = (flags & 2) != 0;
+            sop.skipCount = static_cast<int>(in.readSVar());
+            sop.takenBias =
+                (flags & 4) != 0 ? in.readDouble() : StaticOp{}.takenBias;
         }
     }
     std::uint64_t region_stride = in.readU64();
@@ -618,13 +633,13 @@ SyntheticProgram::loadState(serial::Reader &in)
     int int_reg_rr = static_cast<int>(in.readI64());
     int fp_reg_rr = static_cast<int>(in.readI64());
     std::uint64_t n_recent_int = in.readU64();
-    if (!in.ok() || n_recent_int > (1u << 20))
+    if (!in.ok() || n_recent_int > in.remaining())
         return false;
     std::vector<int> recent_int(n_recent_int);
     for (int &r : recent_int)
         r = static_cast<int>(in.readI64());
     std::uint64_t n_recent_fp = in.readU64();
-    if (!in.ok() || n_recent_fp > (1u << 20))
+    if (!in.ok() || n_recent_fp > in.remaining())
         return false;
     std::vector<int> recent_fp(n_recent_fp);
     for (int &r : recent_fp)
@@ -633,6 +648,41 @@ SyntheticProgram::loadState(serial::Reader &in)
     int last_chase_dst = static_cast<int>(in.readI64());
 
     if (!in.ok())
+        return false;
+    // Reject every position next() would index out of range: the
+    // phase, the region and its body slot, each memory slot's stream,
+    // and the register pools sources are drawn from.
+    auto int_reg = [](int r) { return r >= 0 && r < NUM_INT_ARCH_REGS; };
+    auto fp_reg = [](int r) {
+        return r >= NUM_INT_ARCH_REGS && r < NUM_ARCH_REGS;
+    };
+    if (phase_index < 0 ||
+        static_cast<std::size_t>(phase_index) >= spec_.phases.size() ||
+        bodies.empty() || region_base.size() != bodies.size() ||
+        region < 0 || static_cast<std::size_t>(region) >= bodies.size())
+        return false;
+    for (const std::vector<StaticOp> &body : bodies) {
+        if (body.empty())
+            return false;
+        for (const StaticOp &sop : body) {
+            if (isMemClass(sop.cls) &&
+                (sop.stream < 0 ||
+                 static_cast<std::size_t>(sop.stream) >= streams.size()))
+                return false;
+        }
+    }
+    for (const StreamState &st : streams)
+        if (st.size == 0)
+            return false;
+    if (body_index < 0 ||
+        static_cast<std::size_t>(body_index) >=
+            bodies[static_cast<std::size_t>(region)].size() ||
+        int_reg_rr < 0 || fp_reg_rr < 0 || recent_int.empty() ||
+        recent_fp.empty() ||
+        !std::all_of(recent_int.begin(), recent_int.end(), int_reg) ||
+        !std::all_of(recent_fp.begin(), recent_fp.end(), fp_reg) ||
+        (last_int_dst != NO_REG && !int_reg(last_int_dst)) ||
+        (last_chase_dst != NO_REG && !int_reg(last_chase_dst)))
         return false;
 
     rng_.setState(rng_state);

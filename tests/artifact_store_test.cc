@@ -386,7 +386,7 @@ TEST_F(StoreTest, WarmDiskStoreServesAColdProcessWithZeroSimulations)
     SimStats first = cold.getOrRun(spec);
     EXPECT_EQ(cold.simulationsRun(), 1u);
     EXPECT_EQ(cold.diskHits(), 0u);
-    EXPECT_EQ(cold.diskEntries(), 1u);
+    EXPECT_EQ(cold.diskEntries(), 2u); // stats + warm-up checkpoint
 
     // An independent cache over the same root is a new process: the
     // artifact comes back from disk, bit-identical, with no
@@ -418,7 +418,7 @@ TEST_F(StoreTest, CorruptDiskEntryMissesAndReruns)
     ArtifactCache rerun;
     SimStats healed = rerun.getOrRun(spec);
     EXPECT_EQ(rerun.simulationsRun(), 1u); // miss: re-simulated
-    EXPECT_EQ(rerun.diskHits(), 0u);
+    EXPECT_EQ(rerun.diskHits(), 1u); // from the stored warm-up
     EXPECT_EQ(healed.time, reference.time);
     EXPECT_EQ(healed.chipEnergy, reference.chipEnergy);
 
@@ -452,7 +452,7 @@ TEST_F(StoreTest, VersionMismatchedEntryMissesAndReruns)
     ArtifactCache rerun;
     SimStats healed = rerun.getOrRun(spec);
     EXPECT_EQ(rerun.simulationsRun(), 1u);
-    EXPECT_EQ(rerun.diskHits(), 0u);
+    EXPECT_EQ(rerun.diskHits(), 1u); // from the stored warm-up
     EXPECT_EQ(healed.time, reference.time);
 }
 
@@ -467,7 +467,7 @@ TEST_F(StoreTest, ProfilingPassYieldsBothArtifactsFromOneSimulation)
     SimStats stats = cold.getOrRun(spec.experimentSpec());
     EXPECT_FALSE(profile.empty());
     EXPECT_EQ(cold.simulationsRun(), 1u); // the pair cost one run
-    EXPECT_EQ(cold.diskEntries(), 2u);    // both persisted
+    EXPECT_EQ(cold.diskEntries(), 3u);    // both + the warm-up
 
     // A cold process finds both on disk.
     ArtifactCache warm;
@@ -531,11 +531,13 @@ TEST_F(StoreTest, CacheWritesProvenanceSidecars)
     EXPECT_NE(meta.find("benchmark=gsm"), std::string::npos);
     EXPECT_NE(meta.find("seed="), std::string::npos);
 
+    // The stats entry and the run's warm-up checkpoint.
     auto infos = store.enumerate();
-    ASSERT_EQ(infos.size(), 1u);
+    ASSERT_EQ(infos.size(), 2u);
     EXPECT_TRUE(infos[0].hasSidecar);
+    EXPECT_TRUE(infos[1].hasSidecar);
     // Sidecars are metadata, not entries: the counters ignore them.
-    EXPECT_EQ(store.entries(), 1u);
+    EXPECT_EQ(store.entries(), 2u);
 }
 
 TEST_F(StoreTest, MidProcessStoreRootSwapIsFatal)

@@ -236,7 +236,7 @@ TEST_F(EvalStoreTest, TraceSpecMemoizesAndPersists)
     EvalTrace first = cache.getOrRun(spec);
     EvalTrace again = cache.getOrRun(spec);
     EXPECT_EQ(cache.simulationsRun(), 1u);
-    EXPECT_EQ(cache.lookups(), 2u);
+    EXPECT_EQ(cache.lookups(), 3u); // + the run's warm-up checkpoint
     EXPECT_EQ(encodeArtifact(again), encodeArtifact(first));
     // 3000 measured instructions at 250 per interval: 12 boundaries
     // (v2: warm-up intervals precede the observer), oracle annotation

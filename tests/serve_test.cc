@@ -518,12 +518,14 @@ TEST(ServeDaemon, WarmRepeatIsByteIdenticalWithZeroSimulations)
     EXPECT_EQ(1u, daemon.cache().simulationsRun());
     EXPECT_EQ(first.payloads[0], second.payloads[0]);
 
-    // And byte-identical to the shared renderer over a direct run —
-    // the exact per-experiment document `mcd_cli run --json` embeds.
+    // And byte-identical to the shared renderer over a direct,
+    // straight-through run (a fresh cache holds no warm-up checkpoint)
+    // — the exact per-experiment document `mcd_cli run --json` embeds.
     ExperimentSpec spec;
     spec.benchmark = "gsm";
     spec.config = testConfig();
-    EXPECT_EQ(experimentResultJson(spec, runExperiment(spec)),
+    ArtifactCache fresh;
+    EXPECT_EQ(experimentResultJson(spec, runExperiment(spec, fresh)),
               first.payloads[0]);
 }
 

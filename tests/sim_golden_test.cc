@@ -80,7 +80,8 @@ experiment(const std::string &bench, const std::string &controller,
     spec.config.instructions = MEASURED;
     spec.config.warmup = WARMUP;
     spec.config.intervalInstructions = 500;
-    return runExperiment(spec);
+    ArtifactCache fresh; // straight through: no shared warm-up
+    return runExperiment(spec, fresh);
 }
 
 /** Back-to-back dependent FP divides: the divide unit is busy for
@@ -353,7 +354,8 @@ TEST(SimGolden, McfUnderAlternatingSchedule)
     spec.config.instructions = MEASURED;
     spec.config.warmup = WARMUP;
     spec.config.intervalInstructions = 500;
-    expectDigest(runExperiment(spec), 0x4afe267cfff27bdcull);
+    ArtifactCache fresh; // straight through: no shared warm-up
+    expectDigest(runExperiment(spec, fresh), 0x4afe267cfff27bdcull);
 }
 
 } // namespace

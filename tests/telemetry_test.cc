@@ -311,8 +311,10 @@ TEST(Profiler, OnOffLeavesResultsByteIdentical)
 
     for (const ExperimentSpec &spec : specs) {
         setProfiling(false);
-        std::string off =
-            serve::experimentResultJson(spec, runExperiment(spec));
+        // Each run on a fresh cache: both simulate straight through.
+        ArtifactCache off_cache, on_cache;
+        std::string off = serve::experimentResultJson(
+            spec, runExperiment(spec, off_cache));
 
         setProfiling(true);
         resetPhaseHistograms();
@@ -323,8 +325,8 @@ TEST(Profiler, OnOffLeavesResultsByteIdentical)
                 .reset();
         }
         Simulator::quietRunCounter().reset();
-        std::string on =
-            serve::experimentResultJson(spec, runExperiment(spec));
+        std::string on = serve::experimentResultJson(
+            spec, runExperiment(spec, on_cache));
 
         // Not vacuous: the profiled run actually recorded samples.
         EXPECT_GT(phaseHistogram(Phase::SimCommit).read().count, 0u)
@@ -484,6 +486,12 @@ TEST(ServeTracing, MetricsVerbMatchesDaemonCounters)
 
     // The snapshot spans the subsystems, not just serve.*: the
     // request latency histograms and the pool/sim counters are there.
+    // The sim/store counters are the process-wide cache's, which binds
+    // them on first use; this daemon's private cache never touches it.
+    ArtifactCache::instance();
+    reply = callOne(client, "{\"op\": \"metrics\"}");
+    stats = reply.get("stats");
+    ASSERT_NE(nullptr, stats);
     EXPECT_NE(nullptr, stats->get("serve.request.exec_ns"));
     EXPECT_NE(nullptr, stats->get("serve.request.queue_ns"));
     EXPECT_NE(nullptr, stats->get("pool.tasks"));
