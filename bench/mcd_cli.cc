@@ -639,12 +639,14 @@ profileCli(const std::vector<std::string> &args)
     };
     std::vector<DomainRow> domains;
     std::uint64_t quiet_edges = 0;
+    std::uint64_t skipped_edges = 0;
     for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
         auto id = static_cast<DomainId>(d);
         domains.push_back({domainName(id),
                            Simulator::edgeCounter(id, false).value(),
                            Simulator::edgeCounter(id, true).value()});
         quiet_edges += domains.back().quiet;
+        skipped_edges += Simulator::skippedEdgeCounter(id).value();
     }
     // Quiet domain edges per run. In Synchronous mode a run's shared
     // edge counts once per domain, as do the quiet domains of an edge
@@ -654,6 +656,12 @@ profileCli(const std::vector<std::string> &args)
         ? 0.0
         : static_cast<double>(quiet_edges) /
               static_cast<double>(quiet_runs);
+    // The share of quiet edges skipped in one clock call per run, with
+    // every clock calm, rather than taken edge by edge.
+    double skipped_share = quiet_edges == 0
+        ? 0.0
+        : static_cast<double>(skipped_edges) /
+              static_cast<double>(quiet_edges);
 
     if (json) {
         std::string out = "{\n  \"profile\": {\n";
@@ -698,6 +706,7 @@ profileCli(const std::vector<std::string> &args)
         }
         out += "\n    ],\n    \"quiet_runs\": " + json::u64(quiet_runs);
         out += ",\n    \"mean_quiet_run\": " + json::num(mean_run);
+        out += ",\n    \"skipped_share\": " + json::num(skipped_share);
         out += "\n  }\n}\n";
         std::fputs(out.c_str(), stdout);
         return 0;
@@ -737,9 +746,10 @@ profileCli(const std::vector<std::string> &args)
                       pct(row.quietShare(), 1)});
     }
     std::printf("\n%s", edges.render().c_str());
-    std::printf("quiet runs: %llu, mean length %s edges\n",
+    std::printf("quiet runs: %llu, mean length %s edges, %s of quiet "
+                "edges skipped\n",
                 static_cast<unsigned long long>(quiet_runs),
-                num(mean_run, 1).c_str());
+                num(mean_run, 1).c_str(), pct(skipped_share, 1).c_str());
     return 0;
 }
 

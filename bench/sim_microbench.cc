@@ -2,7 +2,8 @@
  * @file
  * Microbenchmarks of the simulator's building blocks: raw simulation
  * throughput per machine mode, the serial 30-app suite at a short
- * window, clock-edge generation, cache access,
+ * window, clock-edge generation one edge at a time and skipped in
+ * bulk, cache access,
  * branch prediction, and workload generation. These guard against
  * performance regressions in the hot paths every experiment binary
  * depends on.
@@ -248,6 +249,25 @@ allBenches()
         benches.push_back(Bench{"ClockEdges", 1000, [state] {
             for (int i = 0; i < 1000; ++i)
                 state->sink += state->clock.advance();
+        }});
+    }
+
+    // The same clock's edges consumed 64 at a time, as step() skips a
+    // calm run of quiet edges; items are edges, so the ratio to
+    // ClockEdges is what one skipped edge saves.
+    {
+        struct State
+        {
+            DvfsModel dvfs;
+            DomainClock clock{DomainId::Integer, dvfs, 1.0e9, 42};
+            Tick sink = 0;
+        };
+        auto state = std::make_shared<State>();
+        benches.push_back(Bench{"ClockSkip", 64 * 16, [state] {
+            for (int i = 0; i < 16; ++i) {
+                state->clock.skip(64);
+                state->sink += state->clock.nextEdge();
+            }
         }});
     }
 

@@ -3,7 +3,7 @@
 
 Usage: check_bench_regression.py <BENCH_sim.json>... [options]
 
-Two checks:
+Three checks:
 
  1. Hot-loop throughput: the items/sec of every gated benchmark must
     not drop more than --max-drop (default 15%) below the committed
@@ -14,6 +14,11 @@ Two checks:
  2. Fast-forward speedup: CheckpointResume must stay at least
     --min-resume-ratio (default 5x) faster than CheckpointColdRun —
     a within-machine ratio, so it holds on any hardware.
+ 3. Skipped edges: ClockSkip (edges consumed 64 at a time, as the
+    simulator skips a calm quiet run) must stay at least
+    --min-skip-ratio (default 2.4x, half the ratio measured when the
+    row landed) faster per edge than ClockEdges — also within one
+    machine.
 
 Several result files may be passed; each benchmark is judged on its
 best run — downward noise (a loaded machine, an unlucky scheduler)
@@ -83,6 +88,8 @@ def main():
                         help="max fractional items/s drop vs baseline")
     parser.add_argument("--min-resume-ratio", type=float, default=5.0,
                         help="min CheckpointResume/CheckpointColdRun")
+    parser.add_argument("--min-skip-ratio", type=float, default=2.4,
+                        help="min ClockSkip/ClockEdges")
     args = parser.parse_args()
 
     current = best_of(args.current)
@@ -110,25 +117,31 @@ def main():
                 f"(limit {args.max_drop:.0%})"
             )
 
-    cold = current.get("CheckpointColdRun")
-    resume = current.get("CheckpointResume")
-    if not cold or not resume:
-        failures.append("checkpoint benchmarks missing from results")
-    else:
+    ratios = (
+        ("CheckpointResume", "CheckpointColdRun", args.min_resume_ratio,
+         "checkpoint fast-forward", "cold"),
+        ("ClockSkip", "ClockEdges", args.min_skip_ratio,
+         "skipped clock edges", "stepped"),
+    )
+    for fast_name, slow_name, floor, what, versus in ratios:
+        fast = current.get(fast_name)
+        slow = current.get(slow_name)
+        if not fast or not slow:
+            failures.append(
+                f"{fast_name}/{slow_name} missing from results")
+            continue
         ratio = (
-            resume["items_per_second"] / cold["items_per_second"]
-            if cold["items_per_second"] > 0
+            fast["items_per_second"] / slow["items_per_second"]
+            if slow["items_per_second"] > 0
             else 0.0
         )
-        status = "FAIL" if ratio < args.min_resume_ratio else "ok"
-        print(
-            f"{status:4s} checkpoint fast-forward: {ratio:.1f}x cold "
-            f"(floor {args.min_resume_ratio:.1f}x)"
-        )
-        if ratio < args.min_resume_ratio:
+        status = "FAIL" if ratio < floor else "ok"
+        print(f"{status:4s} {what}: {ratio:.1f}x {versus} "
+              f"(floor {floor:.1f}x)")
+        if ratio < floor:
             failures.append(
-                f"checkpoint resume only {ratio:.1f}x faster than "
-                f"cold (floor {args.min_resume_ratio:.1f}x)"
+                f"{what} only {ratio:.1f}x faster than {versus} "
+                f"(floor {floor:.1f}x)"
             )
 
     if failures:

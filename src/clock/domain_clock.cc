@@ -1,18 +1,41 @@
 #include "clock/domain_clock.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.hh"
 
 namespace mcd
 {
 
+namespace
+{
+
+/**
+ * A bound on the truncated jitter sigma x q over every draw q of
+ * Rng::normal: the table is monotonic, so its ends bound each
+ * interpolated draw; one tick of slack covers the interpolation's
+ * rounding. An absurd sigma saturates at a bound no period reaches.
+ */
+Tick
+maxJitterOf(double sigma, const double *quantiles)
+{
+    constexpr double SATURATED = 1.0e15;
+    double q = std::max(std::abs(quantiles[0]),
+                        std::abs(quantiles[Rng::NORMAL_TABLE_SIZE]));
+    double bound = std::ceil(std::abs(sigma) * q) + 1.0;
+    return static_cast<Tick>(bound < SATURATED ? bound : SATURATED);
+}
+
+} // namespace
+
 DomainClock::DomainClock(DomainId id, const DvfsModel &dvfs,
                          Hertz start_freq, std::uint64_t seed, bool jittered)
     : id_(id), dvfs_(&dvfs),
       rng_(seed ^ (0x5bd1e995u * (static_cast<std::uint64_t>(id) + 1))),
       jittered_(jittered), sigma_(dvfs.config().jitterSigmaPs),
-      quantiles_(Rng::normalQuantiles())
+      quantiles_(Rng::normalQuantiles()),
+      max_jitter_(jittered ? maxJitterOf(sigma_, quantiles_) : 0)
 {
     setCurrent(dvfs_->quantize(start_freq));
     target_freq_ = cur_freq_;

@@ -21,6 +21,19 @@
  * frequency changes and never serialized), the jitter sigma, and the
  * Rng's quantile table. A clock that is not slewing pays only the
  * jitter draw.
+ *
+ * A run of edges on which nothing happens can be consumed in one call.
+ * skip(k) leaves the clock exactly as k advance() calls would: it makes
+ * the same k RNG draws but interpolates jitter only for the last
+ * consumed edge and the new pending one. That is exact only while the
+ * clock is calm(): not slewing, so the period is constant; a period of
+ * at least 2 x maxJitter() + 2, so the monotonic clamp cannot bind
+ * between two edges; and a pending edge that lies before the next
+ * nominal edge less maxJitter(), so the clamp cannot bind on the first
+ * skipped edge either. maxJitter() bounds |edge - nominal| over every
+ * possible draw, which also lets a caller bound the time of an edge
+ * ahead (earliestEdge()) and count the edges that surely fall before a
+ * time (edgesBefore()) without drawing them.
  */
 
 #ifndef MCD_CLOCK_DOMAIN_CLOCK_HH
@@ -82,6 +95,82 @@ class DomainClock
         return edge;
     }
 
+    /**
+     * Can skip() consume edges exactly (see the file comment)? False
+     * while slewing.
+     */
+    bool
+    calm() const
+    {
+        return !slewing() && period_ >= 2 * max_jitter_ + 2 &&
+               nominal_time_ + period_ - max_jitter_ > next_edge_;
+    }
+
+    /**
+     * Consume `k` pending edges exactly as `k` advance() calls would.
+     * Requires calm(); a calm clock stays calm.
+     */
+    void
+    skip(std::uint64_t k)
+    {
+        if (k == 0)
+            return;
+        cycles_ += k;
+        if (k == 1) {
+            last_edge_ = next_edge_;
+        } else {
+            // Draws of the edges between the first and the last
+            // consumed one: the clamp cannot bind, so only the RNG
+            // state they leave matters.
+            if (jittered_) {
+                for (std::uint64_t i = 2; i < k; ++i)
+                    rng_.next();
+            }
+            nominal_time_ += static_cast<Tick>(k - 1) * period_;
+            last_edge_ = jitteredEdge();
+        }
+        nominal_time_ += period_;
+        next_edge_ = jitteredEdge();
+    }
+
+    /** Bound on |edge - nominal time| over every jitter draw; 0 for a
+     *  jitter-free clock. */
+    Tick maxJitter() const { return max_jitter_; }
+
+    /**
+     * A lower bound on the time of the edge that makes cycles() reach
+     * `cycle`: the pending edge's time if that edge does (or already
+     * did), MAX_TICK if the edge lies beyond the tick range. Requires
+     * calm().
+     */
+    Tick
+    earliestEdge(std::uint64_t cycle) const
+    {
+        if (cycle <= cycles_ + 1)
+            return next_edge_;
+        std::uint64_t ahead = cycle - cycles_ - 1;
+        if (ahead > static_cast<std::uint64_t>(
+                        (MAX_TICK - nominal_time_) / period_))
+            return MAX_TICK;
+        return nominal_time_ + static_cast<Tick>(ahead) * period_ -
+               max_jitter_;
+    }
+
+    /**
+     * How many pending edges surely fall before `limit`: the pending
+     * edge if it does, then every edge whose nominal time plus
+     * maxJitter() does. Requires calm().
+     */
+    std::uint64_t
+    edgesBefore(Tick limit) const
+    {
+        if (next_edge_ >= limit)
+            return 0;
+        Tick room = limit - 1 - max_jitter_ - nominal_time_;
+        return 1 + static_cast<std::uint64_t>(
+                       room >= period_ ? room / period_ : 0);
+    }
+
     /** Instantaneous frequency (may be mid-slew). */
     Hertz frequency() const { return cur_freq_; }
 
@@ -131,6 +220,7 @@ class DomainClock
 
     double sigma_;              //!< jitter sigma (ps)
     const double *quantiles_;   //!< Rng::normalQuantiles()
+    Tick max_jitter_;           //!< see maxJitter()
 
     Hertz cur_freq_;
     Hertz target_freq_;

@@ -133,6 +133,7 @@ Simulator::~Simulator()
         auto id = static_cast<DomainId>(d);
         edgeCounter(id, false).inc(edges(id));
         edgeCounter(id, true).inc(quietEdges(id));
+        skippedEdgeCounter(id).inc(skippedEdges(id));
     }
     quietRunCounter().inc(quiet_runs_);
 }
@@ -143,6 +144,13 @@ Simulator::edgeCounter(DomainId domain, bool quiet)
     return telemetry::StatRegistry::instance().counter(
         std::string(quiet ? "sim.quiet_edges." : "sim.edges.") +
         domainName(domain));
+}
+
+telemetry::Counter &
+Simulator::skippedEdgeCounter(DomainId domain)
+{
+    return telemetry::StatRegistry::instance().counter(
+        std::string("sim.skipped_edges.") + domainName(domain));
 }
 
 telemetry::Counter &
@@ -319,7 +327,8 @@ Simulator::step()
     // which are followed by a sync (handleIntervalBoundary,
     // engageController), or between runs, which runTo syncs. So every
     // edge syncs the batch voltages only after a slewing clock
-    // advanced.
+    // advanced. At a run's first quiet edge, with every clock calm,
+    // each clock first skips its edges before calmLimit() in one call.
     std::array<std::uint64_t, NUM_CLOCKED_DOMAINS> run{}; // per domain
 
     if (clocks_.mode() == ClockMode::Synchronous) {
@@ -328,14 +337,19 @@ Simulator::step()
             return memo.quiet(clock.nextEdge(), clock.cycles() + 1);
         };
         std::uint64_t shared = 0;
-        while (std::all_of(wake_.begin(), wake_.end(), quiet)) {
+        for (std::uint64_t spins = 1;
+             std::all_of(wake_.begin(), wake_.end(), quiet); ++spins) {
+            if (spins == 1 && skipCalmRun(run))
+                continue;
             advance(clock);
             for (std::uint64_t &cycles : batch_.cycles)
                 ++cycles;
-            if (++shared % LIVENESS_PERIOD == 0)
+            ++shared;
+            if (spins % LIVENESS_PERIOD == 0)
                 checkLive();
         }
-        run.fill(shared);
+        for (std::uint64_t &edges : run)
+            edges += shared;
         endQuietRun(run);
 
         Tick edge = advance(clock);
@@ -378,12 +392,65 @@ Simulator::step()
             tickDomain(best, edge, clock.cycles());
             return;
         }
+        if (spins == 1 && skipCalmRun(run))
+            continue;
         advance(clock);
         ++batch_.cycles[di];
         ++run[di];
         if (spins % LIVENESS_PERIOD == 0)
             checkLive();
     }
+}
+
+Tick
+Simulator::calmLimit() const
+{
+    // A lower bound on each domain's first edge that is not quiet: its
+    // wake time, or the earliest its wake cycle's edge can fall. A
+    // dirty domain (wake time 0), the common case on compute-bound
+    // code, leaves nothing to skip.
+    Tick limit = MAX_TICK;
+    for (const WakeMemo &memo : wake_)
+        limit = std::min(limit, memo.wakeTime);
+    if (limit == 0)
+        return 0;
+    for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
+        auto di = static_cast<std::size_t>(d);
+        const DomainClock &clock = *clock_of_[di];
+        if (!clock.calm())
+            return 0;
+        const WakeMemo &memo = wake_[di];
+        if (memo.wakeCycle != NO_CYCLE)
+            limit = std::min(limit, clock.earliestEdge(memo.wakeCycle));
+    }
+    // With no domain able to wake, the per-edge loop's liveness check
+    // must see the edges.
+    return limit == MAX_TICK ? 0 : limit;
+}
+
+bool
+Simulator::skipCalmRun(std::array<std::uint64_t, NUM_CLOCKED_DOMAINS> &run)
+{
+    Tick limit = calmLimit();
+    if (limit == 0)
+        return false;
+    // In Synchronous mode the four domains share one clock: skip it
+    // once and charge its edges to each.
+    bool shared = clocks_.mode() == ClockMode::Synchronous;
+    std::uint64_t skipped = 0;
+    bool any = false;
+    for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
+        auto di = static_cast<std::size_t>(d);
+        if (!shared || d == 0) {
+            skipped = clock_of_[di]->edgesBefore(limit);
+            clock_of_[di]->skip(skipped);
+        }
+        batch_.cycles[di] += skipped;
+        run[di] += skipped;
+        skipped_edges_[di] += skipped;
+        any = any || skipped != 0;
+    }
+    return any;
 }
 
 void

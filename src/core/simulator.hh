@@ -81,6 +81,26 @@
  * are constant across the run: accountEdges() charges the whole run
  * per domain as count x occupancy, which is exact because those sums
  * are integer-valued doubles below 2^53. `quietRuns()` counts the runs.
+ *
+ * Most of a run need not even be drawn edge by edge. When every clock
+ * is calm (DomainClock::calm(): not slewing, and jitter too small for
+ * the monotonic clamp to bind), step() computes at a run's first quiet
+ * edge L, a lower bound on the first edge that is not quiet: the
+ * minimum over domains of the memo's wake time and, for a cycle
+ * deadline, the nominal time of the wakeCycle edge less the clock's
+ * maxJitter(). Every edge before L is
+ * quiet for its own domain, so each clock skips the edges that surely
+ * fall before L in one DomainClock::skip call, charged per domain as
+ * above, and the per-edge loop takes the few edges near L as before.
+ * Interleaving does not matter there: with every clock calm, a quiet
+ * edge neither flushes energy nor changes machine state. A slewing
+ * clock syncs, and so flushes, on each of its edges, which splits the
+ * other domains' cycle batches at those edges; so while any clock
+ * slews nothing is skipped and the flush order, hence every energy
+ * sum, stays bit-identical. With no domain able to wake, L is
+ * unbounded and nothing is skipped, so the liveness check still
+ * fires. `skippedEdges()` counts the skipped edges per domain.
+ *
  * On every edge, quiet or not, the batch voltages are synced only
  * after a slewing clock advanced. Otherwise a frequency changes only
  * in controller calls, which are followed by a sync, or between runs;
@@ -278,12 +298,28 @@ class Simulator
      */
     std::uint64_t quietRuns() const { return quiet_runs_; }
 
+    /**
+     * Quiet edges of `domain` that step() consumed with one
+     * DomainClock::skip call per run rather than edge by edge (see the
+     * file comment); diagnostics only, like edges().
+     */
+    std::uint64_t
+    skippedEdges(DomainId domain) const
+    {
+        return skipped_edges_[static_cast<std::size_t>(
+            domainIndex(domain))];
+    }
+
     /** The StatRegistry counter `sim.edges.<domain>`, or with `quiet`
      *  `sim.quiet_edges.<domain>`, that profiled simulators add into. */
     static telemetry::Counter &edgeCounter(DomainId domain, bool quiet);
 
     /** The StatRegistry counter `sim.quiet_runs`, likewise. */
     static telemetry::Counter &quietRunCounter();
+
+    /** The StatRegistry counter `sim.skipped_edges.<domain>`,
+     *  likewise. */
+    static telemetry::Counter &skippedEdgeCounter(DomainId domain);
 
     /**
      * Check the derived issue-select state against the machine state
@@ -418,6 +454,7 @@ class Simulator
     std::array<std::uint64_t, NUM_CLOCKED_DOMAINS> edges_{};
     std::array<std::uint64_t, NUM_CLOCKED_DOMAINS> quiet_edges_{};
     std::uint64_t quiet_runs_ = 0;
+    std::array<std::uint64_t, NUM_CLOCKED_DOMAINS> skipped_edges_{};
 
     std::function<void(const IntervalStats &)> interval_observer_;
 
@@ -435,6 +472,14 @@ class Simulator
     /** Advance `clock` one edge, syncing the batch voltages if it was
      *  slewing; returns the edge. */
     Tick advance(DomainClock &clock);
+    /** The time before which every pending edge is quiet when every
+     *  clock is calm, or 0 when none may be skipped (see the file
+     *  comment). */
+    Tick calmLimit() const;
+    /** Skip every clock's edges before calmLimit(), charging them like
+     *  quiet edges into `run`; false if there were none. */
+    bool skipCalmRun(
+        std::array<std::uint64_t, NUM_CLOCKED_DOMAINS> &run);
     /** Panic if every wake memo says never: the loop would spin
      *  forever. */
     void checkLive() const;

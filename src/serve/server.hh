@@ -116,9 +116,11 @@ struct ServeStats
 
 /**
  * The daemon. Construction binds and listens (fatal on failure —
- * there is no daemon without a socket); `run()` serves until a client
- * sends `shutdown` or `requestStop()` is called, then drains, joins,
- * and removes the socket file.
+ * there is no daemon without a socket), so a client may connect once
+ * the constructor has returned: the kernel queues the connection
+ * until `run()` accepts it, and no readiness poll is needed. `run()`
+ * serves until a client sends `shutdown` or `requestStop()` is
+ * called, then drains, joins, and removes the socket file.
  */
 class Server
 {

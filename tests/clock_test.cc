@@ -13,6 +13,8 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "clock/clock_system.hh"
 #include "clock/domain_clock.hh"
@@ -385,6 +387,159 @@ TEST(DomainClock, VoltageTracksFrequency)
     EXPECT_DOUBLE_EQ(clock.voltage(), 1.20);
     clock.setFrequencyImmediate(250.0e6);
     EXPECT_DOUBLE_EQ(clock.voltage(), 0.65);
+}
+
+/** A clock's saved bytes (its whole edge-generating state). */
+std::string
+savedBytes(const DomainClock &clock)
+{
+    std::string blob;
+    clock.saveState(blob);
+    return blob;
+}
+
+/**
+ * Calm clocks in every state skip() must handle: jittered or not, at
+ * the grid's minimum and maximum frequency, after an immediate
+ * frequency jump (the pending edge was drawn at the old period), and
+ * after a slew has finished.
+ */
+std::vector<std::pair<std::string, DomainClock>>
+calmClocks(const DvfsModel &dvfs)
+{
+    const DvfsConfig &dc = dvfs.config();
+    std::vector<std::pair<std::string, DomainClock>> clocks;
+    for (bool jittered : {true, false}) {
+        std::string tag = jittered ? "jittered " : "jitter-free ";
+        for (Hertz freq : {dc.freqMin, dc.freqMax}) {
+            DomainClock clock(DomainId::LoadStore, dvfs, freq, 11,
+                              jittered);
+            for (int i = 0; i < 5; ++i)
+                clock.advance();
+            clocks.emplace_back(tag + std::to_string(freq), clock);
+        }
+        DomainClock jumped_down(DomainId::FrontEnd, dvfs, dc.freqMax, 12,
+                                jittered);
+        for (int i = 0; i < 37; ++i)
+            jumped_down.advance();
+        jumped_down.setFrequencyImmediate(dc.freqMin);
+        clocks.emplace_back(tag + "jumped down", jumped_down);
+
+        DomainClock jumped_up(DomainId::Integer, dvfs, dc.freqMin, 13,
+                              jittered);
+        jumped_up.advance();
+        jumped_up.setFrequencyImmediate(dc.freqMax);
+        clocks.emplace_back(tag + "jumped up", jumped_up);
+
+        for (Hertz target : {dc.freqMin, 700.0e6}) {
+            DomainClock slewed(DomainId::FloatingPoint, dvfs,
+                               target == dc.freqMin ? dc.freqMax
+                                                    : dc.freqMin,
+                               14, jittered);
+            slewed.setTargetFrequency(target);
+            while (slewed.slewing())
+                slewed.advance();
+            clocks.emplace_back(tag + "slewed to " +
+                                    std::to_string(target),
+                                slewed);
+        }
+    }
+    return clocks;
+}
+
+TEST(DomainClock, SkipIsAdvanceInBulk)
+{
+    DvfsModel dvfs;
+    for (const auto &[name, start] : calmClocks(dvfs)) {
+        ASSERT_TRUE(start.calm()) << name;
+        for (std::uint64_t k : {1u, 2u, 3u, 17u, 1000u}) {
+            DomainClock skipped = start;
+            DomainClock stepped = start;
+            skipped.skip(k);
+            for (std::uint64_t i = 0; i < k; ++i)
+                stepped.advance();
+            ASSERT_EQ(savedBytes(stepped), savedBytes(skipped))
+                << name << ", k = " << k;
+            EXPECT_EQ(stepped.lastEdge(), skipped.lastEdge());
+            EXPECT_EQ(stepped.cycles(), skipped.cycles());
+            EXPECT_TRUE(skipped.calm()) << name << ", k = " << k;
+            for (int i = 0; i < 10000; ++i) {
+                ASSERT_EQ(stepped.advance(), skipped.advance())
+                    << name << ", k = " << k << ", edge " << i;
+            }
+        }
+    }
+}
+
+TEST(DomainClock, SkipBoundsHoldForEveryEdge)
+{
+    // earliestEdge() never lies after the edge it bounds, and the edges
+    // edgesBefore() counts all fall before its limit.
+    DvfsModel dvfs;
+    for (const auto &[name, start] : calmClocks(dvfs)) {
+        DomainClock clock = start;
+        std::uint64_t first = clock.cycles() + 1;
+        std::vector<Tick> bounds;
+        for (std::uint64_t c = first; c < first + 2000; ++c)
+            bounds.push_back(clock.earliestEdge(c));
+        EXPECT_EQ(clock.nextEdge(), bounds.front()) << name;
+        EXPECT_EQ(clock.nextEdge(), clock.earliestEdge(first - 1));
+        for (Tick bound : bounds)
+            ASSERT_LE(bound, clock.advance()) << name;
+
+        for (Tick ahead : {Tick{0}, Tick{1}, Tick{999}, Tick{123457}}) {
+            DomainClock probe = start;
+            Tick limit = probe.nextEdge() + ahead;
+            std::uint64_t k = probe.edgesBefore(limit);
+            if (ahead == 0) {
+                EXPECT_EQ(0u, k) << name;
+            }
+            probe.skip(k);
+            if (k > 0) {
+                EXPECT_LT(probe.lastEdge(), limit) << name;
+            }
+            // Edges within maxJitter() of the limit may fall on either
+            // side; a period above 2 x maxJitter() holds at most one.
+            std::uint64_t missed = 0;
+            while (probe.advance() < limit)
+                ++missed;
+            EXPECT_LE(missed, 1u) << name << ", ahead " << ahead;
+        }
+    }
+}
+
+TEST(DomainClock, CalmOnlyWhenSkipIsExact)
+{
+    DvfsModel dvfs;
+    DomainClock clock(DomainId::Integer, dvfs, 1.0e9, 5);
+    EXPECT_TRUE(clock.calm());
+    EXPECT_GT(clock.maxJitter(), 0);
+    clock.setTargetFrequency(dvfs.config().freqMin);
+    EXPECT_FALSE(clock.calm()); // slewing
+    for (int i = 0; i < 1000; ++i) {
+        clock.advance();
+        if (clock.slewing()) {
+            ASSERT_FALSE(clock.calm());
+        }
+    }
+
+    DomainClock ideal(DomainId::Integer, dvfs, 1.0e9, 5, false);
+    EXPECT_EQ(0, ideal.maxJitter());
+    EXPECT_TRUE(ideal.calm());
+
+    // Jitter wide enough that the monotonic clamp may bind between two
+    // edges at the top frequency: period < 2 x maxJitter + 2.
+    DvfsConfig wide;
+    wide.jitterSigmaPs = 500.0;
+    DvfsModel noisy(wide);
+    DomainClock fast(DomainId::Integer, noisy, wide.freqMax, 5);
+    EXPECT_LT(periodFromFreq(fast.frequency()),
+              2 * fast.maxJitter() + 2);
+    EXPECT_FALSE(fast.calm());
+    for (int i = 0; i < 1000; ++i) {
+        fast.advance();
+        ASSERT_FALSE(fast.calm());
+    }
 }
 
 TEST(ClockSystem, McdModeHasIndependentClocks)

@@ -576,9 +576,10 @@ TEST(Simulator, FpDivOccupiesUnit)
 TEST(Simulator, QuietEdgesAreCountedPerDomain)
 {
     // Every clock edge reaches its domain exactly once, quiet or not,
-    // also when quiet edges are taken in bulk runs; a memory-bound app
-    // leaves most of them with nothing to do. mcf has no FP work, so
-    // the idle FP domain sleeps through every edge.
+    // also when quiet edges are taken in bulk runs or skipped in one
+    // clock call; a memory-bound app leaves most of them with nothing
+    // to do. mcf has no FP work, so the idle FP domain sleeps through
+    // every edge.
     auto workload = BenchmarkFactory::create("mcf", 100000);
     Simulator sim(fastConfig(), *workload);
     sim.run(5000);
@@ -587,6 +588,8 @@ TEST(Simulator, QuietEdgesAreCountedPerDomain)
         auto id = static_cast<DomainId>(d);
         EXPECT_EQ(sim.clocks().clock(id).cycles(), sim.edges(id));
         EXPECT_GT(sim.quietEdges(id), sim.edges(id) / 2);
+        EXPECT_GT(sim.skippedEdges(id), 0u);
+        EXPECT_LE(sim.skippedEdges(id), sim.quietEdges(id));
         if (id == DomainId::FloatingPoint)
             EXPECT_EQ(sim.quietEdges(id), sim.edges(id));
         else

@@ -61,8 +61,10 @@ testConfig()
 /**
  * One daemon on a private ArtifactCache (never the process-wide
  * instance — tests must not contaminate each other's counters), run
- * on a background thread for the test body to talk to. Connects are
- * retried by connectTo(), so there is no startup handshake.
+ * on a background thread for the test body to talk to. The Server
+ * listens before its constructor returns, so a connect made once the
+ * TestDaemon exists succeeds at the first try (the kernel queues it
+ * until run() accepts): there is no startup handshake.
  */
 class TestDaemon
 {
@@ -101,19 +103,14 @@ class TestDaemon
     std::thread thread_;
 };
 
-/** Connect, retrying briefly (the daemon thread may still be between
- *  construction and run(); the listening socket itself exists from
- *  construction, so this converges fast). */
+/** Connect once: the daemon listens from construction on, so the
+ *  connect must succeed even before run() starts accepting. */
 void
 connectTo(ServeClient &client, const std::string &path)
 {
     std::string error;
-    for (int i = 0; i < 100; ++i) {
-        if (client.connect(path, &error))
-            return;
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    FAIL() << "could not connect to " << path << ": " << error;
+    ASSERT_TRUE(client.connect(path, &error))
+        << "could not connect to " << path << ": " << error;
 }
 
 /** One request -> one reply frame, parsed. */

@@ -15,7 +15,10 @@
  * issue-select paths are pinned too: an FP-heavy app under
  * Attack/Decay, clocks moved between runs while a domain sits idle,
  * store-to-load aliasing through the LSQ, and a checkpoint taken while
- * queue entries wait on registers not yet written.
+ * queue entries wait on registers not yet written. So are the calm
+ * quiet runs a clock skips in one call: chains of integer divides,
+ * whose runs end at cycle deadlines, and mcf with frequencies jumped
+ * between runs, each in both clocking modes.
  *
  * A change meant to make the simulator faster without changing what
  * it simulates must leave every digest as it is. A changed digest
@@ -356,6 +359,91 @@ TEST(SimGolden, McfUnderAlternatingSchedule)
     spec.config.intervalInstructions = 500;
     ArtifactCache fresh; // straight through: no shared warm-up
     expectDigest(runExperiment(spec, fresh), 0x4afe267cfff27bdcull);
+}
+
+/** Two interleaved chains of dependent integer divides, a load that
+ *  waits on the first and an add that waits on both: the integer
+ *  domain's quiet runs end at cycle deadlines (the divide latency and
+ *  the unit's busy cycles) rather than at edge times. */
+TraceWorkload
+intDivideChainTrace()
+{
+    std::vector<MicroOp> ops;
+    std::uint64_t pc = 0x3000;
+    auto add = [&](OpClass cls, int dst, int src_a, int src_b,
+                   std::uint64_t addr = 0) {
+        MicroOp op;
+        op.pc = pc;
+        pc += 4;
+        op.cls = cls;
+        op.dst = dst;
+        op.srcA = src_a;
+        op.srcB = src_b;
+        op.memAddr = addr;
+        ops.push_back(op);
+    };
+    for (int i = 0; i < 6; ++i) {
+        add(OpClass::IntDiv, 1 + i % 3, 1 + (i + 2) % 3, 7);
+        add(OpClass::IntDiv, 4 + i % 3, 4 + (i + 2) % 3, 7);
+    }
+    add(OpClass::Load, 8, 3, NO_REG, 0x10000);
+    add(OpClass::IntAlu, 9, 6, 8);
+    MicroOp back;
+    back.pc = pc;
+    back.cls = OpClass::Branch;
+    back.srcA = 0;
+    back.taken = true;
+    back.target = 0x3000;
+    ops.push_back(back);
+    return TraceWorkload("intdivs", ops);
+}
+
+TEST(SimGolden, IntDivideChains)
+{
+    for (ClockMode mode : {ClockMode::Synchronous, ClockMode::Mcd}) {
+        TraceWorkload trace = intDivideChainTrace();
+        SimConfig config;
+        config.clocks.mode = mode;
+        Simulator sim(config, trace);
+        sim.runTo(3000);
+        EXPECT_GT(sim.skippedEdges(DomainId::Integer), 0u);
+        expectDigest(sim.stats(), mode == ClockMode::Synchronous
+                                      ? 0x1d9582d3d6264a69ull
+                                      : 0x187976977fd0f057ull);
+    }
+}
+
+TEST(SimGolden, McfFrequenciesSetBetweenRuns)
+{
+    // Frequencies jump with no slew between runTo calls while mcf
+    // waits on memory: the quiet runs after each jump go at the new
+    // periods.
+    for (ClockMode mode : {ClockMode::Synchronous, ClockMode::Mcd}) {
+        auto workload =
+            BenchmarkFactory::create("mcf", MEASURED + WARMUP);
+        SimConfig config;
+        config.clocks.mode = mode;
+        Simulator sim(config, *workload);
+        sim.runTo(6001);
+        ClockSystem &clocks = sim.clocks();
+        clocks.clock(DomainId::FrontEnd).setFrequencyImmediate(800.0e6);
+        clocks.clock(DomainId::Integer).setFrequencyImmediate(
+            config.dvfs.freqMin);
+        clocks.clock(DomainId::LoadStore).setFrequencyImmediate(
+            550.0e6);
+        sim.runTo(14003);
+        clocks.clock(DomainId::FrontEnd).setFrequencyImmediate(
+            config.dvfs.freqMax);
+        clocks.clock(DomainId::FloatingPoint).setFrequencyImmediate(
+            300.0e6);
+        clocks.clock(DomainId::LoadStore).setFrequencyImmediate(
+            config.dvfs.freqMin);
+        sim.runTo(MEASURED + WARMUP);
+        EXPECT_GT(sim.skippedEdges(DomainId::LoadStore), 0u);
+        expectDigest(sim.stats(), mode == ClockMode::Synchronous
+                                      ? 0xf6ce168f1a0d0226ull
+                                      : 0xa92c182d84cd54b7ull);
+    }
 }
 
 } // namespace

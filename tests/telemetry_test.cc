@@ -12,7 +12,6 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -64,16 +63,14 @@ socketPath(const std::string &tag)
            std::to_string(::getpid()) + ".sock";
 }
 
+/** Connect once: the daemon listens from construction on, so the
+ *  connect must succeed even before run() starts accepting. */
 void
 connectTo(serve::ServeClient &client, const std::string &path)
 {
     std::string error;
-    for (int i = 0; i < 100; ++i) {
-        if (client.connect(path, &error))
-            return;
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    FAIL() << "could not connect to " << path << ": " << error;
+    ASSERT_TRUE(client.connect(path, &error))
+        << "could not connect to " << path << ": " << error;
 }
 
 json::Value
