@@ -20,6 +20,10 @@ Three checks:
     row landed) faster per edge than ClockEdges — also within one
     machine.
 
+It also reports, without a floor, what Attack/Decay costs: the time
+per instruction of SimulatorMcdAttackDecay over SimulatorMcd (both
+gsm), the cost of the slewing clock edges a controlled run takes.
+
 Several result files may be passed; each benchmark is judged on its
 best run — downward noise (a loaded machine, an unlucky scheduler)
 can only make a single sample look slow, so best-of-N is the robust
@@ -143,6 +147,16 @@ def main():
                 f"{what} only {ratio:.1f}x faster than {versus} "
                 f"(floor {floor:.1f}x)"
             )
+
+    # Report only: a controlled run's slewing clocks flush energy on
+    # each of their edges and cannot be skipped.
+    uncontrolled = current.get("SimulatorMcd")
+    controlled = current.get("SimulatorMcdAttackDecay")
+    if uncontrolled and controlled and controlled["items_per_second"] > 0:
+        cost = (uncontrolled["items_per_second"] /
+                controlled["items_per_second"])
+        print(f"info attack_decay cost: {cost:.2f}x the time per "
+              f"instruction of an uncontrolled run (not gated)")
 
     if failures:
         print("\nbench regression gate FAILED:", file=sys.stderr)

@@ -24,26 +24,10 @@ ClockSystem::ClockSystem(const DvfsModel &dvfs,
     }
 }
 
-int
-ClockSystem::clockIndex(DomainId id) const
+void
+ClockSystem::externalClock()
 {
-    if (id == DomainId::External)
-        mcd_panic("the external domain has no controllable clock");
-    if (config_.mode == ClockMode::Synchronous)
-        return 0;
-    return domainIndex(id);
-}
-
-DomainClock &
-ClockSystem::clock(DomainId id)
-{
-    return *clocks_[static_cast<std::size_t>(clockIndex(id))];
-}
-
-const DomainClock &
-ClockSystem::clock(DomainId id) const
-{
-    return *clocks_[static_cast<std::size_t>(clockIndex(id))];
+    mcd_panic("the external domain has no controllable clock");
 }
 
 void
@@ -68,13 +52,6 @@ ClockSystem::loadState(serial::Reader &in)
             return false;
     }
     return in.ok();
-}
-
-Tick
-ClockSystem::syncWindow() const
-{
-    return config_.mode == ClockMode::Synchronous ? 0
-                                                  : dvfs_->syncWindow();
 }
 
 } // namespace mcd

@@ -52,8 +52,16 @@ class ClockSystem
     const DvfsModel &dvfs() const { return *dvfs_; }
 
     /** The clock driving the given domain (shared in Synchronous mode). */
-    DomainClock &clock(DomainId id);
-    const DomainClock &clock(DomainId id) const;
+    DomainClock &
+    clock(DomainId id)
+    {
+        return *clocks_[static_cast<std::size_t>(clockIndex(id))];
+    }
+    const DomainClock &
+    clock(DomainId id) const
+    {
+        return *clocks_[static_cast<std::size_t>(clockIndex(id))];
+    }
 
     /** True if the two domains are driven by the same physical clock. */
     bool
@@ -90,7 +98,12 @@ class ClockSystem
     }
 
     /** The synchronization window in ticks (0 when synchronous). */
-    Tick syncWindow() const;
+    Tick
+    syncWindow() const
+    {
+        return config_.mode == ClockMode::Synchronous ? 0
+                                                      : dvfs_->syncWindow();
+    }
 
     /** Serialize every physical clock (checkpointing). */
     void saveState(std::string &out) const;
@@ -105,7 +118,16 @@ class ClockSystem
      *  only element 0 exists and all domains map to it. */
     std::array<std::unique_ptr<DomainClock>, NUM_CLOCKED_DOMAINS> clocks_;
 
-    int clockIndex(DomainId id) const;
+    int
+    clockIndex(DomainId id) const
+    {
+        if (id == DomainId::External)
+            externalClock();
+        return config_.mode == ClockMode::Synchronous ? 0 : domainIndex(id);
+    }
+
+    /** Panic on asking for the external domain's clock. */
+    [[noreturn, gnu::cold]] static void externalClock();
 };
 
 } // namespace mcd

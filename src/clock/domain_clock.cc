@@ -48,16 +48,6 @@ DomainClock::DomainClock(DomainId id, const DvfsModel &dvfs,
 }
 
 void
-DomainClock::stepSlew(Tick elapsed)
-{
-    double delta = dvfs_->slewHzPerTick() * static_cast<double>(elapsed);
-    if (cur_freq_ < target_freq_)
-        setCurrent(std::min(target_freq_, cur_freq_ + delta));
-    else
-        setCurrent(std::max(target_freq_, cur_freq_ - delta));
-}
-
-void
 DomainClock::saveState(std::string &out) const
 {
     serial::appendDouble(out, cur_freq_);

@@ -233,7 +233,15 @@ class DomainClock
     std::uint64_t freq_changes_ = 0;
 
     /** Advance the slew by `elapsed` ticks of wall time. */
-    void stepSlew(Tick elapsed);
+    void
+    stepSlew(Tick elapsed)
+    {
+        double delta = dvfs_->slewHzPerTick() * static_cast<double>(elapsed);
+        if (cur_freq_ < target_freq_)
+            setCurrent(std::min(target_freq_, cur_freq_ + delta));
+        else
+            setCurrent(std::max(target_freq_, cur_freq_ - delta));
+    }
 
     /** Set the current frequency and the period derived from it. */
     void

@@ -50,15 +50,6 @@ DvfsModel::pointFreq(int index) const
     return config_.freqMin + index * step_;
 }
 
-Volt
-DvfsModel::voltage(Hertz freq) const
-{
-    Hertz clamped = std::clamp(freq, config_.freqMin, config_.freqMax);
-    double t = (clamped - config_.freqMin) /
-               (config_.freqMax - config_.freqMin);
-    return config_.voltMin + t * (config_.voltMax - config_.voltMin);
-}
-
 Tick
 DvfsModel::slewTime(Hertz from, Hertz to) const
 {

@@ -13,6 +13,8 @@
 #ifndef MCD_CLOCK_DVFS_MODEL_HH
 #define MCD_CLOCK_DVFS_MODEL_HH
 
+#include <algorithm>
+
 #include "common/types.hh"
 
 namespace mcd
@@ -58,7 +60,14 @@ class DvfsModel
     Hertz pointFreq(int index) const;
 
     /** Supply voltage for a frequency via the linear map (clamped). */
-    Volt voltage(Hertz freq) const;
+    Volt
+    voltage(Hertz freq) const
+    {
+        Hertz clamped = std::clamp(freq, config_.freqMin, config_.freqMax);
+        double t = (clamped - config_.freqMin) /
+                   (config_.freqMax - config_.freqMin);
+        return config_.voltMin + t * (config_.voltMax - config_.voltMin);
+    }
 
     /** Synchronization window in ticks (300 ps for default config). */
     Tick syncWindow() const { return sync_window_; }

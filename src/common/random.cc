@@ -91,33 +91,6 @@ Rng::Rng(std::uint64_t seed)
         state_[0] = 1;
 }
 
-double
-Rng::uniform()
-{
-    // 53 high bits -> double in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t
-Rng::range(std::uint64_t bound)
-{
-    if (bound == 0)
-        return 0;
-    return next() % bound;
-}
-
-bool
-Rng::chance(double p)
-{
-    return uniform() < p;
-}
-
 int
 Rng::burstLength(double p, int cap)
 {

@@ -46,16 +46,30 @@ class Rng
     }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 high bits -> double in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
-    double uniform(double lo, double hi);
+    double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
-    /** Uniform integer in [0, bound) without modulo bias for small bound. */
-    std::uint64_t range(std::uint64_t bound);
+    /**
+     * Uniform integer in [0, bound); 0 for bound 0. A plain
+     * `next() % bound`: values below 2^64 mod bound come up once more
+     * often than the rest, a bias below bound / 2^64. Every workload
+     * stream depends on this exact mapping.
+     */
+    std::uint64_t
+    range(std::uint64_t bound)
+    {
+        return bound == 0 ? 0 : next() % bound;
+    }
 
     /** Bernoulli draw with probability p of true. */
-    bool chance(double p);
+    bool chance(double p) { return uniform() < p; }
 
     /**
      * Standard-normal draw via a precomputed inverse-CDF table with

@@ -13,38 +13,10 @@ PhysRegFile::PhysRegFile(int num_regs)
         free_list_.push_back(r);
 }
 
-int
-PhysRegFile::alloc()
-{
-    if (free_list_.empty())
-        return -1;
-    int reg = free_list_.back();
-    free_list_.pop_back();
-    regs_[static_cast<std::size_t>(reg)] = Entry{};
-    return reg;
-}
-
 void
-PhysRegFile::free(int reg)
+PhysRegFile::badRegister(int reg)
 {
-    if (reg < 0 || reg >= size())
-        mcd_panic("freeing bad physical register %d", reg);
-    free_list_.push_back(reg);
-}
-
-void
-PhysRegFile::markWritten(int reg, Tick time, DomainId producer)
-{
-    Entry &e = regs_[static_cast<std::size_t>(reg)];
-    e.written = true;
-    e.writeTime = time;
-    e.producer = producer;
-}
-
-bool
-PhysRegFile::written(int reg) const
-{
-    return regs_[static_cast<std::size_t>(reg)].written;
+    mcd_panic("freeing bad physical register %d", reg);
 }
 
 void
@@ -133,22 +105,10 @@ RenameMap::RenameMap(PhysRegFile &int_file, PhysRegFile &fp_file)
     }
 }
 
-int
-RenameMap::lookup(int logical) const
+void
+RenameMap::zeroRegister()
 {
-    if (logical <= 0)
-        return -1;
-    return map_[static_cast<std::size_t>(logical)];
-}
-
-int
-RenameMap::rename(int logical, int phys)
-{
-    if (logical <= 0)
-        mcd_panic("renaming the zero register");
-    int old = map_[static_cast<std::size_t>(logical)];
-    map_[static_cast<std::size_t>(logical)] = phys;
-    return old;
+    mcd_panic("renaming the zero register");
 }
 
 } // namespace mcd

@@ -29,16 +29,42 @@ class PhysRegFile
     explicit PhysRegFile(int num_regs);
 
     /** Allocate a free register (returned pending); -1 if exhausted. */
-    int alloc();
+    int
+    alloc()
+    {
+        if (free_list_.empty())
+            return -1;
+        int reg = free_list_.back();
+        free_list_.pop_back();
+        regs_[static_cast<std::size_t>(reg)] = Entry{};
+        return reg;
+    }
 
     /** Return a register to the free list. */
-    void free(int reg);
+    void
+    free(int reg)
+    {
+        if (reg < 0 || reg >= size())
+            badRegister(reg);
+        free_list_.push_back(reg);
+    }
 
     /** Record the result write at `time` by `producer`. */
-    void markWritten(int reg, Tick time, DomainId producer);
+    void
+    markWritten(int reg, Tick time, DomainId producer)
+    {
+        Entry &e = regs_[static_cast<std::size_t>(reg)];
+        e.written = true;
+        e.writeTime = time;
+        e.producer = producer;
+    }
 
     /** Has the register been written at all? */
-    bool written(int reg) const;
+    bool
+    written(int reg) const
+    {
+        return regs_[static_cast<std::size_t>(reg)].written;
+    }
 
     /**
      * The earliest `consumer` edge time at which the register's value
@@ -86,6 +112,9 @@ class PhysRegFile
 
     std::vector<Entry> regs_;
     std::vector<int> free_list_;
+
+    /** Panic on freeing `reg`, which lies outside the file. */
+    [[noreturn, gnu::cold]] static void badRegister(int reg);
 };
 
 /**
@@ -100,10 +129,23 @@ class RenameMap
     RenameMap(PhysRegFile &int_file, PhysRegFile &fp_file);
 
     /** Current physical register for a logical register (-1 for reg 0). */
-    int lookup(int logical) const;
+    int
+    lookup(int logical) const
+    {
+        return logical <= 0 ? -1
+                            : map_[static_cast<std::size_t>(logical)];
+    }
 
     /** Update the mapping; returns the previous physical register. */
-    int rename(int logical, int phys);
+    int
+    rename(int logical, int phys)
+    {
+        if (logical <= 0)
+            zeroRegister();
+        int old = map_[static_cast<std::size_t>(logical)];
+        map_[static_cast<std::size_t>(logical)] = phys;
+        return old;
+    }
 
     /** Which file a logical register lives in. */
     static bool isFp(int logical) { return logical >= NUM_INT_ARCH_REGS; }
@@ -118,6 +160,9 @@ class RenameMap
     std::array<int, NUM_ARCH_REGS> map_;
     int int_size_; //!< integer file size, bounding restored mappings
     int fp_size_;  //!< FP file size, bounding restored mappings
+
+    /** Panic on renaming the hardwired zero register. */
+    [[noreturn, gnu::cold]] static void zeroRegister();
 };
 
 } // namespace mcd

@@ -178,17 +178,6 @@ SimState::SimState(int rob_size, int lsq_size)
     lsExec.reserve(32);
 }
 
-Inst &
-SimState::allocate()
-{
-    if (liveSpan() >= ring.size())
-        grow();
-    Inst &slot = ring[nextSeq & ringMask];
-    slot = Inst{};
-    slot.seq = nextSeq++;
-    return slot;
-}
-
 void
 SimState::grow()
 {
@@ -199,13 +188,6 @@ SimState::grow()
         next[s & mask] = ring[s & ringMask];
     ring = std::move(next);
     ringMask = mask;
-}
-
-void
-SimState::retireHead()
-{
-    while (windowHead != nextSeq && inst(windowHead).retired())
-        ++windowHead;
 }
 
 void

@@ -130,10 +130,24 @@ struct SimState
      * returned entry is reset with its seq assigned. Invalidates
      * references into the ring when growth occurs.
      */
-    Inst &allocate();
+    Inst &
+    allocate()
+    {
+        if (liveSpan() >= ring.size())
+            grow();
+        Inst &slot = ring[nextSeq & ringMask];
+        slot = Inst{};
+        slot.seq = nextSeq++;
+        return slot;
+    }
 
     /** Advance the window head past retired entries. */
-    void retireHead();
+    void
+    retireHead()
+    {
+        while (windowHead != nextSeq && inst(windowHead).retired())
+            ++windowHead;
+    }
 
     /** Clear interval accumulators (boundary / measurement reset). */
     void resetIntervalAccum();
@@ -145,6 +159,7 @@ struct SimState
     bool loadState(serial::Reader &in);
 
   private:
+    /** Double the ring, keeping every live entry at its seq. */
     void grow();
 };
 

@@ -72,35 +72,10 @@ structureName(StructureId id)
     return "unknown";
 }
 
-DomainId
-structureDomain(StructureId id)
+void
+energy_detail::badStructure(StructureId id)
 {
-    switch (id) {
-      case StructureId::Icache:
-      case StructureId::BranchPredictor:
-      case StructureId::RenameTable:
-      case StructureId::Rob:
-        return DomainId::FrontEnd;
-      case StructureId::IntIssueQueue:
-      case StructureId::IntRegFile:
-      case StructureId::IntAlu:
-      case StructureId::IntMult:
-        return DomainId::Integer;
-      case StructureId::FpIssueQueue:
-      case StructureId::FpRegFile:
-      case StructureId::FpAlu:
-      case StructureId::FpMult:
-        return DomainId::FloatingPoint;
-      case StructureId::Lsq:
-      case StructureId::Dcache:
-      case StructureId::L2Cache:
-        return DomainId::LoadStore;
-      case StructureId::ResultBus:
-        return DomainId::Integer;
-      case StructureId::NumStructures:
-        break;
-    }
-    mcd_panic("bad structure id");
+    mcd_panic("bad structure id %d", static_cast<int>(id));
 }
 
 EnergyModel::EnergyModel(const EnergyConfig &config, bool mcd_clock)
@@ -125,34 +100,6 @@ EnergyModel::EnergyModel(const EnergyConfig &config, bool mcd_clock)
         cycle_base_[static_cast<std::size_t>(d)] =
             clock_tree_[static_cast<std::size_t>(d)] + idle;
     }
-}
-
-NanoJoule
-EnergyModel::accessEnergy(StructureId id) const
-{
-    return access_energy_[static_cast<std::size_t>(id)];
-}
-
-NanoJoule
-EnergyModel::accessIncrement(StructureId id) const
-{
-    return (1.0 - config_.idleFraction) * accessEnergy(id);
-}
-
-NanoJoule
-EnergyModel::domainCycleBase(DomainId id) const
-{
-    if (id == DomainId::External)
-        return 0.0;
-    return cycle_base_[static_cast<std::size_t>(domainIndex(id))];
-}
-
-NanoJoule
-EnergyModel::clockTreeEnergy(DomainId id) const
-{
-    if (id == DomainId::External)
-        return 0.0;
-    return clock_tree_[static_cast<std::size_t>(domainIndex(id))];
 }
 
 } // namespace mcd

@@ -63,8 +63,43 @@ constexpr int NUM_STRUCTURES =
 /** Human-readable structure name. */
 const char *structureName(StructureId id);
 
+namespace energy_detail
+{
+/** Panic on a structure id with no domain. */
+[[noreturn, gnu::cold]] void badStructure(StructureId id);
+} // namespace energy_detail
+
 /** The clock domain a structure belongs to (Figure 1). */
-DomainId structureDomain(StructureId id);
+inline DomainId
+structureDomain(StructureId id)
+{
+    switch (id) {
+      case StructureId::Icache:
+      case StructureId::BranchPredictor:
+      case StructureId::RenameTable:
+      case StructureId::Rob:
+        return DomainId::FrontEnd;
+      case StructureId::IntIssueQueue:
+      case StructureId::IntRegFile:
+      case StructureId::IntAlu:
+      case StructureId::IntMult:
+        return DomainId::Integer;
+      case StructureId::FpIssueQueue:
+      case StructureId::FpRegFile:
+      case StructureId::FpAlu:
+      case StructureId::FpMult:
+        return DomainId::FloatingPoint;
+      case StructureId::Lsq:
+      case StructureId::Dcache:
+      case StructureId::L2Cache:
+        return DomainId::LoadStore;
+      case StructureId::ResultBus:
+        return DomainId::Integer;
+      case StructureId::NumStructures:
+        break;
+    }
+    energy_detail::badStructure(id);
+}
 
 /** Tunable parameters of the energy model. */
 struct EnergyConfig
@@ -89,18 +124,38 @@ class EnergyModel
     const EnergyConfig &config() const { return config_; }
 
     /** Per-access active energy of a structure at reference voltage. */
-    NanoJoule accessEnergy(StructureId id) const;
+    NanoJoule
+    accessEnergy(StructureId id) const
+    {
+        return access_energy_[static_cast<std::size_t>(id)];
+    }
 
     /** Incremental (non-idle) part of one access at reference voltage. */
-    NanoJoule accessIncrement(StructureId id) const;
+    NanoJoule
+    accessIncrement(StructureId id) const
+    {
+        return (1.0 - config_.idleFraction) * accessEnergy(id);
+    }
 
     /** Per-cycle base energy of a whole domain at reference voltage:
      *  clock tree plus the idle residual of the domain's structures.
      *  Includes the MCD clock overhead when configured. */
-    NanoJoule domainCycleBase(DomainId id) const;
+    NanoJoule
+    domainCycleBase(DomainId id) const
+    {
+        return id == DomainId::External
+                   ? 0.0
+                   : cycle_base_[static_cast<std::size_t>(domainIndex(id))];
+    }
 
     /** Clock-tree-only share of domainCycleBase (for breakdown stats). */
-    NanoJoule clockTreeEnergy(DomainId id) const;
+    NanoJoule
+    clockTreeEnergy(DomainId id) const
+    {
+        return id == DomainId::External
+                   ? 0.0
+                   : clock_tree_[static_cast<std::size_t>(domainIndex(id))];
+    }
 
     /** Quadratic voltage scale factor (V/Vref)^2. */
     double

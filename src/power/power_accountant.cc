@@ -1,46 +1,11 @@
 #include "power/power_accountant.hh"
 
-#include "common/logging.hh"
-
 namespace mcd
 {
 
 PowerAccountant::PowerAccountant(const EnergyModel &model)
     : model_(&model)
 {
-}
-
-void
-PowerAccountant::chargeCycle(DomainId domain, Volt v,
-                             std::uint64_t count)
-{
-    if (count == 0)
-        return;
-    double scale = model_->voltageScale(v);
-    domain_base_[static_cast<std::size_t>(domainIndex(domain))] +=
-        model_->domainCycleBase(domain) * scale *
-        static_cast<double>(count);
-}
-
-void
-PowerAccountant::chargeAccess(StructureId structure, Volt v,
-                              std::uint64_t count)
-{
-    if (count == 0)
-        return;
-    double scale = model_->voltageScale(v);
-    NanoJoule e = model_->accessIncrement(structure) * scale *
-                  static_cast<double>(count);
-    structure_[static_cast<std::size_t>(structure)] += e;
-    DomainId domain = structureDomain(structure);
-    domain_access_[static_cast<std::size_t>(domainIndex(domain))] += e;
-}
-
-void
-PowerAccountant::chargeMemoryAccess(std::uint64_t count)
-{
-    external_ += model_->config().mainMemoryAccess *
-                 static_cast<double>(count);
 }
 
 NanoJoule

@@ -27,14 +27,38 @@ class PowerAccountant
     explicit PowerAccountant(const EnergyModel &model);
 
     /** Charge `count` cycles of domain base energy at voltage v. */
-    void chargeCycle(DomainId domain, Volt v, std::uint64_t count = 1);
+    void
+    chargeCycle(DomainId domain, Volt v, std::uint64_t count = 1)
+    {
+        if (count == 0)
+            return;
+        double scale = model_->voltageScale(v);
+        domain_base_[static_cast<std::size_t>(domainIndex(domain))] +=
+            model_->domainCycleBase(domain) * scale *
+            static_cast<double>(count);
+    }
 
     /** Charge `count` accesses of the structure at voltage v. */
-    void chargeAccess(StructureId structure, Volt v,
-                      std::uint64_t count = 1);
+    void
+    chargeAccess(StructureId structure, Volt v, std::uint64_t count = 1)
+    {
+        if (count == 0)
+            return;
+        double scale = model_->voltageScale(v);
+        NanoJoule e = model_->accessIncrement(structure) * scale *
+                      static_cast<double>(count);
+        structure_[static_cast<std::size_t>(structure)] += e;
+        DomainId domain = structureDomain(structure);
+        domain_access_[static_cast<std::size_t>(domainIndex(domain))] += e;
+    }
 
     /** Charge `count` off-chip main-memory accesses. */
-    void chargeMemoryAccess(std::uint64_t count = 1);
+    void
+    chargeMemoryAccess(std::uint64_t count = 1)
+    {
+        external_ += model_->config().mainMemoryAccess *
+                     static_cast<double>(count);
+    }
 
     /** Total on-chip energy (all clocked domains). */
     NanoJoule chipEnergy() const;

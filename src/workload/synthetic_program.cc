@@ -37,6 +37,17 @@ stochasticRound(double x, Rng &rng)
     return base + (rng.chance(x - fl) ? 1 : 0);
 }
 
+/**
+ * Chance that an integer source is the most recent integer destination:
+ * small dependence windows produce serial chains, large ones spread
+ * sources out.
+ */
+double
+serialProb(const PhaseSpec &p)
+{
+    return 1.5 / std::max(2, p.depWindow);
+}
+
 } // namespace
 
 SyntheticProgram::SyntheticProgram(const BenchmarkSpec &spec,
@@ -68,8 +79,8 @@ SyntheticProgram::SyntheticProgram(const BenchmarkSpec &spec,
     }
     phase_end_.back() = period_; // absorb rounding
 
-    recent_int_.assign(8, 0);
-    recent_fp_.assign(8, 32);
+    recent_int_.fill(0);
+    recent_fp_.fill(NUM_INT_ARCH_REGS);
 
     selectPhase();
 }
@@ -96,6 +107,7 @@ SyntheticProgram::enterPhase(int index)
 {
     phase_index_ = index;
     const PhaseSpec &p = phase();
+    serial_prob_ = serialProb(p);
 
     // Code layout: codeLoops regions, contiguous and line-aligned so the
     // phase's instruction footprint is codeLoops * regionBytes.
@@ -269,14 +281,14 @@ SyntheticProgram::buildBody()
 void
 SyntheticProgram::noteIntWrite(int reg)
 {
-    recent_int_[instructions_ % recent_int_.size()] = reg;
+    recent_int_[instructions_ % RECENT_REGS] = reg;
     last_int_dst_ = reg;
 }
 
 void
 SyntheticProgram::noteFpWrite(int reg)
 {
-    recent_fp_[instructions_ % recent_fp_.size()] = reg;
+    recent_fp_[instructions_ % RECENT_REGS] = reg;
 }
 
 int
@@ -298,19 +310,15 @@ SyntheticProgram::allocFpDst()
 int
 SyntheticProgram::pickIntSrc()
 {
-    const PhaseSpec &p = phase();
-    // Small dependence windows produce serial chains: frequently source
-    // the most recent writer. Large windows spread sources out.
-    double serial_prob = 1.5 / std::max(2, p.depWindow);
-    if (last_int_dst_ != NO_REG && rng_.chance(serial_prob))
+    if (last_int_dst_ != NO_REG && rng_.chance(serial_prob_))
         return last_int_dst_;
-    return recent_int_[rng_.range(recent_int_.size())];
+    return recent_int_[rng_.range(RECENT_REGS)];
 }
 
 int
 SyntheticProgram::pickFpSrc()
 {
-    return recent_fp_[rng_.range(recent_fp_.size())];
+    return recent_fp_[rng_.range(RECENT_REGS)];
 }
 
 std::uint64_t
@@ -632,16 +640,14 @@ SyntheticProgram::loadState(serial::Reader &in)
 
     int int_reg_rr = static_cast<int>(in.readI64());
     int fp_reg_rr = static_cast<int>(in.readI64());
-    std::uint64_t n_recent_int = in.readU64();
-    if (!in.ok() || n_recent_int > in.remaining())
+    if (in.readU64() != RECENT_REGS)
         return false;
-    std::vector<int> recent_int(n_recent_int);
+    std::array<int, RECENT_REGS> recent_int;
     for (int &r : recent_int)
         r = static_cast<int>(in.readI64());
-    std::uint64_t n_recent_fp = in.readU64();
-    if (!in.ok() || n_recent_fp > in.remaining())
+    if (in.readU64() != RECENT_REGS)
         return false;
-    std::vector<int> recent_fp(n_recent_fp);
+    std::array<int, RECENT_REGS> recent_fp;
     for (int &r : recent_fp)
         r = static_cast<int>(in.readI64());
     int last_int_dst = static_cast<int>(in.readI64());
@@ -677,8 +683,7 @@ SyntheticProgram::loadState(serial::Reader &in)
     if (body_index < 0 ||
         static_cast<std::size_t>(body_index) >=
             bodies[static_cast<std::size_t>(region)].size() ||
-        int_reg_rr < 0 || fp_reg_rr < 0 || recent_int.empty() ||
-        recent_fp.empty() ||
+        int_reg_rr < 0 || fp_reg_rr < 0 ||
         !std::all_of(recent_int.begin(), recent_int.end(), int_reg) ||
         !std::all_of(recent_fp.begin(), recent_fp.end(), fp_reg) ||
         (last_int_dst != NO_REG && !int_reg(last_int_dst)) ||
@@ -702,8 +707,9 @@ SyntheticProgram::loadState(serial::Reader &in)
     sub_return_to_ = sub_return_to;
     int_reg_rr_ = int_reg_rr;
     fp_reg_rr_ = fp_reg_rr;
-    recent_int_ = std::move(recent_int);
-    recent_fp_ = std::move(recent_fp);
+    serial_prob_ = serialProb(phase());
+    recent_int_ = recent_int;
+    recent_fp_ = recent_fp;
     last_int_dst_ = last_int_dst;
     last_chase_dst_ = last_chase_dst;
     return true;

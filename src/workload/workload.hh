@@ -8,6 +8,7 @@
 #ifndef MCD_WORKLOAD_WORKLOAD_HH
 #define MCD_WORKLOAD_WORKLOAD_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -177,11 +178,15 @@ class SyntheticProgram : public WorkloadGenerator
     std::uint64_t sub_pc_ = 0;
     std::uint64_t sub_return_to_ = 0;
 
-    // Register allocation.
+    // Register allocation. Sources are drawn from the destinations of
+    // the last RECENT_REGS instructions, a power of two so the ring
+    // index is a mask.
+    static constexpr std::size_t RECENT_REGS = 8;
     int int_reg_rr_ = 1;   //!< round-robin integer dst allocator
     int fp_reg_rr_ = 0;    //!< round-robin fp dst allocator
-    std::vector<int> recent_int_;
-    std::vector<int> recent_fp_;
+    std::array<int, RECENT_REGS> recent_int_;
+    std::array<int, RECENT_REGS> recent_fp_;
+    double serial_prob_ = 0.0; //!< phase's chance to source last_int_dst_
     int last_int_dst_ = NO_REG;
     int last_chase_dst_ = NO_REG;
 

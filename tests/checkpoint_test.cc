@@ -957,5 +957,44 @@ TEST(CheckpointFuzz, ComponentDecodersRejectOrKeepWorking)
     }
 }
 
+TEST(CheckpointFuzz, RecentRegisterWindowsHoldEightEntries)
+{
+    // The synthetic program's state ends with its two recent-register
+    // windows (a u64 count, then that many i64 registers; integer then
+    // FP) and two i64 destinations. Generation indexes the windows
+    // modulo 8, so a window of any other size must be rejected even
+    // when every entry in it is a valid register.
+    auto source = BenchmarkFactory::create("gsm", 100000);
+    for (int i = 0; i < 3000; ++i)
+        source->next();
+    std::string good;
+    source->saveState(good);
+    const std::size_t window = 8 + 8 * 8;
+    const std::size_t int_at = good.size() - 2 * window - 16;
+    const std::size_t fp_at = int_at + window;
+    auto resized = [&](std::size_t at, std::uint64_t count, int reg) {
+        std::string field;
+        serial::appendU64(field, count);
+        for (std::uint64_t i = 0; i < count; ++i)
+            serial::appendI64(field, reg);
+        std::string bytes = good;
+        bytes.replace(at, window, field);
+        return bytes;
+    };
+    auto loads = [](const std::string &bytes) {
+        auto target = BenchmarkFactory::create("gsm", 100000);
+        serial::Reader in(bytes);
+        return target->loadState(in) && in.atEnd();
+    };
+    ASSERT_TRUE(loads(good));
+    EXPECT_TRUE(loads(resized(int_at, 8, 1)));
+    EXPECT_TRUE(loads(resized(fp_at, 8, NUM_INT_ARCH_REGS)));
+    for (std::uint64_t count : {0, 1, 7, 9, 16}) {
+        EXPECT_FALSE(loads(resized(int_at, count, 1))) << count;
+        EXPECT_FALSE(loads(resized(fp_at, count, NUM_INT_ARCH_REGS)))
+            << count;
+    }
+}
+
 } // namespace
 } // namespace mcd

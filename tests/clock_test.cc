@@ -568,6 +568,22 @@ TEST(ClockSystem, SynchronousModeSharesOneClock)
                      dvfs.quantize(500.0e6));
 }
 
+TEST(ClockSystem, TheExternalDomainHasNoClock)
+{
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    DvfsModel dvfs;
+    for (ClockMode mode : {ClockMode::Mcd, ClockMode::Synchronous}) {
+        ClockSystemConfig config;
+        config.mode = mode;
+        ClockSystem clocks(dvfs, config);
+        const ClockSystem &view = clocks;
+        EXPECT_DEATH(clocks.clock(DomainId::External),
+                     "the external domain has no controllable clock");
+        EXPECT_DEATH(view.clock(DomainId::External),
+                     "the external domain has no controllable clock");
+    }
+}
+
 TEST(ClockSystem, VisibilityWithinSameClockIsImmediate)
 {
     DvfsModel dvfs;

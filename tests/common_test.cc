@@ -166,6 +166,57 @@ TEST(Rng, BurstLengthRespectsCap)
     }
 }
 
+TEST(Rng, StreamsArePinned)
+{
+    // The first 16 values of every draw from seed 12345, recorded
+    // before the draws moved into the header. Every workload and jitter
+    // stream is built from these mappings, so a change to their
+    // arithmetic must fail here and not only in the golden digests.
+    const std::uint64_t next[] = {
+        0xbe6a36374160d49bull, 0x214aaa0637a688c6ull, 0xf69d16de9954d388ull,
+        0x0c60048c4e96e033ull, 0x8e2076aeed51c648ull, 0x02bbcc1c1fc50f84ull,
+        0x28e72a4fec84f699ull, 0x4bb9d7cbb8dddebeull, 0x62cea6a22cf0bd36ull,
+        0xe91df042ccde955dull, 0xc826f11010f4a3d2ull, 0x8985b3adcd266fdcull,
+        0xd6ec21eec05e255bull, 0xf10bfd24e5edb1f1ull, 0x22cdd55f17ca33a1ull,
+        0xdd4773f85b29ae79ull,
+    };
+    const double uniform[] = {
+        0x1.7cd46c6e82c1ap-1, 0x1.0a555031bd344p-3, 0x1.ed3a2dbd32a9ap-1,
+        0x1.8c009189d2dcp-5,  0x1.1c40ed5ddaa38p-1, 0x1.5de60e0fe284p-7,
+        0x1.4739527f64278p-3, 0x1.2ee75f2ee3776p-2, 0x1.8b3a9a88b3c2ep-2,
+        0x1.d23be08599bd2p-1, 0x1.904de22021e94p-1, 0x1.130b675b9a4cdp-1,
+        0x1.add843dd80bc4p-1, 0x1.e217fa49cbdb6p-1, 0x1.166eaaf8be518p-3,
+        0x1.ba8ee7f0b6535p-1,
+    };
+    const std::uint64_t range8[] = {3, 6, 0, 3, 0, 4, 1, 6,
+                                    6, 5, 2, 4, 3, 1, 1, 1};
+    const std::uint64_t range1000003[] = {
+        613607, 901561, 252286, 646193, 486958, 390516, 713382, 976685,
+        469160, 580774, 908970, 49872,  418492, 814243, 26419,  26770,
+    };
+    const bool chance[] = {false, true,  false, true,  false, true,
+                           true,  true,  false, false, false, false,
+                           false, false, true,  false};
+    const double normal[] = {
+        0x1.4f550da6d0d8cp-1,  -0x1.20311d491d065p+0, 0x1.ca13705e76419p+0,
+        -0x1.a8fa3c889d6fcp+0, 0x1.1c1ffd4c02896p-3,  -0x1.26124d519a51ap+1,
+        -0x1.fd74daa4dfa92p-1, -0x1.129dfe4b56d35p-1, -0x1.28bb328e83ba2p-2,
+        0x1.580b2516efc7cp+0,  0x1.8e70ab5e0917dp-1,  0x1.7e5cb84d045d6p-4,
+        0x1.fc05cb1522f1ap-1,  0x1.913cb000ae038p+0,  -0x1.192894df95e69p+0,
+        0x1.198a2b4dcc117p+0,
+    };
+    Rng a(12345), b(12345), c(12345), d(12345), e(12345), f(12345);
+    for (int i = 0; i < 16; ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(a.next(), next[i]);
+        EXPECT_EQ(b.uniform(), uniform[i]);
+        EXPECT_EQ(c.range(8), range8[i]);
+        EXPECT_EQ(d.range(1000003), range1000003[i]);
+        EXPECT_EQ(e.chance(0.3), chance[i]);
+        EXPECT_EQ(f.normal(), normal[i]);
+    }
+}
+
 TEST(Counter, IncrementAndReset)
 {
     Counter c;

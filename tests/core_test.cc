@@ -101,6 +101,23 @@ TEST(RenameMap, RenameReturnsOldMapping)
     EXPECT_EQ(rename.lookup(5), fresh);
 }
 
+TEST(PhysRegFile, FreeingABadRegisterPanics)
+{
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    PhysRegFile file(4);
+    EXPECT_DEATH(file.free(4), "freeing bad physical register 4");
+    EXPECT_DEATH(file.free(-1), "freeing bad physical register -1");
+}
+
+TEST(RenameMap, RenamingTheZeroRegisterPanics)
+{
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    PhysRegFile int_file(72), fp_file(72);
+    RenameMap rename(int_file, fp_file);
+    EXPECT_DEATH(rename.rename(0, int_file.alloc()),
+                 "renaming the zero register");
+}
+
 // --------------------------------------------------------------------
 // Simulation helpers
 // --------------------------------------------------------------------

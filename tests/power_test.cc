@@ -38,6 +38,13 @@ TEST(EnergyModel, StructureDomainsFollowFigure1)
               DomainId::LoadStore);
 }
 
+TEST(EnergyModel, StructureDomainOfTheSentinelPanics)
+{
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    EXPECT_DEATH(structureDomain(StructureId::NumStructures),
+                 "bad structure id 16");
+}
+
 TEST(EnergyModel, StructureNamesAreUnique)
 {
     for (int a = 0; a < NUM_STRUCTURES; ++a) {
