@@ -23,10 +23,9 @@ bench::ablationEndstop()
                 "===\n");
     RunnerConfig config = standardConfig();
     printMethodology(config);
-    Runner runner(config);
 
     auto names = sweepBenchmarks();
-    auto baselines = computeBaselines(runner, names);
+    auto baselines = computeBaselines(config, names);
 
     TextTable table("EndstopCount sweep, metrics vs baseline MCD");
     table.setHeader({"endstop count", "perf degradation",
@@ -38,7 +37,7 @@ bench::ablationEndstop()
         adc.endstopCount = count;
         std::fprintf(stderr, "  endstop = %d\n", count);
 
-        auto stats = runVariant(runner, names, attackDecaySpec(adc));
+        auto stats = runVariant(config, names, attackDecaySpec(adc));
         std::vector<ComparisonMetrics> vs_mcd;
         for (std::size_t i = 0; i < names.size(); ++i)
             vs_mcd.push_back(compare(baselines.mcd.at(names[i]),

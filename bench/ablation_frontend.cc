@@ -100,10 +100,9 @@ bench::ablationFrontend()
     registerPinnedFrontEnd();
     RunnerConfig config = standardConfig();
     printMethodology(config);
-    Runner runner(config);
 
     auto names = sweepBenchmarks();
-    auto baselines = computeBaselines(runner, names);
+    auto baselines = computeBaselines(config, names);
 
     TextTable part1("Part 1: fixed front-end frequency "
                     "(back end at maximum), vs baseline MCD");
@@ -111,7 +110,7 @@ bench::ablationFrontend()
                      "deg / cut (1.0 = perfectly linear)"});
     for (Hertz fe : {0.9e9, 0.8e9, 0.7e9, 0.6e9}) {
         std::fprintf(stderr, "  front end at %.1f GHz\n", fe / 1e9);
-        auto stats = runVariant(runner, names, pinnedFrontEndSpec(fe),
+        auto stats = runVariant(config, names, pinnedFrontEndSpec(fe),
                                 ClockMode::Mcd, config.dvfs.freqMax);
         std::vector<ComparisonMetrics> vs_mcd;
         for (std::size_t i = 0; i < names.size(); ++i)
@@ -137,10 +136,10 @@ bench::ablationFrontend()
     {
         std::fprintf(stderr, "  A/D variants on %zu benchmarks\n",
                      names.size());
-        auto ad_stats = runVariant(runner, names,
+        auto ad_stats = runVariant(config, names,
                                    attackDecaySpec(scaledAttackDecay()));
         auto fe_stats = runVariant(
-            runner, names,
+            config, names,
             attackDecaySpec(scaledAttackDecay(),
                             "frontend_attack_decay"),
             ClockMode::Mcd, config.dvfs.freqMax);

@@ -30,7 +30,6 @@ bench::ablationGlobal()
                 "===\n");
     RunnerConfig config = standardConfig();
     printMethodology(config);
-    Runner runner(config);
 
     auto names = sweepBenchmarks();
     const double target_deg = 0.032; // the paper's A/D degradation
@@ -54,11 +53,11 @@ bench::ablationGlobal()
     // plain declarative runs (the matched frequency is a closed-form
     // function of the target); only the time-matched search needs the
     // adaptive Runner driver.
-    auto sync_stats = runVariant(runner, names, ControllerSpec{},
+    auto sync_stats = runVariant(config, names, ControllerSpec{},
                                  ClockMode::Synchronous,
                                  config.dvfs.freqMax);
-    const Hertz fm_freq = runner.globalMatchedFrequency(target_deg);
-    auto fm_stats = runVariant(runner, names, ControllerSpec{},
+    const Hertz fm_freq = Runner(config).globalMatchedFrequency(target_deg);
+    auto fm_stats = runVariant(config, names, ControllerSpec{},
                                ClockMode::Synchronous, fm_freq);
     auto rows = sweep.map<Row>(names.size(), [&](std::size_t i) {
         Runner local(benchmarkConfig(config, i));

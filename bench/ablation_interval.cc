@@ -36,14 +36,13 @@ bench::ablationInterval()
         std::fprintf(stderr, "  interval = %d\n", interval);
         RunnerConfig config = base_config;
         config.intervalInstructions = interval;
-        Runner runner(config);
 
         // Baseline and A/D run of one benchmark share the derived
         // seed (same index in both batches), keeping them comparable.
         ControllerSpec profiling;
         profiling.name = "profiling";
-        auto mcd_base = runVariant(runner, names, profiling);
-        auto ad_stats = runVariant(runner, names,
+        auto mcd_base = runVariant(config, names, profiling);
+        auto ad_stats = runVariant(config, names,
                                    attackDecaySpec(scaledAttackDecay()));
         std::vector<ComparisonMetrics> vs_mcd;
         for (std::size_t i = 0; i < names.size(); ++i)

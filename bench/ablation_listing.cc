@@ -23,10 +23,9 @@ bench::ablationListing()
     std::printf("=== Ablation: PerfDegThreshold guard semantics ===\n");
     RunnerConfig config = standardConfig();
     printMethodology(config);
-    Runner runner(config);
 
     auto names = sweepBenchmarks();
-    auto baselines = computeBaselines(runner, names);
+    auto baselines = computeBaselines(config, names);
 
     struct Variant
     {
@@ -51,7 +50,7 @@ bench::ablationListing()
                      "EDP improvement", "power/perf ratio"});
     for (const auto &v : variants) {
         std::fprintf(stderr, "  variant: %s\n", v.name);
-        auto stats = runVariant(runner, names, attackDecaySpec(v.adc));
+        auto stats = runVariant(config, names, attackDecaySpec(v.adc));
         std::vector<ComparisonMetrics> vs_mcd;
         for (std::size_t i = 0; i < names.size(); ++i)
             vs_mcd.push_back(compare(baselines.mcd.at(names[i]),

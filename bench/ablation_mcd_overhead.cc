@@ -50,14 +50,13 @@ bench::ablationMcdOverhead()
         RunnerConfig config = base_config;
         config.dvfs.syncWindowFraction = c.windowFraction;
         config.jitter = c.jitter;
-        Runner runner(config);
 
-        auto sync_stats = runVariant(runner, names, ControllerSpec{},
+        auto sync_stats = runVariant(config, names, ControllerSpec{},
                                      ClockMode::Synchronous,
                                      config.dvfs.freqMax);
         ControllerSpec profiling;
         profiling.name = "profiling";
-        auto mcd_stats = runVariant(runner, names, profiling);
+        auto mcd_stats = runVariant(config, names, profiling);
         std::vector<ComparisonMetrics> vs_sync;
         for (std::size_t i = 0; i < names.size(); ++i)
             vs_sync.push_back(compare(sync_stats[i], mcd_stats[i]));

@@ -76,11 +76,10 @@ computeOne(Runner &runner, const std::string &name,
     std::vector<IntervalProfile> profile;
     r.mcdBase = runner.runMcdBaseline(name, &profile);
 
-    ControllerSpec none;
-    r.sync = ArtifactCache::instance().getOrRun(
-        makeSpec(runner.config(), name, none, ClockMode::Synchronous,
-                 runner.config().dvfs.freqMax));
-    r.attackDecay = ArtifactCache::instance().getOrRun(
+    r.sync = runner.cache().getOrRun(
+        makeSpec(runner.config(), name, ControllerSpec{},
+                 ClockMode::Synchronous, runner.config().dvfs.freqMax));
+    r.attackDecay = runner.cache().getOrRun(
         makeSpec(runner.config(), name,
                  attackDecaySpec(scaledAttackDecay())));
 
@@ -110,7 +109,8 @@ computeOne(Runner &runner, const std::string &name,
 }
 
 std::vector<BenchResults>
-computeAll(Runner &runner, const std::vector<std::string> &names,
+computeAll(const RunnerConfig &base,
+           const std::vector<std::string> &names,
            const ComputeOptions &options)
 {
     // One job per benchmark. Each job gets its own Runner whose clock
@@ -119,11 +119,11 @@ computeAll(Runner &runner, const std::vector<std::string> &names,
     // results are bit-identical for any worker count. The inner
     // offline searches run serial (jobs = 1): parallelism lives at the
     // benchmark level here, and nesting pools would oversubscribe.
-    ParallelSweep sweep(runner.config().jobs);
+    ParallelSweep sweep(base.jobs);
     std::fprintf(stderr, "  running %zu benchmarks on %d workers\n",
                  names.size(), sweep.workers());
     return sweep.map<BenchResults>(names.size(), [&](std::size_t i) {
-        RunnerConfig config = benchmarkConfig(runner.config(), i);
+        RunnerConfig config = benchmarkConfig(base, i);
         config.jobs = 1;
         Runner local(config);
         BenchResults r = computeOne(local, names[i], options);

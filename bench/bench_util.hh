@@ -4,7 +4,7 @@
  * common environment-configurable methodology, spec builders for the
  * canonical machine variants, and the canonical result set (fully
  * synchronous, baseline MCD, Attack/Decay, Dynamic-1%, Dynamic-5%,
- * matched Global DVFS) each experiment draws from. Cacheable runs go
+ * matched Global DVFS) each experiment draws from. Every run goes
  * through the process-wide ArtifactCache, so a (benchmark, machine)
  * pair shared by several experiments in one process simulates once —
  * and with MCD_STORE set, across processes: a warm disk store
@@ -92,17 +92,20 @@ ExperimentSpec makeSpec(const RunnerConfig &config,
                         ClockMode mode = ClockMode::Mcd,
                         Hertz startFreq = 0.0);
 
-/** Run the canonical experiment set for one benchmark. */
+/** Run the canonical experiment set for one benchmark, every product
+ *  resolved through `runner`'s cache. */
 BenchResults computeOne(Runner &runner, const std::string &name,
                         const ComputeOptions &options);
 
 /**
  * Run the canonical experiment set for many benchmarks, fanned across
- * the ParallelSweep workers (MCD_JOBS), with progress lines on stderr.
+ * the ParallelSweep workers (`base.jobs`), with progress lines on
+ * stderr. Benchmark i runs on benchmarkConfig(base, i).
  * Results are in `names` order and bit-identical for any worker count.
  */
 std::vector<BenchResults>
-computeAll(Runner &runner, const std::vector<std::string> &names,
+computeAll(const RunnerConfig &base,
+           const std::vector<std::string> &names,
            const ComputeOptions &options);
 
 /** Print the methodology banner (window sizes, interval). */

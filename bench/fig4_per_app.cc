@@ -62,12 +62,11 @@ bench::fig4()
                 "fully synchronous processor ===\n");
     RunnerConfig config = standardConfig();
     printMethodology(config);
-    Runner runner(config);
 
     auto names = selectedBenchmarks();
     ComputeOptions options;
     options.globals = false; // Figure 4 has no Global(...) series
-    auto all = computeAll(runner, names, options);
+    auto all = computeAll(config, names, options);
 
     printSeries("Figure 4(a): Performance Degradation", all,
                 &ComparisonMetrics::perfDegradation);

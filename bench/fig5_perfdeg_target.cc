@@ -25,10 +25,9 @@ bench::fig5()
                 "(config 1.000_06.0_1.250_X.X) ===\n");
     RunnerConfig config = standardConfig();
     printMethodology(config);
-    Runner runner(config);
 
     auto names = sweepBenchmarks();
-    auto baselines = computeBaselines(runner, names);
+    auto baselines = computeBaselines(config, names);
 
     std::vector<double> targets = {0.00, 0.02, 0.04, 0.06,
                                    0.08, 0.10, 0.12};
@@ -41,7 +40,7 @@ bench::fig5()
         adc.perfDegThreshold = target;  // X.X
         std::fprintf(stderr, "  sweep target %.0f%%\n", target * 100);
         points.push_back(
-            runSweepPoint(runner, names, baselines, adc, target));
+            runSweepPoint(config, names, baselines, adc, target));
     }
 
     TextTable table("Figure 5(a)/(b): achieved degradation and EDP "

@@ -84,10 +84,9 @@ printSensitivity(const char *banner, const char *figure,
     std::printf("%s", banner);
     RunnerConfig config = standardConfig();
     printMethodology(config);
-    Runner runner(config);
 
     auto names = sweepBenchmarks();
-    auto baselines = computeBaselines(runner, names);
+    auto baselines = computeBaselines(config, names);
 
     for (const Sensitivity &s : sensitivities()) {
         std::string title = std::string(figure) + s.title;
@@ -96,7 +95,7 @@ printSensitivity(const char *banner, const char *figure,
         for (double v : s.values) {
             std::fprintf(stderr, "  sweep %s = %.3f%%\n", title.c_str(),
                          v * 100);
-            table.addRow(row(v, runSweepPoint(runner, names, baselines,
+            table.addRow(row(v, runSweepPoint(config, names, baselines,
                                               s.make(v), v)));
         }
         std::printf("%s\ncsv:\n%s\n", table.render().c_str(),

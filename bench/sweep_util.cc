@@ -20,20 +20,22 @@ sweepBenchmarks()
 }
 
 std::vector<SimStats>
-runVariant(const Runner &runner, const std::vector<std::string> &names,
+runVariant(const RunnerConfig &config,
+           const std::vector<std::string> &names,
            const ControllerSpec &controller, ClockMode mode,
            Hertz startFreq)
 {
     std::vector<ExperimentSpec> specs;
     specs.reserve(names.size());
     for (std::size_t i = 0; i < names.size(); ++i)
-        specs.push_back(makeSpec(benchmarkConfig(runner.config(), i),
-                                 names[i], controller, mode, startFreq));
-    return runExperiments(specs, runner.config().jobs);
+        specs.push_back(makeSpec(benchmarkConfig(config, i), names[i],
+                                 controller, mode, startFreq));
+    return runExperiments(specs, config.jobs);
 }
 
 SweepBaselines
-computeBaselines(Runner &runner, const std::vector<std::string> &names)
+computeBaselines(const RunnerConfig &config,
+                 const std::vector<std::string> &names)
 {
     // Both baseline batches derive benchmark i's seed from i
     // (benchmarkConfig), exactly like the variant batches of every
@@ -43,12 +45,12 @@ computeBaselines(Runner &runner, const std::vector<std::string> &names)
     // process — free.
     std::fprintf(stderr, "  running %zu baselines on %d workers ...",
                  2 * names.size(),
-                 ParallelSweep(runner.config().jobs).workers());
+                 ParallelSweep(config.jobs).workers());
     std::fflush(stderr);
     ControllerSpec profiling;
     profiling.name = "profiling";
-    auto mcd = runVariant(runner, names, profiling);
-    auto sync = runVariant(runner, names, ControllerSpec{},
+    auto mcd = runVariant(config, names, profiling);
+    auto sync = runVariant(config, names, ControllerSpec{},
                            ClockMode::Synchronous);
     std::fprintf(stderr, " done\n");
 
@@ -61,12 +63,12 @@ computeBaselines(Runner &runner, const std::vector<std::string> &names)
 }
 
 SweepPoint
-runSweepPoint(Runner &runner, const std::vector<std::string> &names,
+runSweepPoint(const RunnerConfig &config,
+              const std::vector<std::string> &names,
               const SweepBaselines &baselines,
               const AttackDecayConfig &adc, double parameter)
 {
-    auto results =
-        runVariant(runner, names, attackDecaySpec(adc));
+    auto results = runVariant(config, names, attackDecaySpec(adc));
 
     // Aggregate strictly in benchmark order on the collected batch, so
     // the floating-point sums never depend on completion order.

@@ -31,14 +31,15 @@ std::vector<std::string> sweepBenchmarks();
 /**
  * Run one controller variant over every benchmark on seed-matched
  * per-benchmark machines (benchmark i runs on
- * benchmarkConfig(runner.config(), i), so batches over the same
+ * benchmarkConfig(config, i), so batches over the same
  * `names` stay comparable across variants), fanned across the
  * ParallelSweep workers and resolved through the ArtifactCache.
  * Results come back in `names` order, bit-identical for any worker
  * count.
  */
 std::vector<SimStats>
-runVariant(const Runner &runner, const std::vector<std::string> &names,
+runVariant(const RunnerConfig &config,
+           const std::vector<std::string> &names,
            const ControllerSpec &controller,
            ClockMode mode = ClockMode::Mcd, Hertz startFreq = 0.0);
 
@@ -49,7 +50,7 @@ struct SweepBaselines
     std::map<std::string, SimStats> sync;
 };
 
-SweepBaselines computeBaselines(Runner &runner,
+SweepBaselines computeBaselines(const RunnerConfig &config,
                                 const std::vector<std::string> &names);
 
 /** Aggregate metrics of one Attack/Decay configuration. */
@@ -64,7 +65,7 @@ struct SweepPoint
 };
 
 /** Run one A/D configuration over the subset and aggregate. */
-SweepPoint runSweepPoint(Runner &runner,
+SweepPoint runSweepPoint(const RunnerConfig &config,
                          const std::vector<std::string> &names,
                          const SweepBaselines &baselines,
                          const AttackDecayConfig &adc, double parameter);

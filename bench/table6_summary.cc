@@ -56,10 +56,9 @@ bench::table6()
                 "baseline MCD processor ===\n");
     RunnerConfig config = standardConfig();
     printMethodology(config);
-    Runner runner(config);
 
     auto names = selectedBenchmarks();
-    auto all = computeAll(runner, names, ComputeOptions{});
+    auto all = computeAll(config, names, ComputeOptions{});
 
     AlgorithmSummary ad{"Attack/Decay", {}};
     AlgorithmSummary dyn1{"Dynamic-1%", {}};

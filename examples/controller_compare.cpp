@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/runner.hh"
+#include "harness/experiment.hh"
 #include "harness/table.hh"
 
 int
@@ -39,9 +39,14 @@ main(int argc, char **argv)
         std::fprintf(stderr, "running %s ...\n", bench.c_str());
         std::vector<mcd::IntervalProfile> profile;
         mcd::SimStats mcd_base = runner.runMcdBaseline(bench, &profile);
-        mcd::SimStats sync = runner.runSynchronous(bench, 1.0e9);
-        mcd::SimStats ad =
-            runner.runAttackDecay(bench, mcd::AttackDecayConfig{});
+        mcd::ExperimentSpec spec;
+        spec.benchmark = bench;
+        spec.config = config;
+        spec.mode = mcd::ClockMode::Synchronous;
+        mcd::SimStats sync = runner.cache().getOrRun(spec);
+        spec.mode = mcd::ClockMode::Mcd;
+        spec.controller = mcd::attackDecaySpec(mcd::AttackDecayConfig{});
+        mcd::SimStats ad = runner.cache().getOrRun(spec);
         mcd::OfflineResult dyn1 =
             runner.runOfflineDynamic(bench, 0.01, mcd_base, profile);
         mcd::ComparisonMetrics m_ad = mcd::compare(mcd_base, ad);

@@ -12,7 +12,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "harness/runner.hh"
+#include "harness/experiment.hh"
 #include "harness/table.hh"
 
 int
@@ -27,7 +27,6 @@ main(int argc, char **argv)
     config.instructions = instructions;
     config.warmup = 0;
     config.intervalInstructions = interval;
-    mcd::Runner runner(config);
     mcd::DvfsModel dvfs(config.dvfs);
 
     std::printf("epic under Attack/Decay: %llu instructions, "
@@ -38,10 +37,17 @@ main(int argc, char **argv)
                 "integer (util/GHz/V)", "fp (util/GHz/V)",
                 "load-store (util/GHz/V)");
 
+    mcd::ExperimentSpec spec;
+    spec.benchmark = "epic";
+    spec.controller = mcd::attackDecaySpec(mcd::AttackDecayConfig{});
+    spec.config = config;
+    auto controller =
+        mcd::ControllerRegistry::instance().create(spec.controller);
+
     std::uint64_t insns = 0;
     int printed = 0;
-    mcd::SimStats stats = runner.runAttackDecay(
-        "epic", mcd::AttackDecayConfig{},
+    mcd::SimStats stats = mcd::runWithController(
+        spec, controller.get(), mcd::ArtifactCache::instance(),
         [&](const mcd::IntervalStats &s) {
             insns += s.instructions;
             if (printed++ % 5 != 0)

@@ -5,7 +5,7 @@
  * Attack/Decay against the fully synchronous machine.
  *
  * Job i runs both variants — the synchronous reference and the
- * Attack/Decay run — on a Runner seeded with deriveJobSeed(seed, i),
+ * Attack/Decay run — on a machine seeded with deriveJobSeed(seed, i),
  * so both consume the same derived clock stream and their comparison
  * is apples-to-apples.
  * Results (and the printed table) are bit-identical for any worker
@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/experiment.hh"
 #include "harness/metrics.hh"
 #include "harness/parallel_sweep.hh"
 #include "harness/table.hh"
@@ -43,12 +44,16 @@ main()
     std::printf("running %zu benchmarks on %d workers\n\n",
                 benches.size(), sweep.workers());
     auto results = sweep.map<Variants>(benches.size(), [&](std::size_t i) {
-        mcd::RunnerConfig job = config;
-        job.clockSeed = mcd::deriveJobSeed(config.clockSeed, i);
-        mcd::Runner runner(job);
-        return Variants{
-            runner.runSynchronous(benches[i], job.dvfs.freqMax),
-            runner.runAttackDecay(benches[i], mcd::AttackDecayConfig{})};
+        mcd::ExperimentSpec sync;
+        sync.benchmark = benches[i];
+        sync.mode = mcd::ClockMode::Synchronous;
+        sync.config = config;
+        sync.config.clockSeed = mcd::deriveJobSeed(config.clockSeed, i);
+        mcd::ExperimentSpec ad = sync;
+        ad.mode = mcd::ClockMode::Mcd;
+        ad.controller = mcd::attackDecaySpec(mcd::AttackDecayConfig{});
+        mcd::ArtifactCache &cache = mcd::ArtifactCache::instance();
+        return Variants{cache.getOrRun(sync), cache.getOrRun(ad)};
     });
 
     // Aggregate in job order through the metrics layer.

@@ -12,7 +12,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "harness/runner.hh"
+#include "harness/experiment.hh"
 #include "harness/table.hh"
 
 int
@@ -32,8 +32,11 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(instructions));
 
     mcd::SimStats base = runner.runMcdBaseline(bench);
-    mcd::SimStats ad =
-        runner.runAttackDecay(bench, mcd::AttackDecayConfig{});
+    mcd::ExperimentSpec spec;
+    spec.benchmark = bench;
+    spec.controller = mcd::attackDecaySpec(mcd::AttackDecayConfig{});
+    spec.config = config;
+    mcd::SimStats ad = mcd::ArtifactCache::instance().getOrRun(spec);
     mcd::ComparisonMetrics m = mcd::compare(base, ad);
 
     mcd::TextTable table("baseline MCD vs Attack/Decay");

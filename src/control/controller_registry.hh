@@ -4,8 +4,9 @@
  * controller family plus its numeric parameters, and the
  * `ControllerRegistry` turns specs into `FrequencyController`
  * instances. Adding a controller to the experiment stack is one
- * registration — every spec-driven consumer (Runner, ExperimentSpec,
- * the figure benches, mcd_cli) picks it up with no new plumbing.
+ * registration — every spec-driven consumer (ExperimentSpec and the
+ * specs built on it, the figure benches, mcd_cli) picks it up with no
+ * new plumbing.
  *
  * Built-in registrations:
  *   none                   uncontrolled (domains stay at the start

@@ -89,12 +89,14 @@ TraceSpec::describe() const
 EvalTrace
 TraceSpec::build(ArtifactCache &cache) const
 {
+    ExperimentSpec run;
+    run.benchmark = benchmark;
+    run.controller = controller;
+    run.config = config;
     auto instance = ControllerRegistry::instance().create(controller);
-    Runner runner(config, cache);
     EvalTrace trace;
-    trace.stats = runner.runWithOptionalController(
-        benchmark, ClockMode::Mcd, config.dvfs.freqMax, instance.get(),
-        [&](const IntervalStats &stats) {
+    trace.stats = runWithController(
+        run, instance.get(), cache, [&](const IntervalStats &stats) {
             TracePoint point;
             point.instructions = stats.instructions;
             point.ipc = stats.ipc;

@@ -7,9 +7,8 @@
  * queue utilization, plus interval IPC and on-chip energy — alongside
  * the frequency the offline Dynamic-X% oracle chose for that interval.
  * It is a first-class versioned artifact (`ArtifactTraits<EvalTrace>`)
- * requested through a `TraceSpec` and resolved by the process-wide
- * `ArtifactCache` via its generic spec path, so traces share the
- * layered memory-over-disk store, dedup across processes, and replay
+ * requested through a `TraceSpec` and resolved by an `ArtifactCache`,
+ * so traces share the layered memory-over-disk store, dedup across processes, and replay
  * from a warm store with zero simulations like every other experiment
  * product.
  *

@@ -8,7 +8,7 @@
  * point.
  *
  * Every run with a warm-up resolves its warm-up boundary this way
- * (Runner::runWithOptionalController): warm-up runs uncontrolled
+ * (runWithController, harness/experiment.hh): warm-up runs uncontrolled
  * (methodology v2), so the controller never appears in the key and
  * every variant of one (benchmark, mode, start frequency, config) —
  * controller variants, a search's schedule probes — shares one

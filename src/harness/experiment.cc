@@ -1,9 +1,13 @@
 #include "harness/experiment.hh"
 
+#include <optional>
+
 #include "common/logging.hh"
 #include "common/serial.hh"
 #include "harness/artifact.hh"
+#include "harness/checkpoint.hh"
 #include "harness/parallel_sweep.hh"
+#include "workload/benchmark_factory.hh"
 
 namespace mcd
 {
@@ -15,21 +19,6 @@ using serial::appendDouble;
 using serial::appendI64;
 using serial::appendString;
 using serial::appendU64;
-
-// Methodology + machine bytes come from RunnerConfig::appendTo
-// (harness/runner.cc), the single definition of that layout shared
-// with extension spec types (src/eval/).
-void
-appendRunnerConfig(std::string &out, const RunnerConfig &config)
-{
-    config.appendTo(out);
-}
-
-std::string
-describeConfig(const RunnerConfig &config)
-{
-    return config.describe();
-}
 
 std::string
 describeController(const ControllerSpec &controller)
@@ -51,26 +40,6 @@ describeController(const ControllerSpec &controller)
     return out;
 }
 
-/** Typed re-decode used to validate candidate blobs from the store. */
-template <typename T>
-bool
-validBlob(const std::string &blob)
-{
-    T value;
-    return decodeArtifact(blob, value);
-}
-
-/** Decode a blob the cache already validated (failure is a bug). */
-template <typename T>
-T
-decodeValidated(const std::string &blob)
-{
-    T value;
-    if (!decodeArtifact(blob, value))
-        mcd_panic("validated artifact blob failed to decode");
-    return value;
-}
-
 } // namespace
 
 std::string
@@ -84,7 +53,7 @@ ExperimentSpec::cacheKey() const
     appendI64(key, static_cast<std::int64_t>(mode));
     appendDouble(key, resolvedStartFreq());
     controller.appendTo(key);
-    appendRunnerConfig(key, config);
+    config.appendTo(key);
     return key;
 }
 
@@ -102,7 +71,15 @@ ExperimentSpec::describe() const
         "start_freq=%g %s",
         benchmark.c_str(), mode == ClockMode::Mcd ? "mcd" : "sync",
         describeController(controller).c_str(), resolvedStartFreq(),
-        describeConfig(config).c_str());
+        config.describe().c_str());
+}
+
+SimStats
+ExperimentSpec::build(ArtifactCache &cache) const
+{
+    SimStats stats = runExperiment(*this, cache);
+    cache.noteSimulation();
+    return stats;
 }
 
 ExperimentSpec
@@ -122,7 +99,7 @@ ProfileSpec::cacheKey() const
     std::string key;
     appendString(key, "profile");
     appendString(key, benchmark);
-    appendRunnerConfig(key, config);
+    config.appendTo(key);
     return key;
 }
 
@@ -131,7 +108,22 @@ ProfileSpec::describe() const
 {
     return logging_detail::format("type=profile benchmark=%s %s",
                                   benchmark.c_str(),
-                                  describeConfig(config).c_str());
+                                  config.describe().c_str());
+}
+
+std::vector<IntervalProfile>
+ProfileSpec::build(ArtifactCache &cache) const
+{
+    // One profiling simulation yields two artifacts: the interval
+    // profile (this key) and the baseline MCD SimStats, published
+    // under the paired experiment key so requesting both costs one
+    // run. The controller is experimentSpec()'s "profiling" entry.
+    ExperimentSpec run = experimentSpec();
+    ProfilingController profiler;
+    SimStats stats = runWithController(run, &profiler, cache);
+    cache.noteSimulation();
+    cache.publish(run, stats);
+    return profiler.profile();
 }
 
 std::string
@@ -156,7 +148,7 @@ OfflineSearchSpec::cacheKey() const
                                                                 profile);
     appendU64(key, serial::fnv1a(prof));
     appendU64(key, prof.size());
-    appendRunnerConfig(key, config);
+    config.appendTo(key);
     return key;
 }
 
@@ -167,7 +159,7 @@ OfflineSearchSpec::describe() const
         "type=offline_search benchmark=%s target_deg=%g "
         "profile_intervals=%zu %s",
         benchmark.c_str(), targetDeg, profile.size(),
-        describeConfig(config).c_str());
+        config.describe().c_str());
 }
 
 std::string
@@ -177,7 +169,7 @@ GlobalMatchSpec::cacheKey() const
     appendString(key, "global_match");
     appendString(key, benchmark);
     appendI64(key, targetTime);
-    appendRunnerConfig(key, config);
+    config.appendTo(key);
     return key;
 }
 
@@ -187,7 +179,59 @@ GlobalMatchSpec::describe() const
     return logging_detail::format(
         "type=global_match benchmark=%s target_time=%lld %s",
         benchmark.c_str(), static_cast<long long>(targetTime),
-        describeConfig(config).c_str());
+        config.describe().c_str());
+}
+
+SimStats
+runWithController(const ExperimentSpec &spec,
+                  FrequencyController *controller, ArtifactCache &cache,
+                  std::function<void(const IntervalStats &)> observer)
+{
+    const RunnerConfig &config = spec.config;
+    auto workload = BenchmarkFactory::create(
+        spec.benchmark, config.instructions + config.warmup);
+    SimConfig sim_config =
+        makeSimConfig(config, spec.mode, spec.resolvedStartFreq());
+
+    // The machine is built only once the boundary checkpoint is in
+    // hand, or as its build, so a run never holds a second simulator.
+    std::optional<Simulator> sim;
+    auto make = [&]() -> Simulator & {
+        return sim.emplace(sim_config, *workload, nullptr);
+    };
+    std::uint64_t stepped_from = 0;
+    if (config.warmup > 0) {
+        CheckpointSpec boundary;
+        boundary.benchmark = spec.benchmark;
+        boundary.mode = spec.mode;
+        boundary.startFreq = spec.resolvedStartFreq();
+        boundary.at = config.warmup;
+        boundary.config = config;
+        SimCheckpoint ckpt = cache.getOrBuild(boundary, [&] {
+            // First to miss: warm up in place, snapshot, carry on.
+            Simulator &warm = make();
+            warm.runTo(boundary.at);
+            return SimCheckpoint::capture(warm);
+        });
+        if (!sim) {
+            // By the run-composition contract the restored machine is
+            // bit-identical to having simulated the warm-up here.
+            serial::Reader in(ckpt.state);
+            if (!make().restoreCheckpoint(in))
+                mcd_panic("validated checkpoint artifact failed to "
+                          "restore");
+            stepped_from = sim->committed();
+        }
+        sim->resetMeasurement();
+    } else {
+        make();
+    }
+    sim->engageController(controller);
+    if (observer)
+        sim->setIntervalObserver(std::move(observer));
+    sim->run(config.instructions);
+    cache.noteInstructions(sim->committed() - stepped_from);
+    return sim->stats();
 }
 
 SimStats
@@ -195,10 +239,7 @@ runExperiment(const ExperimentSpec &spec, ArtifactCache &cache)
 {
     auto controller = ControllerRegistry::instance().create(
         spec.controller);
-    Runner runner(spec.config, cache);
-    return runner.runWithOptionalController(
-        spec.benchmark, spec.mode, spec.resolvedStartFreq(),
-        controller.get());
+    return runWithController(spec, controller.get(), cache);
 }
 
 std::vector<SimStats>
@@ -335,84 +376,6 @@ void
 ArtifactCache::noteInstructions(std::uint64_t count)
 {
     sim_insns_.inc(count);
-}
-
-SimStats
-ArtifactCache::getOrRun(const ExperimentSpec &spec)
-{
-    attachDiskStore(spec.config.store);
-    std::string blob = fetch(
-        spec.cacheKey(), validBlob<SimStats>,
-        [&] {
-            SimStats stats = runExperiment(spec, *this);
-            noteSimulation();
-            return encodeArtifact(stats);
-        },
-        spec.describe());
-    return decodeValidated<SimStats>(blob);
-}
-
-std::vector<IntervalProfile>
-ArtifactCache::getOrRun(const ProfileSpec &spec)
-{
-    attachDiskStore(spec.config.store);
-    std::string blob = fetch(
-        spec.cacheKey(), validBlob<std::vector<IntervalProfile>>,
-        [&] {
-            // One profiling simulation yields two artifacts: the
-            // interval profile (this key) and the baseline MCD
-            // SimStats, published under the paired experiment key so
-            // requesting both costs one run.
-            ExperimentSpec run = spec.experimentSpec();
-            auto controller =
-                ControllerRegistry::instance().create(run.controller);
-            Runner runner(spec.config, *this);
-            SimStats stats = runner.runWithOptionalController(
-                spec.benchmark, run.mode, run.resolvedStartFreq(),
-                controller.get());
-            noteSimulation();
-            publish(run.cacheKey(), encodeArtifact(stats),
-                    run.describe());
-            return encodeArtifact(
-                dynamic_cast<ProfilingController &>(*controller)
-                    .profile());
-        },
-        spec.describe());
-    return decodeValidated<std::vector<IntervalProfile>>(blob);
-}
-
-OfflineResult
-ArtifactCache::getOrRun(const OfflineSearchSpec &spec)
-{
-    attachDiskStore(spec.config.store);
-    std::string blob = fetch(
-        spec.cacheKey(), validBlob<OfflineResult>,
-        [&] {
-            // The search itself runs no simulation directly: its grid
-            // probes are nested ExperimentSpec requests that memoize
-            // (and count) themselves.
-            Runner runner(spec.config, *this);
-            return encodeArtifact(runner.searchOfflineDynamic(
-                spec.benchmark, spec.targetDeg, spec.mcdBase,
-                spec.profile));
-        },
-        spec.describe());
-    return decodeValidated<OfflineResult>(blob);
-}
-
-GlobalResult
-ArtifactCache::getOrRun(const GlobalMatchSpec &spec)
-{
-    attachDiskStore(spec.config.store);
-    std::string blob = fetch(
-        spec.cacheKey(), validBlob<GlobalResult>,
-        [&] {
-            Runner runner(spec.config, *this);
-            return encodeArtifact(runner.searchGlobalMatching(
-                spec.benchmark, spec.targetTime));
-        },
-        spec.describe());
-    return decodeValidated<GlobalResult>(blob);
 }
 
 void

@@ -1,8 +1,8 @@
 /**
  * @file
  * The declarative experiment layer. A typed request spec fully
- * describes one experiment product and the layer resolves it through
- * a process-wide, pluggable artifact cache:
+ * describes one experiment product, knows how to build it, and
+ * resolves through a process-wide, pluggable artifact cache:
  *
  *   ExperimentSpec    -> SimStats                    (one simulation)
  *   ProfileSpec       -> std::vector<IntervalProfile> (the off-line
@@ -11,6 +11,11 @@
  *   OfflineSearchSpec -> OfflineResult   (a whole Dynamic-X% search)
  *   GlobalMatchSpec   -> GlobalResult    (a time-matched global-DVFS
  *                        calibration search)
+ *   CheckpointSpec    -> SimCheckpoint   (harness/checkpoint.hh)
+ *   TraceSpec         -> EvalTrace       (eval/trace.hh)
+ *
+ * Every simulation runs through one function, `runWithController`:
+ * warm-up checkpoint, then engage the controller, then measure.
  *
  * Each spec has an exact, namespaced `cacheKey()` covering every
  * field that can influence the result (raw IEEE-754 bytes for
@@ -58,6 +63,8 @@ namespace mcd
 /** Everything needed to run (or memoize) one simulation. */
 struct ExperimentSpec
 {
+    using Artifact = SimStats;
+
     std::string benchmark;          //!< any registered scenario name
     ClockMode mode = ClockMode::Mcd;
     Hertz startFreq = 0.0;          //!< 0 selects config.dvfs.freqMax
@@ -78,6 +85,9 @@ struct ExperimentSpec
 
     /** One-line human-readable description (provenance sidecars). */
     std::string describe() const;
+
+    /** Run the spec (runExperiment) and count one simulation. */
+    SimStats build(ArtifactCache &cache) const;
 };
 
 /**
@@ -89,6 +99,8 @@ struct ExperimentSpec
  */
 struct ProfileSpec
 {
+    using Artifact = std::vector<IntervalProfile>;
+
     std::string benchmark;
     RunnerConfig config;
 
@@ -100,6 +112,10 @@ struct ProfileSpec
 
     /** One-line human-readable description (provenance sidecars). */
     std::string describe() const;
+
+    /** Run the profiling pass (one simulation) and publish its
+     *  SimStats under experimentSpec()'s key. */
+    std::vector<IntervalProfile> build(ArtifactCache &cache) const;
 };
 
 /**
@@ -114,6 +130,8 @@ struct ProfileSpec
  */
 struct OfflineSearchSpec
 {
+    using Artifact = OfflineResult;
+
     std::string benchmark;
     double targetDeg = 0.0;              //!< degradation cap
     SimStats mcdBase{};                  //!< baseline MCD reference
@@ -125,11 +143,23 @@ struct OfflineSearchSpec
 
     /** One-line human-readable description (provenance sidecars). */
     std::string describe() const;
+
+    /**
+     * The search (harness/runner.cc): parallel grid batches — coarse
+     * grid, bracketed refinement, then per-domain refinement — of
+     * schedule replays. It simulates nothing itself: every probe is a
+     * nested ExperimentSpec request that memoizes and counts itself,
+     * so probes shared between searches (the coarse grids of
+     * Dynamic-1% and Dynamic-5%) simulate once.
+     */
+    OfflineResult build(ArtifactCache &cache) const;
 };
 
 /** A time-matched global-DVFS calibration search (ablation driver). */
 struct GlobalMatchSpec
 {
+    using Artifact = GlobalResult;
+
     std::string benchmark;
     Tick targetTime = 0; //!< run time the search matches
     RunnerConfig config;
@@ -139,6 +169,14 @@ struct GlobalMatchSpec
 
     /** One-line human-readable description (provenance sidecars). */
     std::string describe() const;
+
+    /**
+     * The calibration search (harness/runner.cc): fit T(f) = a + b/f
+     * from two synchronous runs, solve for the target, then one secant
+     * refinement. Its synchronous runs are nested ExperimentSpec
+     * requests.
+     */
+    GlobalResult build(ArtifactCache &cache) const;
 };
 
 /**
@@ -151,8 +189,8 @@ struct GlobalMatchSpec
  * `lookups() - hits()` artifacts were computed, of which
  * `simulationsRun()` required running the simulator.
  *
- * `instance()` is the process-wide cache Runners and bench consumers
- * resolve through by default; independently-constructed instances
+ * `instance()` is the process-wide cache that Runners,
+ * `runExperiments` and bench consumers resolve through by default; independently-constructed instances
  * serve tests (e.g. simulating a cold process against a warm
  * DiskStore) and the serve daemon. Every nested request an artifact's
  * build makes — its warm-up checkpoint, a search's probes — resolves
@@ -165,21 +203,9 @@ class ArtifactCache
 
     static ArtifactCache &instance();
 
-    /** The memoized stats for `spec`, simulating on first request. */
-    SimStats getOrRun(const ExperimentSpec &spec);
-
-    /** The memoized profiling pass (publishes the paired SimStats). */
-    std::vector<IntervalProfile> getOrRun(const ProfileSpec &spec);
-
-    /** The memoized off-line Dynamic-X% search result. */
-    OfflineResult getOrRun(const OfflineSearchSpec &spec);
-
-    /** The memoized time-matched global-DVFS search result. */
-    GlobalResult getOrRun(const GlobalMatchSpec &spec);
-
     /**
-     * Generic resolution for extension artifact types (e.g. the
-     * stress lab's `TraceSpec`, src/eval/trace.hh). `Spec` provides
+     * The memoized artifact of `spec`, built on first request. `Spec`
+     * provides
      *   using Artifact = ...;           // has ArtifactTraits
      *   std::string cacheKey() const;   // exact, namespaced key
      *   std::string describe() const;   // provenance sidecar line
@@ -187,9 +213,9 @@ class ArtifactCache
      *   Artifact build(ArtifactCache &) const;  // compute on a miss
      *                                   // (call noteSimulation per
      *                                   //  simulator execution)
-     * New experiment products plug into the layered store — including
-     * the warm-store zero-simulation replay guarantee — with no
-     * harness changes.
+     * Every experiment product — the six spec types of the file
+     * comment — resolves here, and so shares the layered store and
+     * its warm-store zero-simulation replay.
      */
     template <typename Spec>
     typename Spec::Artifact
@@ -202,8 +228,8 @@ class ArtifactCache
      * getOrRun with a caller-supplied compute for the miss: `build`
      * returns the Spec::Artifact in place of `spec.build(*this)`. This
      * is how a run produces its own warm-up checkpoint
-     * (Runner::runWithOptionalController): the first run to miss warms
-     * its machine, snapshots it, and keeps the machine running.
+     * (runWithController): the first run to miss warms its machine,
+     * snapshots it, and keeps the machine running.
      */
     template <typename Spec, typename Build>
     typename Spec::Artifact
@@ -222,6 +248,18 @@ class ArtifactCache
         if (!decodeArtifact(blob, value))
             mcd_panic("validated artifact blob failed to decode");
         return value;
+    }
+
+    /**
+     * Store `value` as `spec`'s artifact in both layers, unasked: a
+     * by-product of another build (ProfileSpec::build publishes its
+     * run's SimStats this way).
+     */
+    template <typename Spec>
+    void
+    publish(const Spec &spec, const typename Spec::Artifact &value)
+    {
+        publish(spec.cacheKey(), encodeArtifact(value), spec.describe());
     }
 
     /** Count one simulator execution (build callbacks call this). */
@@ -363,11 +401,36 @@ class ArtifactCache
 };
 
 /**
- * Run one ExperimentSpec directly, bypassing the cache for its result.
- * Its warm-up boundary checkpoint still resolves through `cache` (the
- * cache building the result when this runs inside a getOrRun), and so
- * does its side effect: the first call stores the checkpoint there —
- * and in the disk store when `spec.config.store` is set — and a later
+ * The one run sequence every simulation goes through: run
+ * `spec.benchmark` on `spec`'s machine under `controller` (owned by
+ * the caller, which may read it afterwards; null = uncontrolled) in
+ * place of a registry instance of `spec.controller`, streaming
+ * measured intervals to `observer` when given.
+ *
+ * Methodology v2: the warm-up prefix always runs uncontrolled
+ * (domains at the start frequency); the controller and the observer
+ * engage at the measurement boundary, right after
+ * `resetMeasurement()`. The warm-up machine state is therefore a pure
+ * function of (benchmark, mode, start frequency, config), shared by
+ * every controller, so it resolves through one
+ * `CheckpointSpec{at = warmup}` artifact in `cache`: the first run to
+ * miss warms its own machine and snapshots it in place, and every
+ * later variant builds its machine, restores the snapshot and
+ * simulates only the measured window. Counts the instructions it
+ * steps, not the simulation (the caller's artifact build does that).
+ */
+SimStats runWithController(
+    const ExperimentSpec &spec, FrequencyController *controller,
+    ArtifactCache &cache,
+    std::function<void(const IntervalStats &)> observer = {});
+
+/**
+ * Run one ExperimentSpec directly under a registry instance of its
+ * controller, bypassing the cache for its result. Its warm-up
+ * boundary checkpoint still resolves through `cache` (the cache
+ * building the result when this runs inside a getOrRun), and so does
+ * its side effect: the first call stores the checkpoint there — and
+ * in the disk store when `spec.config.store` is set — and a later
  * call for the same benchmark and config restores it instead of
  * simulating the warm-up. Pass a fresh ArtifactCache for an
  * independent, straight-through run.

@@ -19,7 +19,7 @@
  *    cached baseline) share a seed index.
  *
  * The engine backs the figure sweeps (bench/fig4..fig7), the offline
- * Dynamic-X% margin search (Runner::runOfflineDynamic), and any future
+ * Dynamic-X% margin search (OfflineSearchSpec::build), and any future
  * scenario that batches independent runs.
  */
 

@@ -4,12 +4,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <iterator>
-#include <optional>
 
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "common/serial.hh"
-#include "harness/checkpoint.hh"
 #include "harness/experiment.hh"
 #include "harness/parallel_sweep.hh"
 
@@ -96,6 +94,21 @@ appendEnergyConfig(std::string &out, const EnergyConfig &e)
     appendDouble(out, e.mainMemoryAccess);
 }
 
+/** The uncontrolled synchronous machine at `freq`: the operating
+ *  points global DVFS picks from, the full-speed one a baseline every
+ *  figure shares. */
+ExperimentSpec
+synchronousSpec(const RunnerConfig &config, const std::string &bench,
+                Hertz freq)
+{
+    ExperimentSpec spec;
+    spec.benchmark = bench;
+    spec.mode = ClockMode::Synchronous;
+    spec.startFreq = freq;
+    spec.config = config;
+    return spec;
+}
+
 } // namespace
 
 void
@@ -164,65 +177,6 @@ Runner::Runner(const RunnerConfig &config, ArtifactCache &cache)
 }
 
 SimStats
-Runner::runWithOptionalController(
-    const std::string &bench, ClockMode mode, Hertz start_freq,
-    FrequencyController *controller,
-    std::function<void(const IntervalStats &)> observer)
-{
-    auto workload = BenchmarkFactory::create(bench, horizon());
-    SimConfig sim_config = makeSimConfig(config_, mode, start_freq);
-
-    // The machine is built only once the boundary checkpoint is in
-    // hand, or as its build, so a run never holds a second simulator.
-    std::optional<Simulator> sim;
-    auto make = [&]() -> Simulator & {
-        return sim.emplace(sim_config, *workload, nullptr);
-    };
-    std::uint64_t stepped_from = 0;
-    if (config_.warmup > 0) {
-        CheckpointSpec spec;
-        spec.benchmark = bench;
-        spec.mode = mode;
-        spec.startFreq = start_freq;
-        spec.at = config_.warmup;
-        spec.config = config_;
-        SimCheckpoint ckpt = cache_->getOrBuild(spec, [&] {
-            // First to miss: warm up in place, snapshot, carry on.
-            Simulator &warm = make();
-            warm.runTo(spec.at);
-            return SimCheckpoint::capture(warm);
-        });
-        if (!sim) {
-            // By the run-composition contract the restored machine is
-            // bit-identical to having simulated the warm-up here.
-            serial::Reader in(ckpt.state);
-            if (!make().restoreCheckpoint(in))
-                mcd_panic("validated checkpoint artifact failed to "
-                          "restore");
-            stepped_from = sim->committed();
-        }
-        sim->resetMeasurement();
-    } else {
-        make();
-    }
-    sim->engageController(controller);
-    if (observer)
-        sim->setIntervalObserver(std::move(observer));
-    sim->run(config_.instructions);
-    cache_->noteInstructions(sim->committed() - stepped_from);
-    return sim->stats();
-}
-
-SimStats
-Runner::runSynchronous(const std::string &bench, Hertz freq)
-{
-    auto controller = ControllerRegistry::instance().create(
-        ControllerSpec{}); // "none": uncontrolled
-    return runWithOptionalController(bench, ClockMode::Synchronous,
-                                     freq, controller.get(), {});
-}
-
-SimStats
 Runner::runMcdBaseline(const std::string &bench,
                        std::vector<IntervalProfile> *profile)
 {
@@ -235,42 +189,6 @@ Runner::runMcdBaseline(const std::string &bench,
     if (profile)
         *profile = cache_->getOrRun(spec);
     return cache_->getOrRun(spec.experimentSpec());
-}
-
-SimStats
-Runner::runAttackDecay(
-    const std::string &bench, const AttackDecayConfig &adc,
-    std::function<void(const IntervalStats &)> observer)
-{
-    auto controller =
-        ControllerRegistry::instance().create(attackDecaySpec(adc));
-    return runWithOptionalController(bench, ClockMode::Mcd,
-                                     config_.dvfs.freqMax,
-                                     controller.get(),
-                                     std::move(observer));
-}
-
-SimStats
-Runner::runSchedule(const std::string &bench,
-                    const std::vector<FrequencyVector> &schedule)
-{
-    ControllerSpec spec;
-    spec.name = "schedule";
-    spec.schedule = schedule;
-    auto controller = ControllerRegistry::instance().create(spec);
-    return runWithOptionalController(bench, ClockMode::Mcd,
-                                     config_.dvfs.freqMax,
-                                     controller.get(), {});
-}
-
-SimStats
-Runner::runWithController(
-    const std::string &bench, ClockMode mode, Hertz start_freq,
-    FrequencyController &controller,
-    std::function<void(const IntervalStats &)> observer)
-{
-    return runWithOptionalController(bench, mode, start_freq,
-                                     &controller, std::move(observer));
 }
 
 OfflineResult
@@ -288,13 +206,10 @@ Runner::runOfflineDynamic(const std::string &bench, double target_deg,
 }
 
 OfflineResult
-Runner::searchOfflineDynamic(
-    const std::string &bench, double target_deg,
-    const SimStats &mcd_base,
-    const std::vector<IntervalProfile> &profile)
+OfflineSearchSpec::build(ArtifactCache &cache) const
 {
-    DvfsModel dvfs(config_.dvfs);
-    double t_base = static_cast<double>(mcd_base.time);
+    DvfsModel dvfs(config.dvfs);
+    double t_base = static_cast<double>(mcdBase.time);
 
     auto degradation = [&](const SimStats &s) {
         return (static_cast<double>(s.time) - t_base) / t_base;
@@ -302,11 +217,11 @@ Runner::searchOfflineDynamic(
 
     // Every probe is an independent schedule replay of the same
     // benchmark; batches fan out across the sweep engine's workers
-    // through the process-wide ArtifactCache, so a margin probed by an
+    // through the cache building this search, so a margin probed by an
     // earlier search of the same benchmark (the coarse grids of
     // Dynamic-1% and Dynamic-5% coincide) replays only once. Probes
-    // deliberately keep this runner's clock seed (no per-job
-    // derivation): degradation is measured against `mcd_base`, which
+    // deliberately keep this search's clock seed (no per-job
+    // derivation): degradation is measured against `mcdBase`, which
     // consumed exactly that clock stream.
     using Margins = std::array<double, NUM_CONTROLLED>;
     struct Probe
@@ -320,14 +235,14 @@ Runner::searchOfflineDynamic(
         specs.reserve(batch.size());
         for (const Margins &margins : batch) {
             ExperimentSpec spec;
-            spec.benchmark = bench;
+            spec.benchmark = benchmark;
             spec.controller.name = "schedule";
             spec.controller.schedule =
                 deriveSchedule(profile, dvfs, margins);
-            spec.config = config_;
+            spec.config = config;
             specs.push_back(std::move(spec));
         }
-        auto stats = runExperiments(specs, config_.jobs, *cache_);
+        auto stats = runExperiments(specs, config.jobs, cache);
         std::vector<Probe> probes(batch.size());
         for (std::size_t i = 0; i < batch.size(); ++i) {
             probes[i].margins = batch[i];
@@ -347,7 +262,7 @@ Runner::searchOfflineDynamic(
     // Batches are scanned in index order with strict comparisons, so
     // the selected optimum never depends on execution schedule.
     auto consider = [&](const Probe &probe, double shared_margin) {
-        bool feasible = probe.deg <= target_deg;
+        bool feasible = probe.deg <= targetDeg;
         if (feasible &&
             (!have_best ||
              probe.stats.chipEnergy < best.stats.chipEnergy)) {
@@ -471,21 +386,6 @@ Runner::searchOfflineDynamic(
     return best;
 }
 
-// Cached synchronous run at one frequency: the global-DVFS
-// comparators probe synchronous operating points, and the full-speed
-// point in particular is a baseline every figure shares.
-static SimStats
-cachedSynchronous(ArtifactCache &cache, const RunnerConfig &config,
-                  const std::string &bench, Hertz freq)
-{
-    ExperimentSpec spec;
-    spec.benchmark = bench;
-    spec.mode = ClockMode::Synchronous;
-    spec.startFreq = freq;
-    spec.config = config;
-    return cache.getOrRun(spec);
-}
-
 Hertz
 Runner::globalMatchedFrequency(double target_deg) const
 {
@@ -501,7 +401,7 @@ Runner::runGlobalAtDegradation(const std::string &bench,
     GlobalResult result;
     result.freq = globalMatchedFrequency(target_deg);
     result.stats =
-        cachedSynchronous(*cache_, config_, bench, result.freq);
+        cache_->getOrRun(synchronousSpec(config_, bench, result.freq));
     return result;
 }
 
@@ -516,17 +416,19 @@ Runner::runGlobalMatching(const std::string &bench, Tick target_time)
 }
 
 GlobalResult
-Runner::searchGlobalMatching(const std::string &bench,
-                             Tick target_time)
+GlobalMatchSpec::build(ArtifactCache &cache) const
 {
-    const Hertz f_max = config_.dvfs.freqMax;
-    const Hertz f_min = config_.dvfs.freqMin;
+    const Hertz f_max = config.dvfs.freqMax;
+    const Hertz f_min = config.dvfs.freqMin;
+    auto synchronous = [&](Hertz freq) {
+        return cache.getOrRun(synchronousSpec(config, benchmark, freq));
+    };
 
     // Fit T(f) = a + b/f from two calibration runs.
     Hertz f1 = f_max;
     Hertz f2 = 0.5 * (f_max + f_min);
-    SimStats s1 = cachedSynchronous(*cache_, config_, bench, f1);
-    SimStats s2 = cachedSynchronous(*cache_, config_, bench, f2);
+    SimStats s1 = synchronous(f1);
+    SimStats s2 = synchronous(f2);
     double t1 = static_cast<double>(s1.time);
     double t2 = static_cast<double>(s2.time);
     double b = (t2 - t1) / (1.0 / f2 - 1.0 / f1);
@@ -539,9 +441,9 @@ Runner::searchGlobalMatching(const std::string &bench,
         return std::clamp(b / denom, f_min, f_max);
     };
 
-    double target = static_cast<double>(target_time);
+    double target = static_cast<double>(targetTime);
     Hertz f = solve(target);
-    SimStats stats = cachedSynchronous(*cache_, config_, bench, f);
+    SimStats stats = synchronous(f);
 
     // One secant refinement against the measured point.
     double t_f = static_cast<double>(stats.time);
@@ -551,8 +453,7 @@ Runner::searchGlobalMatching(const std::string &bench,
         double denom = target - a;
         if (denom > 0.0 && b2 > 0.0) {
             Hertz f_refined = std::clamp(b2 / denom, f_min, f_max);
-            SimStats refined = cachedSynchronous(*cache_, config_, bench,
-                                                 f_refined);
+            SimStats refined = synchronous(f_refined);
             if (std::abs(static_cast<double>(refined.time) - target) <
                 std::abs(t_f - target)) {
                 stats = refined;

@@ -1,9 +1,11 @@
 /**
  * @file
- * Experiment runner: canonical machine configurations (fully synchronous
- * reference, baseline MCD, Attack/Decay MCD, off-line Dynamic-X% MCD,
- * globally scaled synchronous) and the search drivers that tune the
- * off-line margin and the global-DVFS frequency to a performance target.
+ * Experiment methodology and comparators: the shared RunnerConfig, the
+ * machine it describes, and the Runner's comparator requests (baseline
+ * MCD, off-line Dynamic-X% MCD, globally scaled synchronous). The
+ * search drivers that tune the off-line margin and the global-DVFS
+ * frequency to a performance target are the builds of their specs
+ * (OfflineSearchSpec, GlobalMatchSpec), defined in runner.cc.
  *
  * Every variant of one benchmark consumes the identical micro-op stream
  * (same spec, seed, and horizon) and identical clock seeds, so measured
@@ -14,7 +16,6 @@
 #define MCD_HARNESS_RUNNER_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -92,7 +93,7 @@ struct RunnerConfig
 /**
  * The machine a RunnerConfig describes, assembled for one (mode,
  * start-frequency) operating point. Single definition shared by the
- * runner's execution path and the checkpoint builder
+ * run path (runWithController) and the checkpoint builder
  * (harness/checkpoint.cc) so a restored snapshot always meets the
  * exact machine that produced it.
  */
@@ -117,18 +118,16 @@ struct GlobalResult
 class ArtifactCache;
 
 /**
- * Runs one benchmark under the canonical machine variants. Every
- * variant method is a thin wrapper over one spec-driven path: it
- * builds a ControllerSpec, instantiates it through the
- * ControllerRegistry, and executes under the shared methodology
- * (runWithOptionalController). The declarative layer on top is
- * harness/experiment.hh.
+ * The paper's comparator machines for one benchmark, as requests:
+ * each method builds the spec of its product (harness/experiment.hh)
+ * and resolves it, so a warm store answers without simulating. Every
+ * other machine is an ExperimentSpec resolved directly.
  *
- * Every artifact a Runner requests — warm-up checkpoints, baselines,
- * search probes — resolves through one ArtifactCache: the process-wide
- * instance by default, or the cache building the artifact this Runner
- * computes, so a private cache's nested requests and counters stay in
- * that cache.
+ * Every artifact a Runner requests — baselines, searches and, nested
+ * inside them, probes and warm-up checkpoints — resolves through one
+ * ArtifactCache: the process-wide instance by default, or the cache
+ * it was given, so a private cache's nested requests and counters stay
+ * in that cache.
  */
 class Runner
 {
@@ -141,35 +140,12 @@ class Runner
 
     const RunnerConfig &config() const { return config_; }
 
-    /**
-     * The shared spec-driven execution path: run `bench` under the
-     * standard methodology with a registry-created (possibly null =
-     * uncontrolled) controller. All variant methods and the
-     * ExperimentSpec executor funnel through here.
-     *
-     * Methodology v2: the warm-up prefix always runs uncontrolled
-     * (domains at the start frequency); the controller and the
-     * interval observer engage at the measurement boundary, right
-     * after `resetMeasurement()`. The warm-up machine state is
-     * therefore a pure function of (benchmark, mode, start frequency,
-     * config) — shared by every controller — so it resolves through
-     * one `CheckpointSpec{at = warmup}` artifact: the first run to miss
-     * warms its own machine and snapshots it in place, and every later
-     * variant builds its machine, restores the snapshot and simulates
-     * only the measured window. Counts the instructions it steps, not
-     * the simulation (the caller's artifact build does that).
-     */
-    SimStats runWithOptionalController(
-        const std::string &bench, ClockMode mode, Hertz start_freq,
-        FrequencyController *controller,
-        std::function<void(const IntervalStats &)> observer = {});
-
-    /** Fully synchronous processor at a single global frequency. */
-    SimStats runSynchronous(const std::string &bench, Hertz freq);
+    /** The cache every request of this runner resolves through. */
+    ArtifactCache &cache() const { return *cache_; }
 
     /**
      * Baseline MCD processor (all domains at maximum). Optionally
-     * records the per-interval profile used by the off-line algorithm.
+     * returns the per-interval profile used by the off-line algorithm.
      * Both products — the SimStats and the profile — resolve through
      * the artifact store (ExperimentSpec / ProfileSpec), so a warm
      * store serves them with zero simulations and a cold one pays a
@@ -180,50 +156,12 @@ class Runner
                                 nullptr);
 
     /**
-     * MCD processor under the Attack/Decay controller. Optionally
-     * streams per-interval samples to `observer` (figures 2/3).
-     */
-    SimStats runAttackDecay(
-        const std::string &bench, const AttackDecayConfig &adc,
-        std::function<void(const IntervalStats &)> observer = {});
-
-    /** MCD processor replaying an off-line frequency schedule. */
-    SimStats runSchedule(const std::string &bench,
-                         const std::vector<FrequencyVector> &schedule);
-
-    /**
-     * Escape hatch for custom controllers (extensions, ablations):
-     * run the benchmark under the standard methodology with a caller-
-     * supplied controller.
-     */
-    SimStats runWithController(
-        const std::string &bench, ClockMode mode, Hertz start_freq,
-        FrequencyController &controller,
-        std::function<void(const IntervalStats &)> observer = {});
-
-    /**
      * Off-line Dynamic-X% comparator: tune the schedule margin so the
      * replayed run degrades by `target_deg` over `mcd_base`. The whole
      * search result is an OfflineSearchSpec artifact — a warm store
-     * returns it without probing at all — and on a miss the raw
-     * search (searchOfflineDynamic) runs, whose probes are themselves
-     * ExperimentSpec artifacts, so probes shared between searches
-     * (e.g. the coarse grid of Dynamic-1% and Dynamic-5%) simulate
-     * once and persist.
+     * returns it without probing at all.
      */
     OfflineResult runOfflineDynamic(
-        const std::string &bench, double target_deg,
-        const SimStats &mcd_base,
-        const std::vector<IntervalProfile> &profile);
-
-    /**
-     * The raw off-line search driver behind runOfflineDynamic,
-     * bypassing the search-result memo (probe runs still resolve
-     * through the store): parallel grid batches — coarse grid,
-     * bracketed refinement, then per-domain refinement — fanned
-     * across the sweep workers.
-     */
-    OfflineResult searchOfflineDynamic(
         const std::string &bench, double target_deg,
         const SimStats &mcd_base,
         const std::vector<IntervalProfile> &profile);
@@ -245,30 +183,18 @@ class Runner
 
     /**
      * Global DVFS comparator, time-matched interpretation (ablation):
-     * find the single synchronous frequency whose measured run time
-     * matches `target_time`, using a T(f) = a + b/f model fitted from
-     * two calibration runs plus one secant refinement. Memory-bound
-     * applications barely slow down with frequency, so this
-     * interpretation lets global DVFS cut frequency much deeper.
-     * The search result is a GlobalMatchSpec artifact; a warm store
-     * skips the calibration runs entirely.
+     * the single synchronous frequency whose measured run time matches
+     * `target_time` (GlobalMatchSpec). Memory-bound applications
+     * barely slow down with frequency, so this interpretation lets
+     * global DVFS cut frequency much deeper. A warm store skips the
+     * calibration runs entirely.
      */
     GlobalResult runGlobalMatching(const std::string &bench,
                                    Tick target_time);
 
-    /** The raw calibration search behind runGlobalMatching (its
-     *  synchronous probe runs still resolve through the store). */
-    GlobalResult searchGlobalMatching(const std::string &bench,
-                                      Tick target_time);
-
   private:
     RunnerConfig config_;
     ArtifactCache *cache_;
-
-    std::uint64_t horizon() const
-    {
-        return config_.instructions + config_.warmup;
-    }
 };
 
 } // namespace mcd

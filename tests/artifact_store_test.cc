@@ -574,7 +574,9 @@ TEST_F(StoreTest, GlobalMatchResultPersistsAcrossProcesses)
 
     RunnerConfig config = tinySpec().config;
     Runner runner(config);
-    SimStats sync = runner.runSynchronous("gsm", config.dvfs.freqMax);
+    ExperimentSpec full_speed = tinySpec();
+    full_speed.mode = ClockMode::Synchronous;
+    SimStats sync = cache.getOrRun(full_speed);
     Tick target = static_cast<Tick>(
         static_cast<double>(sync.time) * 1.05);
     GlobalResult cold = runner.runGlobalMatching("gsm", target);

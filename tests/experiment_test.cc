@@ -10,6 +10,9 @@
 
 #include <algorithm>
 
+#include "common/serial.hh"
+#include "eval/trace.hh"
+#include "harness/checkpoint.hh"
 #include "harness/experiment.hh"
 #include "harness/parallel_sweep.hh"
 #include "workload/scenario_registry.hh"
@@ -197,6 +200,68 @@ TEST(ExperimentSpec, OfflineSearchKeysAreDigestSizedNotPayloadSized)
     OfflineSearchSpec flipped_base = big;
     flipped_base.mcdBase.chipEnergy += 1.0;
     EXPECT_NE(big.cacheKey(), flipped_base.cacheKey());
+}
+
+/**
+ * The exact key bytes of one spec of each of the six types, pinned as
+ * FNV-1a digests. A changed key silently turns every existing store
+ * cold, so a key change must be deliberate: bump the namespace or
+ * methodology version, then update the literal here.
+ */
+TEST(ExperimentSpec, CacheKeyDigestsArePinned)
+{
+    const RunnerConfig config = tinyConfig();
+
+    ExperimentSpec experiment =
+        tinySpec("gsm", attackDecaySpec(AttackDecayConfig{}));
+
+    ProfileSpec profile;
+    profile.benchmark = "gsm";
+    profile.config = config;
+
+    OfflineSearchSpec search;
+    search.benchmark = "mcf";
+    search.targetDeg = 0.05;
+    search.mcdBase.instructions = 4000;
+    search.mcdBase.time = 123456789;
+    search.mcdBase.chipEnergy = 42.5;
+    IntervalProfile interval;
+    interval.instructions = 500;
+    interval.ipc = 1.25;
+    interval.issued[CTL_INT] = 7;
+    search.profile = {interval, interval};
+    search.config = config;
+
+    GlobalMatchSpec global;
+    global.benchmark = "em3d";
+    global.targetTime = 987654321;
+    global.config = config;
+
+    CheckpointSpec checkpoint;
+    checkpoint.benchmark = "adpcm";
+    checkpoint.mode = ClockMode::Synchronous;
+    checkpoint.startFreq = 0.75e9;
+    checkpoint.at = 1000;
+    checkpoint.config = config;
+
+    TraceSpec trace;
+    trace.benchmark = "epic";
+    trace.controller = attackDecaySpec(scaledAttackDecayConfig());
+    trace.oracle = {FrequencyVector{1.0e9, 0.5e9, 0.75e9}};
+    trace.config = config;
+
+    EXPECT_EQ(serial::fnv1a(experiment.cacheKey()),
+              0x942cb2d0e609aabfull);
+    EXPECT_EQ(serial::fnv1a(profile.cacheKey()),
+              0x79091cba8a8c41f9ull);
+    EXPECT_EQ(serial::fnv1a(search.cacheKey()),
+              0x3c6e1994f8bd9c24ull);
+    EXPECT_EQ(serial::fnv1a(global.cacheKey()),
+              0x92b97f47d6e8f310ull);
+    EXPECT_EQ(serial::fnv1a(checkpoint.cacheKey()),
+              0xac50ad00b4314216ull);
+    EXPECT_EQ(serial::fnv1a(trace.cacheKey()),
+              0xa68a5433cbd509d1ull);
 }
 
 TEST(ExperimentSpec, DescribeNamesTheSpecForProvenance)

@@ -9,8 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "control/attack_decay.hh"
+#include "harness/experiment.hh"
 #include "harness/metrics.hh"
-#include "harness/runner.hh"
 
 namespace mcd
 {
@@ -19,6 +19,18 @@ namespace
 
 constexpr Hertz F_MIN = 250.0e6;
 constexpr Hertz F_MAX = 1.0e9;
+
+/** `bench` on the MCD machine of `config`, named by `controller`. */
+ExperimentSpec
+mcdSpec(const RunnerConfig &config, const std::string &bench,
+        const ControllerSpec &controller = ControllerSpec{})
+{
+    ExperimentSpec spec;
+    spec.benchmark = bench;
+    spec.controller = controller;
+    spec.config = config;
+    return spec;
+}
 
 TEST(AttackDecayStep, AttackUpOnUtilizationIncrease)
 {
@@ -132,13 +144,14 @@ TEST(FrontEndExtension, DecaysFrontEndWhenRobIsFlat)
     config.instructions = 40000;
     config.warmup = 5000;
     config.intervalInstructions = 500;
-    Runner runner(config);
     AttackDecayConfig adc;
     adc.decay = 0.0125;
     FrontEndAttackDecayController controller(adc);
     double min_fe = 1.0e9;
-    runner.runWithController(
-        "adpcm", ClockMode::Mcd, 1.0e9, controller,
+    runWithController(
+        mcdSpec(config, "adpcm",
+                attackDecaySpec(adc, "frontend_attack_decay")),
+        &controller, ArtifactCache::instance(),
         [&](const IntervalStats &stats) {
             min_fe = std::min(min_fe, stats.feFrequency);
         });
@@ -181,8 +194,8 @@ TEST(FrontEndExtension, FrontEndSlowdownHurtsHighIpcAppsMost)
     auto degradation = [&](const char *bench) {
         SimStats base = runner.runMcdBaseline(bench);
         Pinned slow(0.5e9); // halved front end
-        SimStats pinned = runner.runWithController(
-            bench, ClockMode::Mcd, 1.0e9, slow);
+        SimStats pinned = runWithController(
+            mcdSpec(config, bench), &slow, runner.cache());
         return compare(base, pinned).perfDegradation;
     };
 
@@ -200,12 +213,12 @@ TEST(FrontEndExtension, BackEndBehaviorMatchesPlainController)
     RunnerConfig config;
     config.instructions = 30000;
     config.warmup = 5000;
-    Runner runner(config);
     AttackDecayConfig adc;
-    SimStats plain = runner.runAttackDecay("swim", adc);
-    FrontEndAttackDecayController controller(adc);
-    SimStats extended = runner.runWithController(
-        "swim", ClockMode::Mcd, 1.0e9, controller);
+    ArtifactCache &cache = ArtifactCache::instance();
+    SimStats plain =
+        cache.getOrRun(mcdSpec(config, "swim", attackDecaySpec(adc)));
+    SimStats extended = cache.getOrRun(mcdSpec(
+        config, "swim", attackDecaySpec(adc, "frontend_attack_decay")));
     // Both are valid runs of the same workload.
     EXPECT_EQ(plain.instructions, extended.instructions);
     // The extension can only add front-end slowdown.

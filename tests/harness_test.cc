@@ -9,8 +9,9 @@
 
 #include <cstdlib>
 
+#include "harness/artifact.hh"
+#include "harness/experiment.hh"
 #include "harness/metrics.hh"
-#include "harness/runner.hh"
 #include "harness/table.hh"
 
 namespace mcd
@@ -124,10 +125,31 @@ tinyConfig()
     return config;
 }
 
+/** `bench` on the tiny machine, resolved through the cache. */
+SimStats
+run(const std::string &bench,
+    const ControllerSpec &controller = ControllerSpec{},
+    ClockMode mode = ClockMode::Mcd)
+{
+    ExperimentSpec spec;
+    spec.benchmark = bench;
+    spec.mode = mode;
+    spec.controller = controller;
+    spec.config = tinyConfig();
+    return ArtifactCache::instance().getOrRun(spec);
+}
+
+/** The fully synchronous machine at 1 GHz (f_max). */
+SimStats
+synchronous(const std::string &bench)
+{
+    return run(bench, ControllerSpec{}, ClockMode::Synchronous);
+}
+
 TEST(Runner, SynchronousAndMcdBaselines)
 {
     Runner runner(tinyConfig());
-    SimStats sync = runner.runSynchronous("gsm", 1.0e9);
+    SimStats sync = synchronous("gsm");
     SimStats mcd = runner.runMcdBaseline("gsm");
     EXPECT_EQ(sync.instructions, 20000u);
     EXPECT_EQ(mcd.instructions, 20000u);
@@ -155,7 +177,7 @@ TEST(Runner, AttackDecaySavesEnergyOnPhasedWorkload)
 {
     Runner runner(tinyConfig());
     SimStats mcd = runner.runMcdBaseline("adpcm");
-    SimStats ad = runner.runAttackDecay("adpcm", AttackDecayConfig{});
+    SimStats ad = run("adpcm", attackDecaySpec(AttackDecayConfig{}));
     ComparisonMetrics m = compare(mcd, ad);
     EXPECT_GT(m.energySavings, 0.01);
     EXPECT_LT(m.perfDegradation, 0.15);
@@ -163,11 +185,14 @@ TEST(Runner, AttackDecaySavesEnergyOnPhasedWorkload)
 
 TEST(Runner, ScheduleRunsApplySchedules)
 {
-    Runner runner(tinyConfig());
-    SimStats fast = runner.runSchedule(
-        "gsm", {FrequencyVector{1.0e9, 1.0e9, 1.0e9}});
-    SimStats slow = runner.runSchedule(
-        "gsm", {FrequencyVector{250.0e6, 250.0e6, 250.0e6}});
+    auto replay = [](Hertz freq) {
+        ControllerSpec schedule;
+        schedule.name = "schedule";
+        schedule.schedule = {FrequencyVector{freq, freq, freq}};
+        return run("gsm", schedule);
+    };
+    SimStats fast = replay(1.0e9);
+    SimStats slow = replay(250.0e6);
     EXPECT_GT(slow.time, fast.time);
     EXPECT_LT(slow.chipEnergy, fast.chipEnergy);
 }
@@ -203,7 +228,7 @@ TEST(Runner, GlobalAtDegradationScalesFrequency)
     Runner runner(tinyConfig());
     GlobalResult result = runner.runGlobalAtDegradation("gsm", 0.10);
     EXPECT_NEAR(result.freq, 1.0e9 / 1.10, 1.0e9 / 1.10 * 0.01);
-    SimStats sync = runner.runSynchronous("gsm", 1.0e9);
+    SimStats sync = synchronous("gsm");
     ComparisonMetrics m = compare(sync, result.stats);
     EXPECT_GT(m.perfDegradation, 0.0);
     EXPECT_GT(m.energySavings, 0.0);
@@ -212,7 +237,7 @@ TEST(Runner, GlobalAtDegradationScalesFrequency)
 TEST(Runner, GlobalMatchingHitsTargetTime)
 {
     Runner runner(tinyConfig());
-    SimStats sync = runner.runSynchronous("gsm", 1.0e9);
+    SimStats sync = synchronous("gsm");
     Tick target = static_cast<Tick>(
         static_cast<double>(sync.time) * 1.08);
     GlobalResult result = runner.runGlobalMatching("gsm", target);
@@ -321,13 +346,24 @@ TEST(Runner, EnvOverridesPartialSetTouchesOnlyThatKnob)
 
 TEST(Runner, IdenticalVariantsShareTheWorkloadStream)
 {
-    // Two baseline runs of the same benchmark must be bit-identical:
-    // the workload and clocks are seeded deterministically.
-    Runner runner(tinyConfig());
-    SimStats a = runner.runMcdBaseline("bh");
-    SimStats b = runner.runMcdBaseline("bh");
-    EXPECT_EQ(a.time, b.time);
-    EXPECT_DOUBLE_EQ(a.chipEnergy, b.chipEnergy);
+    // Two simulations of the same baseline run must be byte-identical:
+    // the workload and clocks are seeded deterministically. Each runs
+    // on a fresh cache, so neither is a cache hit or a checkpoint
+    // restore: both step the whole warm-up and measured window.
+    ProfileSpec baseline;
+    baseline.benchmark = "bh";
+    baseline.config = tinyConfig();
+    ArtifactCache first;
+    ArtifactCache second;
+    std::string a =
+        encodeArtifact(runExperiment(baseline.experimentSpec(), first));
+    std::string b =
+        encodeArtifact(runExperiment(baseline.experimentSpec(), second));
+    EXPECT_GE(first.simulatedInstructions(),
+              baseline.config.warmup + baseline.config.instructions);
+    EXPECT_EQ(first.simulatedInstructions(),
+              second.simulatedInstructions());
+    EXPECT_EQ(a, b);
 }
 
 } // namespace

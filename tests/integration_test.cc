@@ -10,11 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "control/attack_decay.hh"
+#include "harness/experiment.hh"
 #include "harness/metrics.hh"
-#include "harness/runner.hh"
 
 namespace mcd
 {
@@ -31,13 +32,49 @@ integrationConfig(std::uint64_t insts = 60000)
     return config;
 }
 
+/** `bench` on `runner`'s machine, resolved through its cache. */
+SimStats
+run(const Runner &runner, const std::string &bench,
+    const ControllerSpec &controller, ClockMode mode = ClockMode::Mcd)
+{
+    ExperimentSpec spec;
+    spec.benchmark = bench;
+    spec.mode = mode;
+    spec.controller = controller;
+    spec.config = runner.config();
+    return runner.cache().getOrRun(spec);
+}
+
+/** The fully synchronous machine at 1 GHz (f_max). */
+SimStats
+synchronous(const Runner &runner, const std::string &bench)
+{
+    return run(runner, bench, ControllerSpec{}, ClockMode::Synchronous);
+}
+
+/** Attack/Decay with the paper's configuration; `observer` sees every
+ *  measured interval. */
+SimStats
+attackDecay(const Runner &runner, const std::string &bench,
+            std::function<void(const IntervalStats &)> observer)
+{
+    ExperimentSpec spec;
+    spec.benchmark = bench;
+    spec.controller = attackDecaySpec(AttackDecayConfig{});
+    spec.config = runner.config();
+    auto controller =
+        ControllerRegistry::instance().create(spec.controller);
+    return runWithController(spec, controller.get(), runner.cache(),
+                             std::move(observer));
+}
+
 TEST(Integration, InherentMcdDegradationIsSmall)
 {
     // Section 2: the MCD fabric itself costs a few percent at most.
     Runner runner(integrationConfig());
     std::vector<ComparisonMetrics> all;
     for (const char *bench : {"gsm", "epic", "gcc", "power"}) {
-        SimStats sync = runner.runSynchronous(bench, 1.0e9);
+        SimStats sync = synchronous(runner, bench);
         SimStats mcd = runner.runMcdBaseline(bench);
         all.push_back(compare(sync, mcd));
     }
@@ -52,7 +89,7 @@ TEST(Integration, McdClockOverheadNearThreePercent)
     // baseline MCD EPI against synchronous EPI after factoring out the
     // time stretch (base energy scales with cycles).
     Runner runner(integrationConfig());
-    SimStats sync = runner.runSynchronous("gsm", 1.0e9);
+    SimStats sync = synchronous(runner, "gsm");
     SimStats mcd = runner.runMcdBaseline("gsm");
     double time_ratio = static_cast<double>(mcd.time) /
                         static_cast<double>(sync.time);
@@ -68,12 +105,10 @@ TEST(Integration, AttackDecayDropsIdleFpDomain)
     // frequency must decay well below maximum.
     Runner runner(integrationConfig());
     double min_fp_freq = 1.0e9;
-    runner.runAttackDecay("adpcm", AttackDecayConfig{},
-                          [&](const IntervalStats &stats) {
-                              min_fp_freq = std::min(
-                                  min_fp_freq,
-                                  stats.domains[CTL_FP].frequency);
-                          });
+    attackDecay(runner, "adpcm", [&](const IntervalStats &stats) {
+        min_fp_freq = std::min(min_fp_freq,
+                               stats.domains[CTL_FP].frequency);
+    });
     EXPECT_LT(min_fp_freq, 0.9e9);
 }
 
@@ -87,9 +122,8 @@ TEST(Integration, AttackDecayStaysGentleOnMcf)
     Runner runner(integrationConfig(40000));
     SimStats mcd = runner.runMcdBaseline("mcf");
     double min_freq = 1.0e9;
-    SimStats ad = runner.runAttackDecay(
-        "mcf", AttackDecayConfig{},
-        [&](const IntervalStats &stats) {
+    SimStats ad = attackDecay(
+        runner, "mcf", [&](const IntervalStats &stats) {
             for (int slot = 0; slot < NUM_CONTROLLED; ++slot)
                 min_freq = std::min(
                     min_freq,
@@ -109,14 +143,10 @@ TEST(Integration, AttackDecayRespondsToFpPhases)
     Runner runner(integrationConfig(120000));
     std::vector<double> freq;
     std::vector<double> util;
-    runner.runAttackDecay("epic", AttackDecayConfig{},
-                          [&](const IntervalStats &stats) {
-                              freq.push_back(
-                                  stats.domains[CTL_FP].frequency);
-                              util.push_back(
-                                  stats.domains[CTL_FP]
-                                      .queueUtilization);
-                          });
+    attackDecay(runner, "epic", [&](const IntervalStats &stats) {
+        freq.push_back(stats.domains[CTL_FP].frequency);
+        util.push_back(stats.domains[CTL_FP].queueUtilization);
+    });
     ASSERT_GT(freq.size(), 50u);
     double min_freq = *std::min_element(freq.begin(), freq.end());
     double max_util = *std::max_element(util.begin(), util.end());
@@ -141,8 +171,8 @@ TEST(Integration, AttackDecayBeatsBaselineEnergyAcrossClasses)
     Runner runner(integrationConfig());
     for (const char *bench : {"adpcm", "epic", "mcf", "swim"}) {
         SimStats mcd = runner.runMcdBaseline(bench);
-        SimStats ad = runner.runAttackDecay(bench,
-                                            AttackDecayConfig{});
+        SimStats ad =
+            run(runner, bench, attackDecaySpec(AttackDecayConfig{}));
         ComparisonMetrics m = compare(mcd, ad);
         EXPECT_GT(m.energySavings, 0.0) << bench;
         EXPECT_LT(m.perfDegradation, 0.20) << bench;
@@ -173,7 +203,7 @@ TEST(Integration, GlobalScalingRatioIsNearTwo)
     Runner runner(integrationConfig());
     std::vector<ComparisonMetrics> all;
     for (const char *bench : {"gsm", "adpcm", "power", "pegwit"}) {
-        SimStats sync = runner.runSynchronous(bench, 1.0e9);
+        SimStats sync = synchronous(runner, bench);
         GlobalResult global =
             runner.runGlobalAtDegradation(bench, 0.05);
         all.push_back(compare(sync, global.stats));
@@ -191,9 +221,9 @@ TEST(Integration, McdAttackDecayBeatsGlobalRatio)
     std::vector<ComparisonMetrics> ad_all, global_all;
     for (const char *bench : {"adpcm", "epic", "gsm", "power"}) {
         SimStats mcd = runner.runMcdBaseline(bench);
-        SimStats sync = runner.runSynchronous(bench, 1.0e9);
-        SimStats ad = runner.runAttackDecay(bench,
-                                            AttackDecayConfig{});
+        SimStats sync = synchronous(runner, bench);
+        SimStats ad =
+            run(runner, bench, attackDecaySpec(AttackDecayConfig{}));
         ad_all.push_back(compare(mcd, ad));
         GlobalResult global =
             runner.runGlobalAtDegradation(bench, 0.05);
@@ -209,8 +239,10 @@ TEST(Integration, SlewedVsImmediateFrequencyChangesDiffer)
     // through the slewing path (via target changes each interval in
     // AttackDecay) must not be identical to the immediate path.
     Runner runner(integrationConfig(30000));
-    SimStats immediate = runner.runSchedule(
-        "gsm", {FrequencyVector{600.0e6, 600.0e6, 600.0e6}});
+    ControllerSpec schedule;
+    schedule.name = "schedule";
+    schedule.schedule = {FrequencyVector{600.0e6, 600.0e6, 600.0e6}};
+    SimStats immediate = run(runner, "gsm", schedule);
     // The same end state reached through a slew from 1 GHz.
     auto workload = BenchmarkFactory::create(
         "gsm", runner.config().instructions + runner.config().warmup);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
+#include "harness/experiment.hh"
 #include "harness/metrics.hh"
 #include "harness/parallel_sweep.hh"
 
@@ -210,7 +211,11 @@ TEST(ParallelSweep, AggregationIsIndependentOfCompletionOrder)
         auto base = tinySweep(workers, baseline);
         auto variant = tinySweep(
             workers, [](Runner &runner, const std::string &name) {
-                return runner.runAttackDecay(name, AttackDecayConfig{});
+                ExperimentSpec spec;
+                spec.benchmark = name;
+                spec.controller = attackDecaySpec(AttackDecayConfig{});
+                spec.config = runner.config();
+                return runExperiment(spec, runner.cache());
             });
         std::vector<ComparisonMetrics> all;
         for (std::size_t i = 0; i < base.size(); ++i)
