@@ -10,6 +10,7 @@
  *   ./build/example_experiment_spec_demo
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -69,11 +70,12 @@ main()
                     results[i].chipEnergy);
     }
 
-    ArtifactCache &cache = ArtifactCache::instance();
-    std::printf("\n%llu specs requested, %llu simulations run, "
+    // The cache's own lookup and hit counts also include each run's
+    // warm-up checkpoint request, so count specs here.
+    std::uint64_t simulated = ArtifactCache::instance().simulationsRun();
+    std::printf("\n%zu specs requested, %llu simulations run, "
                 "%llu served from the cache\n",
-                static_cast<unsigned long long>(cache.lookups()),
-                static_cast<unsigned long long>(cache.simulationsRun()),
-                static_cast<unsigned long long>(cache.hits()));
+                specs.size(), static_cast<unsigned long long>(simulated),
+                static_cast<unsigned long long>(specs.size() - simulated));
     return 0;
 }

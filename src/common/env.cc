@@ -73,15 +73,6 @@ splitList(const std::string &text)
 }
 
 std::vector<std::string>
-envList(const char *name)
-{
-    const char *s = std::getenv(name);
-    if (!s || !*s)
-        return {};
-    return splitList(s);
-}
-
-std::vector<std::string>
 splitScenarioList(const std::string &text)
 {
     std::vector<std::string> items;

@@ -43,13 +43,6 @@ std::uint64_t envU64(const char *name, std::uint64_t fallback,
 std::string envString(const char *name,
                       const std::string &fallback = "");
 
-/**
- * Split environment variable `name` on commas, dropping empty items.
- * Returns an empty vector when the variable is unset or holds no
- * non-empty items ("", ",,,").
- */
-std::vector<std::string> envList(const char *name);
-
 /** Split an arbitrary string on commas, dropping empty items. */
 std::vector<std::string> splitList(const std::string &text);
 

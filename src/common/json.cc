@@ -333,13 +333,6 @@ Value::getU64(const std::string &key, std::uint64_t fallback) const
 }
 
 bool
-Value::getBool(const std::string &key, bool fallback) const
-{
-    const Value *v = get(key);
-    return v && v->isBool() ? v->boolean : fallback;
-}
-
-bool
 parse(const std::string &text, Value &out, std::string *error)
 {
     out = Value{};

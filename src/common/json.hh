@@ -72,9 +72,6 @@ class Value
      *  negative numbers return `fallback`. */
     std::uint64_t getU64(const std::string &key,
                          std::uint64_t fallback) const;
-
-    /** The member's bool, or `fallback` when absent/not a bool. */
-    bool getBool(const std::string &key, bool fallback) const;
 };
 
 /**

@@ -91,13 +91,4 @@ Rng::Rng(std::uint64_t seed)
         state_[0] = 1;
 }
 
-int
-Rng::burstLength(double p, int cap)
-{
-    int n = 1;
-    while (n < cap && chance(p))
-        ++n;
-    return n;
-}
-
 } // namespace mcd

@@ -110,13 +110,6 @@ class Rng
      *  built on first use. */
     static const double *normalQuantiles();
 
-    /**
-     * Geometric-ish burst length: number of consecutive successes with
-     * continuation probability p, capped at `cap`. Used by the workload
-     * generators for run lengths.
-     */
-    int burstLength(double p, int cap);
-
     /** Raw generator state (checkpointing). Every draw is a pure
      *  function of this state, so save/restore reproduces the stream
      *  bit-for-bit. */

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/core_config.hh"
+
 namespace mcd
 {
 
@@ -104,20 +106,18 @@ ScheduleController::onInterval(const IntervalStats &stats,
 
 std::vector<FrequencyVector>
 deriveSchedule(const std::vector<IntervalProfile> &profile,
-               const DvfsModel &dvfs, double margin,
-               const ScheduleMachineInfo &machine)
-{
-    std::array<double, NUM_CONTROLLED> margins;
-    margins.fill(margin);
-    return deriveSchedule(profile, dvfs, margins, machine);
-}
-
-std::vector<FrequencyVector>
-deriveSchedule(const std::vector<IntervalProfile> &profile,
                const DvfsModel &dvfs,
                const std::array<double, NUM_CONTROLLED> &margins,
-               const ScheduleMachineInfo &machine)
+               const CoreConfig &core)
 {
+    const double issue_width[NUM_CONTROLLED] = {
+        static_cast<double>(core.intIssueWidth),
+        static_cast<double>(core.fpIssueWidth),
+        static_cast<double>(core.memIssueWidth)};
+    const double queue_size[NUM_CONTROLLED] = {
+        static_cast<double>(core.intIqSize),
+        static_cast<double>(core.fpIqSize),
+        static_cast<double>(core.lsqSize)};
     Hertz f_max = dvfs.config().freqMax;
     Hertz f_min = dvfs.config().freqMin;
     std::vector<FrequencyVector> schedule;
@@ -135,10 +135,10 @@ deriveSchedule(const std::vector<IntervalProfile> &profile,
             double cycles = static_cast<double>(p.cycles[s]);
             double bandwidth = cycles > 0.0
                 ? static_cast<double>(p.issued[s]) /
-                  (machine.issueWidth[s] * cycles)
+                  (issue_width[s] * cycles)
                 : 0.0;
             double pressure =
-                p.avgOccupancy[s] / machine.queueSize[s] * flow;
+                p.avgOccupancy[s] / queue_size[s] * flow;
             double demand = std::max(bandwidth, pressure);
             double scale = std::min(1.0, demand + margins[s]);
             freqs[s] = std::clamp(f_max * scale, f_min, f_max);

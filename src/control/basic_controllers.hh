@@ -17,6 +17,8 @@
 namespace mcd
 {
 
+struct CoreConfig;
+
 /** Per-interval, per-controlled-domain frequency assignment. */
 using FrequencyVector = std::array<Hertz, NUM_CONTROLLED>;
 
@@ -102,42 +104,28 @@ class ScheduleController : public FrequencyController
     void apply(ClockSystem &clocks, const FrequencyVector &freqs);
 };
 
-/** Structural knowledge deriveSchedule needs about the machine. */
-struct ScheduleMachineInfo
-{
-    std::array<double, NUM_CONTROLLED> issueWidth{4.0, 2.0, 2.0};
-    std::array<double, NUM_CONTROLLED> queueSize{20.0, 15.0, 64.0};
-};
-
 /**
- * Derive a per-interval schedule from a profile. Per domain and
- * interval the demand estimate is
+ * Derive a per-interval schedule from a profile of a run of the
+ * machine `core`. Per domain and interval the demand estimate is
  *
  *   demand = max(issued / (issueWidth * cycles),  avgOccupancy / qsize)
  *
- * i.e. a domain needs frequency in proportion to how much of its issue
- * bandwidth it used, but a domain whose input queue is under pressure
- * (occupancy high — e.g. the load/store domain of a memory-bound
- * program) must stay fast regardless. Each domain then runs at
- * f_max * min(1, demand + margin); the margin is the single
- * aggressiveness knob the off-line search tunes against the
- * performance-degradation cap (Dynamic-1% / Dynamic-5%).
+ * with the domain's issue width and input-queue size taken from
+ * `core`, i.e. a domain needs frequency in proportion to how much of
+ * its issue bandwidth it used, but a domain whose input queue is under
+ * pressure (occupancy high — e.g. the load/store domain of a
+ * memory-bound program) must stay fast regardless. Each domain then
+ * runs at f_max * min(1, demand + margin); the per-domain margins are
+ * the aggressiveness knobs the off-line search tunes against the
+ * performance-degradation cap (Dynamic-1% / Dynamic-5%), refining each
+ * domain independently (a cheap stand-in for the per-interval slack
+ * distribution of the original shaker algorithm).
  */
-std::vector<FrequencyVector>
-deriveSchedule(const std::vector<IntervalProfile> &profile,
-               const DvfsModel &dvfs, double margin,
-               const ScheduleMachineInfo &machine =
-                   ScheduleMachineInfo{});
-
-/** Per-domain margins: the search refines each domain independently
- *  (a cheap stand-in for the per-interval slack distribution of the
- *  original shaker algorithm). */
 std::vector<FrequencyVector>
 deriveSchedule(const std::vector<IntervalProfile> &profile,
                const DvfsModel &dvfs,
                const std::array<double, NUM_CONTROLLED> &margins,
-               const ScheduleMachineInfo &machine =
-                   ScheduleMachineInfo{});
+               const CoreConfig &core);
 
 } // namespace mcd
 

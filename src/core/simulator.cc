@@ -159,12 +159,6 @@ Simulator::quietRunCounter()
     return telemetry::StatRegistry::instance().counter("sim.quiet_runs");
 }
 
-Volt
-Simulator::voltage(DomainId domain) const
-{
-    return clocks_.clock(domain).voltage();
-}
-
 std::uint64_t
 Simulator::lineOf(std::uint64_t addr) const
 {
@@ -1842,58 +1836,6 @@ Simulator::restoreCheckpoint(serial::Reader &outer)
 // ---------------------------------------------------------------------
 // Statistics
 // ---------------------------------------------------------------------
-
-void
-Simulator::dumpStats(StatDump &dump) const
-{
-    SimStats s = stats(); // flushes pending charges
-    dump.set("run.instructions", static_cast<double>(s.instructions));
-    dump.set("run.fe_cycles", static_cast<double>(s.feCycles));
-    dump.set("run.time_ps", static_cast<double>(s.time));
-    dump.set("run.cpi", s.cpi);
-    dump.set("run.epi_nj", s.epi);
-    dump.set("run.chip_energy_nj", s.chipEnergy);
-
-    dump.set("bpred.branches", static_cast<double>(s.branches));
-    dump.set("bpred.mispredicts", static_cast<double>(s.mispredicts));
-    dump.set("bpred.accuracy",
-             s.branches ? 1.0 - static_cast<double>(s.mispredicts) /
-                                    static_cast<double>(s.branches)
-                        : 0.0);
-
-    dump.set("mem.loads", static_cast<double>(s.loads));
-    dump.set("mem.stores", static_cast<double>(s.stores));
-    dump.set("mem.l1d_miss_rate", memory_.l1d().missRate());
-    dump.set("mem.l1i_miss_rate", memory_.l1i().missRate());
-    dump.set("mem.l2_miss_rate", memory_.l2().missRate());
-    dump.set("mem.main_transfers",
-             static_cast<double>(memory_.memory().transfers()));
-    dump.set("mem.channel_queueing_ps",
-             static_cast<double>(memory_.memory().queueingTime()));
-
-    for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
-        auto id = static_cast<DomainId>(d);
-        std::string prefix = std::string("domain.") + domainName(id);
-        const DomainClock &clock = clocks_.clock(id);
-        dump.set(prefix + ".cycles",
-                 static_cast<double>(clock.cycles()));
-        dump.set(prefix + ".frequency_hz", clock.frequency());
-        dump.set(prefix + ".voltage", clock.voltage());
-        dump.set(prefix + ".freq_changes",
-                 static_cast<double>(clock.frequencyChanges()));
-        dump.set(prefix + ".energy_nj", power_.domainEnergy(id));
-        dump.set(prefix + ".base_energy_nj",
-                 power_.domainBaseEnergy(id));
-    }
-
-    for (int st = 0; st < NUM_STRUCTURES; ++st) {
-        auto id = static_cast<StructureId>(st);
-        dump.set(std::string("structure.") + structureName(id) +
-                     ".energy_nj",
-                 power_.structureEnergy(id));
-    }
-    dump.set("external.energy_nj", power_.externalEnergy());
-}
 
 SimStats
 Simulator::stats() const

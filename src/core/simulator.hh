@@ -243,13 +243,6 @@ class Simulator
     SimStats stats() const;
 
     /**
-     * Full machine-readable statistics dump: run counters, per-domain
-     * cycles/frequencies/energy, per-structure energy, cache and
-     * predictor statistics, and main-memory channel metrics.
-     */
-    void dumpStats(StatDump &dump) const;
-
-    /**
      * Serialize the entire machine — SimState, clocks, caches,
      * predictor, register files, energy accumulators (pending charge
      * batch included, so flush points replay identically), and the
@@ -277,7 +270,7 @@ class Simulator
     /**
      * Domain edges this instance has stepped, and how many of them were
      * quiet (no stage ran; see the file comment). Diagnostics only: not
-     * part of SimStats, artifacts, checkpoints or dumpStats. When the
+     * part of SimStats, artifacts or checkpoints. When the
      * profiler is on, the destructor adds both into edgeCounter().
      */
     std::uint64_t
@@ -573,7 +566,6 @@ class Simulator
                      std::uint64_t word);
     void removeStore(std::size_t slot);
 
-    Volt voltage(DomainId domain) const;
     std::uint64_t lineOf(std::uint64_t addr) const;
 };
 

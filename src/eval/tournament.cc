@@ -39,7 +39,7 @@ scoreScenario(const std::string &scenario,
     std::array<double, NUM_CONTROLLED> margins;
     margins.fill(oracle.margin);
     std::vector<FrequencyVector> schedule =
-        deriveSchedule(profile, dvfs, margins);
+        deriveSchedule(profile, dvfs, margins, config.core);
 
     // Methodology v2: traces, profiles, and oracle schedules all start
     // at the measurement boundary, so their indices align from 0 and

@@ -331,51 +331,6 @@ DiskStore::bytes() const
     return total;
 }
 
-std::vector<DiskStore::EntryInfo>
-DiskStore::enumerate() const
-{
-    std::vector<EntryInfo> infos;
-    std::set<std::string> sidecars;
-    std::error_code ec;
-    for (const auto &entry : fs::directory_iterator(root_, ec)) {
-        if (!entry.is_regular_file())
-            continue;
-        std::string name = entry.path().filename().string();
-        if (hasStoreName(name, SIDECAR_EXT)) {
-            sidecars.insert(name.substr(0, 16));
-            continue;
-        }
-        if (!hasStoreName(name, ENTRY_EXT))
-            continue;
-        EntryInfo info;
-        info.stem = name.substr(0, 16);
-        info.path = entry.path().string();
-        std::error_code stat_ec;
-        auto size = entry.file_size(stat_ec);
-        if (stat_ec)
-            continue; // vanished mid-scan (a concurrent prune)
-        info.bytes = size;
-        info.ageSeconds = fileAgeSeconds(entry.path(), stat_ec);
-        infos.push_back(std::move(info));
-    }
-    std::sort(infos.begin(), infos.end(),
-              [](const EntryInfo &a, const EntryInfo &b) {
-                  return a.stem < b.stem;
-              });
-    for (auto &info : infos)
-        info.hasSidecar = sidecars.count(info.stem) != 0;
-    return infos;
-}
-
-bool
-DiskStore::removeEntry(const std::string &key)
-{
-    std::error_code ec;
-    bool removed = fs::remove(pathFor(key), ec) && !ec;
-    fs::remove(sidecarPathFor(key), ec);
-    return removed;
-}
-
 DiskStore::PruneReport
 DiskStore::prune(const PruneOptions &options)
 {

@@ -12,14 +12,13 @@
  *    checksum; short, corrupt, mismatched-key (hash collision), or
  *    stale-format entries read as misses, never as wrong values.
  *
- * `DiskStore` also owns the store's lifecycle: `enumerate()` lists the
- * entries, `removeEntry()` deletes one, and `prune()` garbage-collects
- * — age- and size-budget eviction of entries plus a sweep of stale
- * `*.tmp.*` files orphaned by writers that died between temp-write and
- * rename. A `put` may carry a human-readable provenance string, which
- * the disk backend persists as a `<hash>.meta` sidecar next to the
- * entry so external tooling can tell what a hash is. Sidecars and temp
- * files are never counted by `entries()`/`bytes()`.
+ * `DiskStore` also owns the store's lifecycle: `prune()` garbage-
+ * collects — age- and size-budget eviction of entries plus a sweep of
+ * stale `*.tmp.*` files orphaned by writers that died between
+ * temp-write and rename. A `put` may carry a human-readable provenance
+ * string, which the disk backend persists as a `<hash>.meta` sidecar
+ * next to the entry so external tooling can tell what a hash is.
+ * Sidecars and temp files are never counted by `entries()`/`bytes()`.
  *
  * Stores deal only in opaque blobs. The typed layer on top —
  * `ArtifactCache` in `harness/experiment.hh` — layers a MemoryStore
@@ -106,16 +105,6 @@ class MemoryStore : public ArtifactStore
 class DiskStore : public ArtifactStore
 {
   public:
-    /** One readable store entry as seen by `enumerate()`. */
-    struct EntryInfo
-    {
-        std::string stem;        //!< 16-hex key hash (the file stem)
-        std::string path;        //!< full entry-file path
-        std::uint64_t bytes = 0; //!< entry-file size
-        std::int64_t ageSeconds = 0; //!< since last write (>= 0)
-        bool hasSidecar = false; //!< a `<stem>.meta` sits next to it
-    };
-
     /** What `prune()` may evict. Defaults evict nothing but stale
      *  temp files. */
     struct PruneOptions
@@ -164,21 +153,6 @@ class DiskStore : public ArtifactStore
 
     /** The provenance sidecar of a key (tests, external tooling). */
     std::string sidecarPathFor(const std::string &key) const;
-
-    /**
-     * Every readable entry, sorted by stem (deterministic across
-     * directory-iteration orders). Temp files, sidecars, and foreign
-     * files are not entries and never appear.
-     */
-    std::vector<EntryInfo> enumerate() const;
-
-    /**
-     * Delete the entry (and sidecar) stored under `key`. Returns true
-     * when an entry file existed. Concurrent readers observe a plain
-     * miss and recompute; a racing `put` may immediately re-create the
-     * entry, which is the intended miss-and-heal behavior.
-     */
-    bool removeEntry(const std::string &key);
 
     /**
      * Garbage-collect the store: sweep stale temp files, evict entries

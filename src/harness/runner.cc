@@ -238,7 +238,7 @@ OfflineSearchSpec::build(ArtifactCache &cache) const
             spec.benchmark = benchmark;
             spec.controller.name = "schedule";
             spec.controller.schedule =
-                deriveSchedule(profile, dvfs, margins);
+                deriveSchedule(profile, dvfs, margins, config.core);
             spec.config = config;
             specs.push_back(std::move(spec));
         }

@@ -128,15 +128,6 @@ Cache::probe(std::uint64_t addr) const
     return findLine(addr) != nullptr;
 }
 
-void
-Cache::invalidate(std::uint64_t addr)
-{
-    if (Line *line = findLine(addr)) {
-        line->valid = false;
-        line->dirty = false;
-    }
-}
-
 // Valid lines only (serial::appendSparse): per line the tag above the
 // set bits (the set is the line's position) with the dirty bit, and
 // the LRU stamp. Invalid lines load as default lines, which is exact:

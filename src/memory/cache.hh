@@ -55,9 +55,6 @@ class Cache
     /** Tag check without any state change. */
     bool probe(std::uint64_t addr) const;
 
-    /** Drop the line containing `addr` if present (no writeback). */
-    void invalidate(std::uint64_t addr);
-
     /** Number of sets. */
     int numSets() const { return num_sets_; }
 

@@ -47,31 +47,6 @@ constexpr NanoJoule CLOCK_TREE[NUM_CLOCKED_DOMAINS] = {
 
 } // namespace
 
-const char *
-structureName(StructureId id)
-{
-    switch (id) {
-      case StructureId::Icache:          return "icache";
-      case StructureId::BranchPredictor: return "bpred";
-      case StructureId::RenameTable:     return "rename";
-      case StructureId::Rob:             return "rob";
-      case StructureId::IntIssueQueue:   return "int-iq";
-      case StructureId::IntRegFile:      return "int-rf";
-      case StructureId::IntAlu:          return "int-alu";
-      case StructureId::IntMult:         return "int-mult";
-      case StructureId::FpIssueQueue:    return "fp-iq";
-      case StructureId::FpRegFile:       return "fp-rf";
-      case StructureId::FpAlu:           return "fp-alu";
-      case StructureId::FpMult:          return "fp-mult";
-      case StructureId::Lsq:             return "lsq";
-      case StructureId::Dcache:          return "dcache";
-      case StructureId::L2Cache:         return "l2";
-      case StructureId::ResultBus:       return "result-bus";
-      case StructureId::NumStructures:   break;
-    }
-    return "unknown";
-}
-
 void
 energy_detail::badStructure(StructureId id)
 {

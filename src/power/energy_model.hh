@@ -60,9 +60,6 @@ enum class StructureId : std::uint8_t
 constexpr int NUM_STRUCTURES =
     static_cast<int>(StructureId::NumStructures);
 
-/** Human-readable structure name. */
-const char *structureName(StructureId id);
-
 namespace energy_detail
 {
 /** Panic on a structure id with no domain. */

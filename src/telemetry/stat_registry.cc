@@ -76,15 +76,6 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-std::string
-promName(const std::string &path)
-{
-    std::string out = "mcd_";
-    for (char c : path)
-        out += (c == '.' || c == '-') ? '_' : c;
-    return out;
-}
-
 } // namespace
 
 double
@@ -191,19 +182,6 @@ StatRegistry::counter(const std::string &path)
     return *e.ownedCounter;
 }
 
-Gauge &
-StatRegistry::gauge(const std::string &path)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    Entry &e = stats_[path];
-    if (!e.ownedGauge) {
-        e = Entry{};
-        e.kind = StatValue::Kind::Gauge;
-        e.ownedGauge = std::make_unique<Gauge>();
-    }
-    return *e.ownedGauge;
-}
-
 Histogram &
 StatRegistry::histogram(const std::string &path)
 {
@@ -228,27 +206,6 @@ StatRegistry::bindCounter(const std::string &path, const Counter *stat)
 }
 
 void
-StatRegistry::bindGauge(const std::string &path, const Gauge *stat)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    Entry e;
-    e.kind = StatValue::Kind::Gauge;
-    e.boundGauge = stat;
-    stats_[path] = std::move(e);
-}
-
-void
-StatRegistry::bindHistogram(const std::string &path,
-                            const Histogram *stat)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    Entry e;
-    e.kind = StatValue::Kind::Histogram;
-    e.boundHistogram = stat;
-    stats_[path] = std::move(e);
-}
-
-void
 StatRegistry::bindFn(const std::string &path,
                      std::function<std::uint64_t()> fn)
 {
@@ -267,7 +224,7 @@ StatRegistry::unbind(const std::string &path)
     if (it == stats_.end())
         return;
     const Entry &e = it->second;
-    if (e.ownedCounter || e.ownedGauge || e.ownedHistogram)
+    if (e.ownedCounter || e.ownedHistogram)
         return; // owned stats are process-lifetime
     stats_.erase(it);
 }
@@ -293,16 +250,8 @@ StatRegistry::snapshot(const std::string &prefix) const
             else if (e.ownedCounter)
                 v.counter = e.ownedCounter->value();
             break;
-          case StatValue::Kind::Gauge:
-            if (e.boundGauge)
-                v.gauge = e.boundGauge->value();
-            else if (e.ownedGauge)
-                v.gauge = e.ownedGauge->value();
-            break;
           case StatValue::Kind::Histogram:
-            if (e.boundHistogram)
-                v.hist = e.boundHistogram->read();
-            else if (e.ownedHistogram)
+            if (e.ownedHistogram)
                 v.hist = e.ownedHistogram->read();
             break;
         }
@@ -314,34 +263,6 @@ StatRegistry::snapshot(const std::string &prefix) const
               [](const StatValue &a, const StatValue &b) {
                   return a.path < b.path;
               });
-    return out;
-}
-
-std::string
-StatRegistry::renderTable(const std::vector<StatValue> &stats)
-{
-    std::string out =
-        fmt("%-36s %14s %12s %12s %12s\n", "stat", "value/count",
-            "p50", "p95", "max");
-    for (const StatValue &s : stats) {
-        switch (s.kind) {
-          case StatValue::Kind::Counter:
-            out += fmt("%-36s %14" PRIu64 "\n", s.path.c_str(),
-                       s.counter);
-            break;
-          case StatValue::Kind::Gauge:
-            out += fmt("%-36s %14" PRId64 "\n", s.path.c_str(),
-                       s.gauge);
-            break;
-          case StatValue::Kind::Histogram:
-            out += fmt("%-36s %14" PRIu64 " %12.0f %12.0f %12" PRIu64
-                       "\n",
-                       s.path.c_str(), s.hist.count,
-                       s.hist.quantile(0.5), s.hist.quantile(0.95),
-                       s.hist.max);
-            break;
-        }
-    }
     return out;
 }
 
@@ -359,9 +280,6 @@ StatRegistry::renderJson(const std::vector<StatValue> &stats)
           case StatValue::Kind::Counter:
             out += fmt("%" PRIu64, s.counter);
             break;
-          case StatValue::Kind::Gauge:
-            out += fmt("%" PRId64, s.gauge);
-            break;
           case StatValue::Kind::Histogram:
             out += fmt("{\"count\": %" PRIu64 ", \"sum\": %" PRIu64
                        ", \"min\": %" PRIu64 ", \"max\": %" PRIu64,
@@ -376,36 +294,6 @@ StatRegistry::renderJson(const std::vector<StatValue> &stats)
         }
     }
     out += first ? "}" : "\n}";
-    return out;
-}
-
-std::string
-StatRegistry::renderPrometheus(const std::vector<StatValue> &stats)
-{
-    std::string out;
-    for (const StatValue &s : stats) {
-        std::string name = promName(s.path);
-        switch (s.kind) {
-          case StatValue::Kind::Counter:
-            out += fmt("# TYPE %s counter\n", name.c_str());
-            out += fmt("%s %" PRIu64 "\n", name.c_str(), s.counter);
-            break;
-          case StatValue::Kind::Gauge:
-            out += fmt("# TYPE %s gauge\n", name.c_str());
-            out += fmt("%s %" PRId64 "\n", name.c_str(), s.gauge);
-            break;
-          case StatValue::Kind::Histogram:
-            out += fmt("# TYPE %s summary\n", name.c_str());
-            for (double q : {0.5, 0.95, 0.99})
-                out += fmt("%s{quantile=\"%g\"} %s\n", name.c_str(),
-                           q, num(s.hist.quantile(q)).c_str());
-            out += fmt("%s_sum %" PRIu64 "\n", name.c_str(),
-                       s.hist.sum);
-            out += fmt("%s_count %" PRIu64 "\n", name.c_str(),
-                       s.hist.count);
-            break;
-        }
-    }
     return out;
 }
 

@@ -2,19 +2,18 @@
  * @file
  * Process-wide hierarchical statistic registry (gem5/Sniper-style).
  *
- * Subsystems expose counters, gauges, and log2-bucketed histograms
- * under dotted paths ("sim.commit.insns", "store.disk.read_bytes",
+ * Subsystems expose counters and log2-bucketed histograms under
+ * dotted paths ("sim.commit.insns", "store.disk.read_bytes",
  * "serve.request.queue_ns", "pool.tasks"). Updates are relaxed
  * atomics — cheap enough for per-request and per-task paths — and a
- * snapshot is a point-in-time read of every stat, renderable as a
- * text table, JSON, or Prometheus-style exposition text.
+ * snapshot is a point-in-time read of every stat, rendered as one
+ * JSON object (the serve daemon's `metrics` verb).
  *
  * Two ownership models coexist:
  *
- *  - registry-owned stats: `counter(path)` / `gauge(path)` /
- *    `histogram(path)` create-or-get a stat that lives for the
- *    process. Callers cache the returned reference so hot paths
- *    never touch the name map.
+ *  - registry-owned stats: `counter(path)` / `histogram(path)`
+ *    create-or-get a stat that lives for the process. Callers cache
+ *    the returned reference so hot paths never touch the name map.
  *
  *  - bound views: a subsystem that owns its own `Counter` members
  *    (so independent instances — e.g. test-local caches — stay
@@ -22,7 +21,8 @@
  *    `bindCounter(path, &member)`. Binding is latest-wins and
  *    reversible (`unbind`), so sequentially constructed servers in
  *    tests don't fight. `bindFn` binds a derived value computed at
- *    snapshot time (e.g. hits = lookups - computes).
+ *    snapshot time (e.g. hits = lookups - computes, or a level such
+ *    as a queue depth).
  *
  * Nothing in here touches simulated state: stats observe wall-clock
  * reality only, so telemetry on vs off leaves every simulation
@@ -65,29 +65,6 @@ class Counter
 
   private:
     std::atomic<std::uint64_t> value_{0};
-};
-
-/** Last-written instantaneous level (queue depth, worker count). */
-class Gauge
-{
-  public:
-    void set(std::int64_t v)
-    {
-        value_.store(v, std::memory_order_relaxed);
-    }
-
-    void add(std::int64_t d)
-    {
-        value_.fetch_add(d, std::memory_order_relaxed);
-    }
-
-    std::int64_t value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<std::int64_t> value_{0};
 };
 
 /** Point-in-time copy of a histogram, safe to aggregate offline. */
@@ -149,14 +126,12 @@ struct StatValue
     enum class Kind
     {
         Counter,
-        Gauge,
         Histogram,
     };
 
     std::string path;
     Kind kind = Kind::Counter;
     std::uint64_t counter = 0;   //!< Kind::Counter
-    std::int64_t gauge = 0;      //!< Kind::Gauge
     HistogramData hist;          //!< Kind::Histogram
 };
 
@@ -177,16 +152,13 @@ class StatRegistry
      *  the owned stat wins and the call returns it (create) or the
      *  existing one (get). */
     Counter &counter(const std::string &path);
-    Gauge &gauge(const std::string &path);
     Histogram &histogram(const std::string &path);
 
-    /** Publish an externally-owned stat under `path` (latest wins).
-     *  The pointer must outlive the binding; call `unbind` from the
-     *  owner's destructor when the owner can die before the process
-     *  does. */
+    /** Publish an externally-owned counter under `path` (latest
+     *  wins). The pointer must outlive the binding; call `unbind`
+     *  from the owner's destructor when the owner can die before the
+     *  process does. */
     void bindCounter(const std::string &path, const Counter *stat);
-    void bindGauge(const std::string &path, const Gauge *stat);
-    void bindHistogram(const std::string &path, const Histogram *stat);
 
     /** Bind a derived value computed at snapshot time. Keep the
      *  callback cheap and reentrancy-free: it runs under the
@@ -202,20 +174,10 @@ class StatRegistry
      *  `prefix`, sorted by path. */
     std::vector<StatValue> snapshot(const std::string &prefix = "") const;
 
-    // --- renderers (pure functions of a snapshot) ---
-
-    /** Fixed-width text table: path, value or count/p50/p95/max. */
-    static std::string renderTable(const std::vector<StatValue> &stats);
-
     /** One flat JSON object keyed by dotted path, sorted; histograms
-     *  become {count,sum,min,max,mean,p50,p95,p99}. */
+     *  become {count,sum,min,max,mean,p50,p95,p99}. A pure function
+     *  of the snapshot. */
     static std::string renderJson(const std::vector<StatValue> &stats);
-
-    /** Prometheus exposition text: counters/gauges as-is, histograms
-     *  as summaries (quantile labels + _sum/_count). Dots become
-     *  underscores and every name gains the `mcd_` prefix. */
-    static std::string
-    renderPrometheus(const std::vector<StatValue> &stats);
 
   private:
     struct Entry
@@ -223,12 +185,9 @@ class StatRegistry
         StatValue::Kind kind = StatValue::Kind::Counter;
         // Owned storage (exactly one non-null for owned entries).
         std::unique_ptr<Counter> ownedCounter;
-        std::unique_ptr<Gauge> ownedGauge;
         std::unique_ptr<Histogram> ownedHistogram;
-        // Bound views (non-owning).
+        // Bound view (non-owning).
         const Counter *boundCounter = nullptr;
-        const Gauge *boundGauge = nullptr;
-        const Histogram *boundHistogram = nullptr;
         std::function<std::uint64_t()> fn;
     };
 

@@ -23,6 +23,7 @@
 
 #include "harness/artifact.hh"
 #include "harness/artifact_store.hh"
+#include "harness/checkpoint.hh"
 #include "harness/experiment.hh"
 
 namespace mcd
@@ -186,20 +187,16 @@ ageFile(const std::string &path, std::int64_t seconds)
 
 } // namespace
 
-TEST_F(StoreTest, EnumerateAndRemoveEntry)
+TEST_F(StoreTest, ProvenanceSidecarSitsBesideItsEntry)
 {
     DiskStore store(root_);
     store.put("key-a", "payload-a", "type=test name=a");
     store.put("key-b", "payload-b");
 
-    auto infos = store.enumerate();
-    ASSERT_EQ(infos.size(), 2u);
-    EXPECT_LT(infos[0].stem, infos[1].stem); // sorted, deterministic
-    for (const auto &info : infos) {
-        EXPECT_EQ(info.stem.size(), 16u);
-        EXPECT_GT(info.bytes, 0u);
-        EXPECT_GE(info.ageSeconds, 0);
-    }
+    // Sidecars are metadata, not entries: the counters ignore them.
+    EXPECT_EQ(store.entries(), 2u);
+    EXPECT_EQ(store.bytes(), fs::file_size(store.pathFor("key-a")) +
+                                 fs::file_size(store.pathFor("key-b")));
 
     // Only key-a carries a provenance sidecar, readable by anything.
     std::string meta = slurp(store.sidecarPathFor("key-a"));
@@ -207,13 +204,11 @@ TEST_F(StoreTest, EnumerateAndRemoveEntry)
     EXPECT_NE(meta.find("key_fnv1a="), std::string::npos);
     EXPECT_FALSE(fs::exists(store.sidecarPathFor("key-b")));
 
-    EXPECT_TRUE(store.removeEntry("key-a"));
-    EXPECT_FALSE(store.removeEntry("key-a")); // already gone
     std::string blob;
-    EXPECT_FALSE(store.get("key-a", blob));
-    EXPECT_FALSE(fs::exists(store.sidecarPathFor("key-a")));
+    ASSERT_TRUE(store.get("key-a", blob));
+    EXPECT_EQ(blob, "payload-a");
     ASSERT_TRUE(store.get("key-b", blob));
-    EXPECT_EQ(store.entries(), 1u);
+    EXPECT_EQ(blob, "payload-b");
 }
 
 TEST_F(StoreTest, TempOrphansAreInvisibleAndSwept)
@@ -531,11 +526,13 @@ TEST_F(StoreTest, CacheWritesProvenanceSidecars)
     EXPECT_NE(meta.find("benchmark=gsm"), std::string::npos);
     EXPECT_NE(meta.find("seed="), std::string::npos);
 
-    // The stats entry and the run's warm-up checkpoint.
-    auto infos = store.enumerate();
-    ASSERT_EQ(infos.size(), 2u);
-    EXPECT_TRUE(infos[0].hasSidecar);
-    EXPECT_TRUE(infos[1].hasSidecar);
+    // The run's warm-up checkpoint carries one too.
+    CheckpointSpec boundary;
+    boundary.benchmark = spec.benchmark;
+    boundary.at = spec.config.warmup;
+    boundary.config = spec.config;
+    meta = slurp(store.sidecarPathFor(boundary.cacheKey()));
+    EXPECT_NE(meta.find("type=checkpoint"), std::string::npos);
     // Sidecars are metadata, not entries: the counters ignore them.
     EXPECT_EQ(store.entries(), 2u);
 }

@@ -20,7 +20,6 @@
 #include "clock/domain_clock.hh"
 #include "clock/dvfs_model.hh"
 #include "common/serial.hh"
-#include "common/stats.hh"
 
 namespace mcd
 {

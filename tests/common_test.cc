@@ -1,13 +1,14 @@
 /**
  * @file
  * Unit tests for the common substrate: time types, RNG determinism and
- * distribution quality, and the statistics primitives.
+ * distribution quality, and the event counter.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <utility>
 
 #include "common/random.hh"
 #include "common/stats.hh"
@@ -95,24 +96,37 @@ TEST(Rng, UniformMeanNearHalf)
     EXPECT_NEAR(sum / n, 0.5, 0.01);
 }
 
+/** Sample mean and standard deviation of `n` draws. */
+template <typename Draw>
+std::pair<double, double>
+moments(int n, Draw draw)
+{
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    for (int i = 0; i < n; ++i) {
+        double x = draw();
+        sum += x;
+        sum_sq += x * x;
+    }
+    double mean = sum / n;
+    return {mean, std::sqrt((sum_sq - n * mean * mean) / (n - 1))};
+}
+
 TEST(Rng, NormalMoments)
 {
     Rng rng(13);
-    RunningStats stats;
-    for (int i = 0; i < 200000; ++i)
-        stats.push(rng.normal());
-    EXPECT_NEAR(stats.mean(), 0.0, 0.02);
-    EXPECT_NEAR(stats.stddev(), 1.0, 0.03);
+    auto [mean, stddev] = moments(200000, [&] { return rng.normal(); });
+    EXPECT_NEAR(mean, 0.0, 0.02);
+    EXPECT_NEAR(stddev, 1.0, 0.03);
 }
 
 TEST(Rng, NormalScaled)
 {
     Rng rng(17);
-    RunningStats stats;
-    for (int i = 0; i < 100000; ++i)
-        stats.push(rng.normal(5.0, 110.0));
-    EXPECT_NEAR(stats.mean(), 5.0, 2.0);
-    EXPECT_NEAR(stats.stddev(), 110.0, 3.0);
+    auto [mean, stddev] =
+        moments(100000, [&] { return rng.normal(5.0, 110.0); });
+    EXPECT_NEAR(mean, 5.0, 2.0);
+    EXPECT_NEAR(stddev, 110.0, 3.0);
 }
 
 TEST(Rng, NormalIsBoundedByTableTails)
@@ -154,16 +168,6 @@ TEST(Rng, ChanceFrequencyMatchesProbability)
     for (int i = 0; i < n; ++i)
         hits += rng.chance(0.3);
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
-}
-
-TEST(Rng, BurstLengthRespectsCap)
-{
-    Rng rng(37);
-    for (int i = 0; i < 1000; ++i) {
-        int len = rng.burstLength(0.9, 8);
-        EXPECT_GE(len, 1);
-        EXPECT_LE(len, 8);
-    }
 }
 
 TEST(Rng, StreamsArePinned)
@@ -226,97 +230,6 @@ TEST(Counter, IncrementAndReset)
     EXPECT_EQ(c.value(), 6u);
     c.reset();
     EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(RunningStats, Empty)
-{
-    RunningStats s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, KnownSequence)
-{
-    RunningStats s;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.push(x);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    // Sample variance of this classic sequence is 32/7.
-    EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStats, SingleValue)
-{
-    RunningStats s;
-    s.push(42.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 42.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-    EXPECT_DOUBLE_EQ(s.min(), 42.0);
-    EXPECT_DOUBLE_EQ(s.max(), 42.0);
-}
-
-TEST(RunningStats, Reset)
-{
-    RunningStats s;
-    s.push(1.0);
-    s.push(2.0);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-}
-
-TEST(Histogram, BinAssignment)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.push(0.5);
-    h.push(5.5);
-    h.push(9.99);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(5), 1u);
-    EXPECT_EQ(h.binCount(9), 1u);
-    EXPECT_EQ(h.count(), 3u);
-}
-
-TEST(Histogram, OutOfRangeClampsToEndBins)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.push(-5.0);
-    h.push(100.0);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(9), 1u);
-}
-
-TEST(Histogram, BinLowEdges)
-{
-    Histogram h(0.0, 10.0, 10);
-    EXPECT_DOUBLE_EQ(h.binLow(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.binLow(5), 5.0);
-}
-
-TEST(Histogram, Fractions)
-{
-    Histogram h(0.0, 4.0, 4);
-    h.push(0.5);
-    h.push(1.5);
-    h.push(1.6);
-    h.push(3.5);
-    EXPECT_DOUBLE_EQ(h.binFraction(1), 0.5);
-    EXPECT_DOUBLE_EQ(h.binFraction(0), 0.25);
-}
-
-TEST(StatDump, SetGetRender)
-{
-    StatDump dump;
-    dump.set("b.two", 2.0);
-    dump.set("a.one", 1.0);
-    EXPECT_TRUE(dump.has("a.one"));
-    EXPECT_FALSE(dump.has("missing"));
-    EXPECT_DOUBLE_EQ(dump.get("b.two"), 2.0);
-    // Rendered sorted by name.
-    EXPECT_EQ(dump.render(), "a.one 1\nb.two 2\n");
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 #include "control/attack_decay.hh"
 #include "control/basic_controllers.hh"
 #include "control/gate_estimator.hh"
+#include "core/core_config.hh"
 
 namespace mcd
 {
@@ -376,6 +377,17 @@ TEST(ScheduleController, AppliesPerIntervalAndHoldsLast)
     EXPECT_DOUBLE_EQ(harness.target(CTL_INT), 250.0e6);
 }
 
+/** deriveSchedule of one interval on the default (Table 4) machine,
+ *  with one margin for every domain. */
+std::vector<FrequencyVector>
+deriveUniform(const IntervalProfile &profile, const DvfsModel &dvfs,
+              double margin)
+{
+    std::array<double, NUM_CONTROLLED> margins;
+    margins.fill(margin);
+    return deriveSchedule({profile}, dvfs, margins, CoreConfig{});
+}
+
 TEST(DeriveSchedule, MarginOneKeepsEverythingAtMax)
 {
     DvfsModel dvfs;
@@ -384,7 +396,7 @@ TEST(DeriveSchedule, MarginOneKeepsEverythingAtMax)
     profile.cycles = {1000, 1000, 1000};
     profile.issued = {100, 0, 50};
     profile.avgOccupancy = {1.0, 0.0, 5.0};
-    auto schedule = deriveSchedule({profile}, dvfs, 1.0);
+    auto schedule = deriveUniform(profile, dvfs, 1.0);
     ASSERT_EQ(schedule.size(), 1u);
     for (int slot = 0; slot < NUM_CONTROLLED; ++slot)
         EXPECT_DOUBLE_EQ(schedule[0][static_cast<std::size_t>(slot)],
@@ -399,7 +411,7 @@ TEST(DeriveSchedule, IdleDomainDropsToFloorAtZeroMargin)
     profile.cycles = {1000, 1000, 1000};
     profile.issued = {4000, 0, 0};
     profile.avgOccupancy = {20.0, 0.0, 0.0};
-    auto schedule = deriveSchedule({profile}, dvfs, 0.0);
+    auto schedule = deriveUniform(profile, dvfs, 0.0);
     EXPECT_DOUBLE_EQ(schedule[0][CTL_INT], 1.0e9); // saturated
     EXPECT_DOUBLE_EQ(schedule[0][CTL_FP], 250.0e6); // idle -> floor
 }
@@ -410,13 +422,14 @@ TEST(DeriveSchedule, QueuePressureKeepsDomainFast)
     // but its queue is nearly full, so it must stay fast (the paper's
     // mcf observation).
     DvfsModel dvfs;
-    ScheduleMachineInfo machine;
+    CoreConfig core;
+    core.lsqSize = 16;
     IntervalProfile profile;
     profile.ipc = 1.0;
     profile.cycles = {1000, 1000, 1000};
     profile.issued = {100, 0, 100}; // LS bandwidth demand is low
-    profile.avgOccupancy = {1.0, 0.0, 60.0}; // LSQ nearly full (64)
-    auto schedule = deriveSchedule({profile}, dvfs, 0.0, machine);
+    profile.avgOccupancy = {1.0, 0.0, 15.0}; // LSQ nearly full (16)
+    auto schedule = deriveSchedule({profile}, dvfs, {0.0, 0.0, 0.0}, core);
     EXPECT_GT(schedule[0][CTL_LS], 0.9e9);
     EXPECT_LT(schedule[0][CTL_INT], 0.5e9);
 }
@@ -431,7 +444,7 @@ TEST(DeriveSchedule, MarginIsMonotone)
     profile.avgOccupancy = {5.0, 2.0, 10.0};
     double prev = 0.0;
     for (double margin : {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}) {
-        auto schedule = deriveSchedule({profile}, dvfs, margin);
+        auto schedule = deriveUniform(profile, dvfs, margin);
         double sum = schedule[0][0] + schedule[0][1] + schedule[0][2];
         EXPECT_GE(sum, prev);
         prev = sum;
@@ -450,7 +463,7 @@ TEST(DeriveSchedule, PerDomainMarginsApplyIndependently)
     profile.avgOccupancy = {2.0, 2.0, 2.0};
 
     std::array<double, NUM_CONTROLLED> margins = {0.0, 0.3, 0.8};
-    auto schedule = deriveSchedule({profile}, dvfs, margins);
+    auto schedule = deriveSchedule({profile}, dvfs, margins, CoreConfig{});
     ASSERT_EQ(schedule.size(), 1u);
     // Identical demand per domain, so frequency ordering follows the
     // margin ordering strictly.
@@ -460,39 +473,19 @@ TEST(DeriveSchedule, PerDomainMarginsApplyIndependently)
     // Raising one slot's margin must leave the other slots untouched.
     std::array<double, NUM_CONTROLLED> raised = margins;
     raised[CTL_FP] = 0.5;
-    auto schedule2 = deriveSchedule({profile}, dvfs, raised);
+    auto schedule2 = deriveSchedule({profile}, dvfs, raised, CoreConfig{});
     EXPECT_DOUBLE_EQ(schedule2[0][CTL_INT], schedule[0][CTL_INT]);
     EXPECT_GT(schedule2[0][CTL_FP], schedule[0][CTL_FP]);
     EXPECT_DOUBLE_EQ(schedule2[0][CTL_LS], schedule[0][CTL_LS]);
 }
 
-TEST(DeriveSchedule, UniformMarginsMatchScalarOverload)
+TEST(DeriveSchedule, QueueSizesComeFromTheCore)
 {
     DvfsModel dvfs;
-    IntervalProfile profile;
-    profile.ipc = 0.8;
-    profile.cycles = {1200, 900, 1000};
-    profile.issued = {800, 100, 350};
-    profile.avgOccupancy = {6.0, 1.0, 12.0};
-
-    for (double margin : {0.0, 0.25, 0.6, 1.0}) {
-        std::array<double, NUM_CONTROLLED> margins;
-        margins.fill(margin);
-        auto scalar = deriveSchedule({profile}, dvfs, margin);
-        auto vector = deriveSchedule({profile}, dvfs, margins);
-        ASSERT_EQ(scalar.size(), vector.size());
-        for (int slot = 0; slot < NUM_CONTROLLED; ++slot)
-            EXPECT_DOUBLE_EQ(
-                scalar[0][static_cast<std::size_t>(slot)],
-                vector[0][static_cast<std::size_t>(slot)]);
-    }
-}
-
-TEST(DeriveSchedule, PerDomainMarginsRespectMachineInfo)
-{
-    DvfsModel dvfs;
-    ScheduleMachineInfo machine;
-    machine.queueSize = {10.0, 10.0, 10.0};
+    CoreConfig small;
+    small.intIqSize = 10;
+    small.fpIqSize = 10;
+    small.lsqSize = 10;
     IntervalProfile profile;
     profile.ipc = 1.0;
     profile.cycles = {1000, 1000, 1000};
@@ -500,13 +493,34 @@ TEST(DeriveSchedule, PerDomainMarginsRespectMachineInfo)
     profile.avgOccupancy = {8.0, 8.0, 8.0}; // 80 % of the small queues
 
     std::array<double, NUM_CONTROLLED> margins = {0.0, 0.0, 0.0};
-    auto small_queues = deriveSchedule({profile}, dvfs, margins,
-                                       machine);
-    auto default_queues = deriveSchedule({profile}, dvfs, margins);
+    auto small_queues = deriveSchedule({profile}, dvfs, margins, small);
+    auto default_queues =
+        deriveSchedule({profile}, dvfs, margins, CoreConfig{});
     // Smaller queues -> higher relative occupancy -> faster domains.
     for (int slot = 0; slot < NUM_CONTROLLED; ++slot)
         EXPECT_GT(small_queues[0][static_cast<std::size_t>(slot)],
                   default_queues[0][static_cast<std::size_t>(slot)]);
+}
+
+TEST(DeriveSchedule, IssueWidthsComeFromTheCore)
+{
+    // A full integer issue rate on a 2-wide integer cluster demands
+    // twice the frequency it would on the default 4-wide one.
+    DvfsModel dvfs;
+    CoreConfig narrow;
+    narrow.intIssueWidth = 2;
+    IntervalProfile profile;
+    profile.ipc = 1.0;
+    profile.cycles = {1000, 1000, 1000};
+    profile.issued = {1000, 0, 0};
+    profile.avgOccupancy = {0.0, 0.0, 0.0};
+
+    std::array<double, NUM_CONTROLLED> margins = {0.0, 0.0, 0.0};
+    auto wide = deriveSchedule({profile}, dvfs, margins, CoreConfig{});
+    auto two = deriveSchedule({profile}, dvfs, margins, narrow);
+    EXPECT_DOUBLE_EQ(wide[0][CTL_INT], 250.0e6);
+    EXPECT_DOUBLE_EQ(two[0][CTL_INT], 500.0e6);
+    EXPECT_DOUBLE_EQ(two[0][CTL_LS], wide[0][CTL_LS]);
 }
 
 TEST(GateEstimator, ReproducesTable3)

@@ -721,41 +721,6 @@ TEST(Simulator, RunsAtMinimumFrequencyDomains)
     EXPECT_LT(slow.stats().epi, fast.stats().epi);
 }
 
-TEST(Simulator, DumpStatsIsComplete)
-{
-    auto workload = BenchmarkFactory::create("gsm", 50000);
-    Simulator sim(fastConfig(), *workload);
-    sim.run(10000);
-    StatDump dump;
-    sim.dumpStats(dump);
-    EXPECT_GE(dump.get("run.instructions"), 10000.0);
-    EXPECT_LT(dump.get("run.instructions"),
-              10000.0 + fastConfig().core.retireWidth);
-    EXPECT_GT(dump.get("run.cpi"), 0.0);
-    EXPECT_GT(dump.get("run.chip_energy_nj"), 0.0);
-    EXPECT_GT(dump.get("bpred.accuracy"), 0.5);
-    EXPECT_GT(dump.get("domain.integer.cycles"), 0.0);
-    EXPECT_DOUBLE_EQ(dump.get("domain.front-end.frequency_hz"), 1.0e9);
-    EXPECT_GT(dump.get("structure.dcache.energy_nj"), 0.0);
-    EXPECT_GE(dump.get("mem.l2_miss_rate"), 0.0);
-    EXPECT_LE(dump.get("mem.l2_miss_rate"), 1.0);
-}
-
-TEST(Simulator, DumpStatsEnergyConsistentWithStats)
-{
-    auto workload = BenchmarkFactory::create("epic", 50000);
-    Simulator sim(fastConfig(), *workload);
-    sim.run(10000);
-    StatDump dump;
-    sim.dumpStats(dump);
-    SimStats s = sim.stats();
-    double sum = dump.get("domain.front-end.energy_nj") +
-                 dump.get("domain.integer.energy_nj") +
-                 dump.get("domain.floating-point.energy_nj") +
-                 dump.get("domain.load-store.energy_nj");
-    EXPECT_NEAR(sum, s.chipEnergy, s.chipEnergy * 1e-9);
-}
-
 class BenchmarkSanity : public ::testing::TestWithParam<const char *>
 {
 };

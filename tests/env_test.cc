@@ -31,14 +31,12 @@ TEST_F(EnvTest, UnsetKeepsFallback)
 {
     EXPECT_EQ(envInt64(VAR, 42), 42);
     EXPECT_EQ(envU64(VAR, 42), 42u);
-    EXPECT_TRUE(envList(VAR).empty());
 }
 
 TEST_F(EnvTest, EmptyStringKeepsFallback)
 {
     set("");
     EXPECT_EQ(envInt64(VAR, 42), 42);
-    EXPECT_TRUE(envList(VAR).empty());
 }
 
 TEST_F(EnvTest, ParsesPlainIntegers)
@@ -81,22 +79,6 @@ TEST_F(EnvTest, ZeroAllowedWhenMinimumIsZero)
     EXPECT_EQ(envU64(VAR, 7u, /*min=*/0), 0u);
 }
 
-TEST_F(EnvTest, ListSplitsOnCommas)
-{
-    set("gsm,adpcm,mcf");
-    EXPECT_EQ(envList(VAR),
-              (std::vector<std::string>{"gsm", "adpcm", "mcf"}));
-}
-
-TEST_F(EnvTest, ListDropsEmptyItems)
-{
-    set(",gsm,,adpcm,");
-    EXPECT_EQ(envList(VAR),
-              (std::vector<std::string>{"gsm", "adpcm"}));
-    set(",,,");
-    EXPECT_TRUE(envList(VAR).empty());
-}
-
 TEST_F(EnvTest, IntRejectsValuesAboveIntRange)
 {
     // Wrapping 2^32+1 to interval=1 would be a silently half-applied
@@ -130,6 +112,9 @@ TEST(SplitList, Basics)
     EXPECT_TRUE(splitList("").empty());
     EXPECT_EQ(splitList("synthetic:mem=0.8"),
               (std::vector<std::string>{"synthetic:mem=0.8"}));
+    EXPECT_EQ(splitList(",gsm,,adpcm,"),
+              (std::vector<std::string>{"gsm", "adpcm"}));
+    EXPECT_TRUE(splitList(",,,").empty());
 }
 
 TEST(SplitScenarioList, KeepsFamilyKnobsWhole)

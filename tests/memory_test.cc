@@ -111,14 +111,6 @@ TEST(Cache, ProbeDoesNotMutate)
     EXPECT_EQ(cache.misses().value(), 1u);
 }
 
-TEST(Cache, InvalidateDropsLine)
-{
-    Cache cache(smallCache());
-    cache.access(0x1000, true);
-    cache.invalidate(0x1000);
-    EXPECT_FALSE(cache.probe(0x1000));
-}
-
 TEST(Cache, DirectMappedConflicts)
 {
     Cache cache(smallCache(4, 1, 64));

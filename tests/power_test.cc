@@ -45,16 +45,6 @@ TEST(EnergyModel, StructureDomainOfTheSentinelPanics)
                  "bad structure id 16");
 }
 
-TEST(EnergyModel, StructureNamesAreUnique)
-{
-    for (int a = 0; a < NUM_STRUCTURES; ++a) {
-        for (int b = a + 1; b < NUM_STRUCTURES; ++b) {
-            EXPECT_STRNE(structureName(static_cast<StructureId>(a)),
-                         structureName(static_cast<StructureId>(b)));
-        }
-    }
-}
-
 TEST(EnergyModel, VoltageScaleIsQuadratic)
 {
     EnergyModel model;

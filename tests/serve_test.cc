@@ -161,7 +161,8 @@ drainRun(ServeClient &client)
             out.cold.resize(index + 1, false);
         }
         out.payloads[index] = event.getString("payload");
-        out.cold[index] = event.getBool("cold", false);
+        const json::Value *cold = event.get("cold");
+        out.cold[index] = cold && cold->isBool() && cold->boolean;
     }
 }
 

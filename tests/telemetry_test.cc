@@ -112,10 +112,10 @@ TEST(StatRegistry, OwnedStatsRoundTrip)
     EXPECT_EQ(&c, &reg.counter("test.owned.counter"));
     EXPECT_EQ(42u, c.value());
 
-    telemetry::Gauge &g = reg.gauge("test.owned.gauge");
-    g.set(7);
-    g.add(-3);
-    EXPECT_EQ(4, g.value());
+    telemetry::Histogram &h = reg.histogram("test.owned.hist");
+    h.reset();
+    h.record(7);
+    EXPECT_EQ(&h, &reg.histogram("test.owned.hist"));
 
     auto stats = reg.snapshot("test.owned.");
     ASSERT_EQ(2u, stats.size());
@@ -123,10 +123,11 @@ TEST(StatRegistry, OwnedStatsRoundTrip)
     ASSERT_NE(nullptr, sc);
     EXPECT_EQ(StatValue::Kind::Counter, sc->kind);
     EXPECT_EQ(42u, sc->counter);
-    const StatValue *sg = find(stats, "test.owned.gauge");
-    ASSERT_NE(nullptr, sg);
-    EXPECT_EQ(StatValue::Kind::Gauge, sg->kind);
-    EXPECT_EQ(4, sg->gauge);
+    const StatValue *sh = find(stats, "test.owned.hist");
+    ASSERT_NE(nullptr, sh);
+    EXPECT_EQ(StatValue::Kind::Histogram, sh->kind);
+    EXPECT_EQ(1u, sh->hist.count);
+    EXPECT_EQ(7u, sh->hist.max);
 }
 
 TEST(StatRegistry, BoundViewsAreLatestWinsAndUnbindable)
@@ -235,12 +236,13 @@ TEST(StatRegistry, ConcurrentIncrementsAreExact)
     EXPECT_EQ(THREADS, static_cast<int>(d.max));
 }
 
-TEST(StatRegistry, RenderersCoverEveryStatKind)
+TEST(StatRegistry, JsonRendersEveryStatKind)
 {
     StatRegistry &reg = StatRegistry::instance();
     reg.counter("test.render.counter").reset();
     reg.counter("test.render.counter").inc(3);
-    reg.gauge("test.render.gauge").set(-5);
+    // A level (a queue depth, say) is a value computed at snapshot time.
+    reg.bindFn("test.render.level", [] { return std::uint64_t{5}; });
     telemetry::Histogram &h = reg.histogram("test.render.hist");
     h.reset();
     h.record(10);
@@ -254,25 +256,14 @@ TEST(StatRegistry, RenderersCoverEveryStatKind)
     ASSERT_TRUE(json::parse(json_text, parsed, &error))
         << error << "\n" << json_text;
     EXPECT_EQ(3u, parsed.getU64("test.render.counter", 0));
+    EXPECT_EQ(5u, parsed.getU64("test.render.level", 0));
     const json::Value *hist = parsed.get("test.render.hist");
     ASSERT_NE(nullptr, hist);
     EXPECT_EQ(2u, hist->getU64("count", 0));
     EXPECT_EQ(10u, hist->getU64("min", 0));
     EXPECT_EQ(1000u, hist->getU64("max", 0));
-
-    // Table: every path appears.
-    std::string table = StatRegistry::renderTable(stats);
-    EXPECT_NE(std::string::npos, table.find("test.render.counter"));
-    EXPECT_NE(std::string::npos, table.find("test.render.hist"));
-
-    // Prometheus: mcd_ prefix, dots to underscores, summary suffixes.
-    std::string prom = StatRegistry::renderPrometheus(stats);
-    EXPECT_NE(std::string::npos,
-              prom.find("mcd_test_render_counter 3"));
-    EXPECT_NE(std::string::npos,
-              prom.find("mcd_test_render_hist_count 2"));
-    EXPECT_NE(std::string::npos,
-              prom.find("quantile=\"0.5\""));
+    EXPECT_NE(nullptr, hist->get("p50"));
+    reg.unbind("test.render.level");
 }
 
 // --------------------------------------------------------- profiler
