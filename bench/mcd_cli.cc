@@ -548,9 +548,13 @@ runExperimentsCli(const std::vector<std::string> &benches,
  * shares are a hierarchy, not a partition — they need not sum to 100%.
  * A second table gives each clock domain's edge count and the share
  * of those edges that were quiet (skipped by the wake memo; see
- * core/simulator.hh), followed by the number of bulk runs the quiet
- * edges were taken in and their mean length. The store is deliberately detached: profiling a
- * cache hit would measure deserialization, not the simulator.
+ * core/simulator.hh), followed by the number of bulk charges the quiet
+ * edges were taken in (Simulator::quietRuns(): runs stepped in the
+ * edge race, and charges of a lazy domain's edges as it settles), their
+ * mean length, and the share of quiet edges consumed by
+ * DomainClock::skip calls (Simulator::skippedEdges()). The store is
+ * deliberately detached: profiling a cache hit would measure
+ * deserialization, not the simulator.
  */
 int
 profileCli(const std::vector<std::string> &args)
@@ -594,6 +598,7 @@ profileCli(const std::vector<std::string> &args)
     for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
         Simulator::edgeCounter(static_cast<DomainId>(d), false).reset();
         Simulator::edgeCounter(static_cast<DomainId>(d), true).reset();
+        Simulator::skippedEdgeCounter(static_cast<DomainId>(d)).reset();
     }
     Simulator::quietRunCounter().reset();
 
@@ -648,16 +653,18 @@ profileCli(const std::vector<std::string> &args)
         quiet_edges += domains.back().quiet;
         skipped_edges += Simulator::skippedEdgeCounter(id).value();
     }
-    // Quiet domain edges per run. In Synchronous mode a run's shared
-    // edge counts once per domain, as do the quiet domains of an edge
-    // on which another domain ran.
+    // Quiet domain edges per bulk charge: a step's run of quiet edges
+    // in the edge race, or one settle of a domain out of the race. In
+    // Synchronous mode a run's shared edge counts once per domain, as do
+    // the quiet domains of an edge on which another domain ran.
     std::uint64_t quiet_runs = Simulator::quietRunCounter().value();
     double mean_run = quiet_runs == 0
         ? 0.0
         : static_cast<double>(quiet_edges) /
               static_cast<double>(quiet_runs);
-    // The share of quiet edges skipped in one clock call per run, with
-    // every clock calm, rather than taken edge by edge.
+    // The share of quiet edges consumed by DomainClock::skip calls (in
+    // catch-ups and rejoins of calm domains out of the race, or by the
+    // synchronous shared-clock skip) rather than taken edge by edge.
     double skipped_share = quiet_edges == 0
         ? 0.0
         : static_cast<double>(skipped_edges) /
@@ -746,8 +753,8 @@ profileCli(const std::vector<std::string> &args)
                       pct(row.quietShare(), 1)});
     }
     std::printf("\n%s", edges.render().c_str());
-    std::printf("quiet runs: %llu, mean length %s edges, %s of quiet "
-                "edges skipped\n",
+    std::printf("quiet runs (race runs and settles): %llu, mean "
+                "length %s edges, %s of quiet edges skipped in bulk\n",
                 static_cast<unsigned long long>(quiet_runs),
                 num(mean_run, 1).c_str(), pct(skipped_share, 1).c_str());
     return 0;

@@ -148,12 +148,15 @@ class DomainClock
     {
         if (cycle <= cycles_ + 1)
             return next_edge_;
-        std::uint64_t ahead = cycle - cycles_ - 1;
-        if (ahead > static_cast<std::uint64_t>(
-                        (MAX_TICK - nominal_time_) / period_))
+        // Called on quiet edges, so the range check multiplies rather
+        // than divides.
+        Tick span;
+        if (cycle - cycles_ - 1 > static_cast<std::uint64_t>(MAX_TICK) ||
+            __builtin_mul_overflow(static_cast<Tick>(cycle - cycles_ - 1),
+                                   period_, &span) ||
+            span > MAX_TICK - nominal_time_)
             return MAX_TICK;
-        return nominal_time_ + static_cast<Tick>(ahead) * period_ -
-               max_jitter_;
+        return nominal_time_ + span - max_jitter_;
     }
 
     /**

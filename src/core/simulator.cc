@@ -29,6 +29,13 @@ constexpr std::uint64_t NO_CYCLE =
 /** Quiet edges between checks that some domain can still wake. */
 constexpr std::uint64_t LIVENESS_PERIOD = 1ull << 20;
 
+/** Each domain's tie rank in the MCD edge race, by domain index:
+ *  Integer, FloatingPoint, LoadStore, then the front end. */
+constexpr std::array<int, NUM_CLOCKED_DOMAINS> RANK = {3, 0, 1, 2};
+
+/** Domain indices in race tie order. */
+constexpr std::array<std::size_t, NUM_CLOCKED_DOMAINS> RACE = {1, 2, 3, 0};
+
 /** Ordered erase of one sequence number from a queue. */
 void
 eraseSeq(std::vector<std::uint64_t> &queue, std::uint64_t seq)
@@ -236,18 +243,21 @@ Simulator::refreshBatchVoltages() const
     }
 }
 
+bool
+Simulator::frequencyMoved() const
+{
+    for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
+        auto di = static_cast<std::size_t>(d);
+        if (clock_of_[di]->frequency() != batch_.freq[di])
+            return true;
+    }
+    return false;
+}
+
 void
 Simulator::syncBatchVoltages()
 {
-    bool changed = false;
-    for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
-        auto di = static_cast<std::size_t>(d);
-        if (clock_of_[di]->frequency() != batch_.freq[di]) {
-            changed = true;
-            break;
-        }
-    }
-    if (changed) {
+    if (frequencyMoved()) {
         // Pending charges predate the voltage change; apply them at the
         // voltages they were incurred under, then re-cache.
         flushPower();
@@ -298,17 +308,26 @@ Simulator::runTo(std::uint64_t target)
     syncBatchVoltages();
     while (state_.committed < target)
         step();
+    // Between runs every clock stands where the eager race leaves it.
+    rejoinAll();
 }
 
 Tick
 Simulator::advance(DomainClock &clock)
 {
     // The sync flushes the earlier cycles at the old voltage before
-    // this edge's cycle is charged.
+    // this edge's cycle is charged, so every lazy domain first catches
+    // up to this edge.
     bool slewing = clock.slewing();
     Tick edge = clock.advance();
-    if (slewing)
-        syncBatchVoltages();
+    if (slewing && frequencyMoved()) {
+        int rank = RANK[static_cast<std::size_t>(domainIndex(clock.id()))];
+        for (unsigned bits = lazy_; bits; bits &= bits - 1)
+            catchUp(static_cast<std::size_t>(std::countr_zero(bits)), edge,
+                    rank);
+        flushPower();
+        refreshBatchVoltages();
+    }
     return edge;
 }
 
@@ -321,8 +340,7 @@ Simulator::step()
     // which are followed by a sync (handleIntervalBoundary,
     // engageController), or between runs, which runTo syncs. So every
     // edge syncs the batch voltages only after a slewing clock
-    // advanced. At a run's first quiet edge, with every clock calm,
-    // each clock first skips its edges before calmLimit() in one call.
+    // advanced.
     std::array<std::uint64_t, NUM_CLOCKED_DOMAINS> run{}; // per domain
 
     if (clocks_.mode() == ClockMode::Synchronous) {
@@ -333,8 +351,26 @@ Simulator::step()
         std::uint64_t shared = 0;
         for (std::uint64_t spins = 1;
              std::all_of(wake_.begin(), wake_.end(), quiet); ++spins) {
-            if (spins == 1 && skipCalmRun(run))
-                continue;
+            // At a run's first quiet edge, a calm shared clock skips
+            // the edges surely before every domain's quiet bound in one
+            // call, charged to each domain.
+            if (spins == 1 && clock.calm()) {
+                Tick limit = MAX_TICK;
+                for (const WakeMemo &memo : wake_)
+                    limit = std::min(limit, quietBound(memo, clock));
+                std::uint64_t skipped =
+                    limit == MAX_TICK ? 0 : clock.edgesBefore(limit);
+                if (skipped != 0) {
+                    clock.skip(skipped);
+                    for (std::size_t di = 0; di < NUM_CLOCKED_DOMAINS;
+                         ++di) {
+                        batch_.cycles[di] += skipped;
+                        skipped_edges_[di] += skipped;
+                    }
+                    shared += skipped;
+                    continue;
+                }
+            }
             advance(clock);
             for (std::uint64_t &cycles : batch_.cycles)
                 ++cycles;
@@ -359,35 +395,61 @@ Simulator::step()
         return;
     }
 
-    // The earliest pending edge; ties go to the first in this order.
-    static constexpr DomainId ORDER[] = {
-        DomainId::Integer, DomainId::FloatingPoint,
-        DomainId::LoadStore, DomainId::FrontEnd,
-    };
-    auto clockOf = [this](DomainId id) -> DomainClock & {
-        return *clock_of_[static_cast<std::size_t>(domainIndex(id))];
-    };
     for (std::uint64_t spins = 1;; ++spins) {
-        DomainId best = ORDER[0];
-        Tick best_edge = clockOf(best).nextEdge();
-        for (int i = 1; i < NUM_CLOCKED_DOMAINS; ++i) {
-            Tick t = clockOf(ORDER[i]).nextEdge();
-            if (t < best_edge) {
-                best = ORDER[i];
-                best_edge = t;
+        // The earliest pending edge of a domain in the race; ties go to
+        // the first in race order.
+        std::size_t di = NUM_CLOCKED_DOMAINS;
+        Tick edge = MAX_TICK;
+        for (std::size_t d : RACE) {
+            if (lazy_ >> d & 1)
+                continue;
+            Tick t = clock_of_[d]->nextEdge();
+            if (t < edge) {
+                di = d;
+                edge = t;
             }
         }
-        auto di = static_cast<std::size_t>(domainIndex(best));
+        if (lazy_ != 0 && rejoin_at_ <= edge) {
+            // The race reached the lowest quiet bound, or no domain is
+            // left in it: the domains at that bound charge their edges
+            // before it and rejoin. With no bound, none can ever wake.
+            Tick bound = rejoin_at_;
+            if (bound == MAX_TICK)
+                checkLive();
+            for (unsigned bits = lazy_; bits; bits &= bits - 1) {
+                auto d = static_cast<std::size_t>(std::countr_zero(bits));
+                if (lazy_bound_[d] != bound)
+                    continue;
+                if (bound != MAX_TICK)
+                    catchUp(d, bound, 0);
+                settle(d);
+                rejoin(d);
+            }
+            continue;
+        }
         DomainClock &clock = *clock_of_[di];
-        if (!wake_[di].quiet(best_edge, clock.cycles() + 1)) {
+        const WakeMemo &memo = wake_[di];
+        if (!memo.quiet(edge, clock.cycles() + 1)) {
             endQuietRun(run);
-            Tick edge = advance(clock);
+            tick_rank_ = RANK[di];
+            edge = advance(clock);
             state_.now = edge;
-            tickDomain(best, edge, clock.cycles());
+            tickDomain(static_cast<DomainId>(di), edge, clock.cycles());
             return;
         }
-        if (spins == 1 && skipCalmRun(run))
-            continue;
+        // A calm domain with two or more edges surely before its quiet
+        // bound leaves the race; its edges are charged when it catches
+        // up.
+        if (clock.calm()) {
+            Tick bound = quietBound(memo, clock);
+            if (clock.edgesBefore(bound) >= 2) {
+                lazy_ |= 1u << di;
+                lazy_bound_[di] = bound;
+                lazy_since_[di] = clock.cycles();
+                rejoin_at_ = std::min(rejoin_at_, bound);
+                continue;
+            }
+        }
         advance(clock);
         ++batch_.cycles[di];
         ++run[di];
@@ -397,54 +459,69 @@ Simulator::step()
 }
 
 Tick
-Simulator::calmLimit() const
+Simulator::quietBound(const WakeMemo &memo, const DomainClock &clock)
 {
-    // A lower bound on each domain's first edge that is not quiet: its
-    // wake time, or the earliest its wake cycle's edge can fall. A
-    // dirty domain (wake time 0), the common case on compute-bound
-    // code, leaves nothing to skip.
-    Tick limit = MAX_TICK;
-    for (const WakeMemo &memo : wake_)
-        limit = std::min(limit, memo.wakeTime);
-    if (limit == 0)
-        return 0;
-    for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
-        auto di = static_cast<std::size_t>(d);
-        const DomainClock &clock = *clock_of_[di];
-        if (!clock.calm())
-            return 0;
-        const WakeMemo &memo = wake_[di];
-        if (memo.wakeCycle != NO_CYCLE)
-            limit = std::min(limit, clock.earliestEdge(memo.wakeCycle));
-    }
-    // With no domain able to wake, the per-edge loop's liveness check
-    // must see the edges.
-    return limit == MAX_TICK ? 0 : limit;
+    // The wake time, or the earliest the wake cycle's edge can fall.
+    return memo.wakeCycle == NO_CYCLE
+        ? memo.wakeTime
+        : std::min(memo.wakeTime, clock.earliestEdge(memo.wakeCycle));
 }
 
-bool
-Simulator::skipCalmRun(std::array<std::uint64_t, NUM_CLOCKED_DOMAINS> &run)
+void
+Simulator::catchUp(std::size_t di, Tick time, int rank)
 {
-    Tick limit = calmLimit();
-    if (limit == 0)
-        return false;
-    // In Synchronous mode the four domains share one clock: skip it
-    // once and charge its edges to each.
-    bool shared = clocks_.mode() == ClockMode::Synchronous;
-    std::uint64_t skipped = 0;
-    bool any = false;
-    for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
-        auto di = static_cast<std::size_t>(d);
-        if (!shared || d == 0) {
-            skipped = clock_of_[di]->edgesBefore(limit);
-            clock_of_[di]->skip(skipped);
-        }
-        batch_.cycles[di] += skipped;
-        run[di] += skipped;
-        skipped_edges_[di] += skipped;
-        any = any || skipped != 0;
+    // Every edge taken here is before the domain's quiet bound. Its
+    // cycle energy is due at the next flush; its accumulators are
+    // charged by settle().
+    DomainClock &clock = *clock_of_[di];
+    std::uint64_t skipped = clock.edgesBefore(time);
+    clock.skip(skipped);
+    std::uint64_t n = skipped;
+    for (; clock.nextEdge() < time ||
+           (clock.nextEdge() == time && RANK[di] < rank);
+         ++n)
+        clock.advance();
+    batch_.cycles[di] += n;
+    skipped_edges_[di] += skipped;
+}
+
+void
+Simulator::settle(std::size_t di)
+{
+    // What the accumulators sample has not changed since the domain
+    // left the race or last settled: anything that changes it settles
+    // the domain first.
+    std::uint64_t cycles = clock_of_[di]->cycles();
+    std::uint64_t n = cycles - lazy_since_[di];
+    lazy_since_[di] = cycles;
+    if (n == 0)
+        return;
+    accountEdges(static_cast<DomainId>(di), n);
+    quiet_edges_[di] += n;
+    ++quiet_runs_;
+}
+
+void
+Simulator::rejoin(std::size_t di)
+{
+    lazy_ &= ~(1u << di);
+    rejoin_at_ = MAX_TICK;
+    for (unsigned bits = lazy_; bits; bits &= bits - 1)
+        rejoin_at_ = std::min(
+            rejoin_at_,
+            lazy_bound_[static_cast<std::size_t>(std::countr_zero(bits))]);
+}
+
+void
+Simulator::rejoinAll()
+{
+    for (unsigned bits = lazy_; bits; bits &= bits - 1) {
+        auto di = static_cast<std::size_t>(std::countr_zero(bits));
+        catchUp(di, state_.now, tick_rank_);
+        settle(di);
     }
-    return any;
+    lazy_ = 0;
+    rejoin_at_ = MAX_TICK;
 }
 
 void
@@ -546,7 +623,13 @@ Simulator::markAllDirty()
 void
 Simulator::wakeDomain(DomainId domain, Tick time)
 {
-    WakeMemo &memo = wake_[static_cast<std::size_t>(domainIndex(domain))];
+    auto di = static_cast<std::size_t>(domainIndex(domain));
+    if (lazy_ >> di & 1) {
+        catchUp(di, state_.now, tick_rank_);
+        settle(di);
+        rejoin(di);
+    }
+    WakeMemo &memo = wake_[di];
     memo.wakeTime = std::min(memo.wakeTime, time);
     memo.asleep = false;
 }
@@ -627,6 +710,14 @@ Simulator::commitStage(Tick edge)
             (head.dstIsFp() ? fp_regs_ : int_regs_).free(head.oldPhysDst);
         }
         if (head.isLoad) {
+            // The only queue change that wakes no domain: a lazy
+            // load/store domain charges its edges at the old occupancy.
+            auto ls = static_cast<std::size_t>(
+                domainIndex(DomainId::LoadStore));
+            if (lazy_ >> ls & 1) {
+                catchUp(ls, edge, tick_rank_);
+                settle(ls);
+            }
             head.lsqFreed = true;
             eraseSeq(state_.lsq, head.seq);
         }
@@ -653,6 +744,9 @@ void
 Simulator::handleIntervalBoundary(Tick edge)
 {
     ScopedTimer timer(Phase::SimInterval);
+    // The boundary reads and resets every domain's accumulators, and
+    // the controller may retarget any clock.
+    rejoinAll();
     flushPower();
 
     IntervalStats stats;

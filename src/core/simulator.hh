@@ -7,7 +7,8 @@
  * domains (issue queue + FUs + register file each), and a load/store
  * domain (LSQ, L1D, unified L2), with main memory externally clocked.
  * Each domain runs on its own jittered clock; the main loop always
- * advances whichever clock has the earliest pending edge, so the
+ * advances whichever clock has the earliest pending edge (a domain with
+ * nothing to do may stand aside and catch up later; see below), so the
  * relationship among all clock edges is tracked cycle by cycle and every
  * cross-domain transfer (dispatch into an issue queue, register result
  * consumption, branch-resolution redirect, cache-fill return) pays the
@@ -80,26 +81,55 @@
  * machine state, so the occupancies the per-edge accumulators sample
  * are constant across the run: accountEdges() charges the whole run
  * per domain as count x occupancy, which is exact because those sums
- * are integer-valued doubles below 2^53. `quietRuns()` counts the runs.
+ * are integer-valued doubles below 2^53.
  *
- * Most of a run need not even be drawn edge by edge. When every clock
- * is calm (DomainClock::calm(): not slewing, and jitter too small for
- * the monotonic clamp to bind), step() computes at a run's first quiet
- * edge L, a lower bound on the first edge that is not quiet: the
- * minimum over domains of the memo's wake time and, for a cycle
- * deadline, the nominal time of the wakeCycle edge less the clock's
- * maxJitter(). Every edge before L is
- * quiet for its own domain, so each clock skips the edges that surely
- * fall before L in one DomainClock::skip call, charged per domain as
- * above, and the per-edge loop takes the few edges near L as before.
- * Interleaving does not matter there: with every clock calm, a quiet
- * edge neither flushes energy nor changes machine state. A slewing
- * clock syncs, and so flushes, on each of its edges, which splits the
- * other domains' cycle batches at those edges; so while any clock
- * slews nothing is skipped and the flush order, hence every energy
- * sum, stays bit-identical. With no domain able to wake, L is
- * unbounded and nothing is skipped, so the liveness check still
- * fires. `skippedEdges()` counts the skipped edges per domain.
+ * In MCD mode a domain need not even stay in that race. A calm clock
+ * (DomainClock::calm(): not slewing, and jitter too small for the
+ * monotonic clamp to bind) has a quiet bound: its memo's wake time or,
+ * for a cycle deadline, the earliest the wakeCycle edge can fall
+ * (DomainClock::earliestEdge()); every one of its edges before the
+ * bound is quiet. When the race's earliest edge is quiet, its clock is
+ * calm and two or more of its edges fall surely before the bound, the
+ * domain leaves the race *lazy* at that pending edge: the race takes
+ * only the other domains' edges, and the lazy clock stands still. It
+ * rejoins when the earliest edge in the race reaches its bound (or
+ * when no domain is left in the race and its bound is the lowest),
+ * after first charging its edges before the bound, and when
+ * wakeDomain() names it. With every domain lazy and no bound, no
+ * domain can wake and the liveness check panics.
+ *
+ * A lazy domain's edges are consumed by one catch-up routine: one
+ * DomainClock::skip() call for the edges that surely fall before a
+ * point of the race, then edge by edge the few near it, in the race's
+ * tie order (time first, then Integer, FloatingPoint, LoadStore,
+ * FrontEnd). It batches their cycle energy; settle() then charges the
+ * accumulators and edge counts for every edge consumed since the
+ * domain left the race or last settled. Catch-ups run before anything
+ * reads those counts or changes what they sample:
+ *   - a slewing clock's energy flush (advance());
+ *   - an interval boundary, which also settles and rejoins every
+ *     domain, because the controller may retarget a clock;
+ *   - a committed load leaving the LSQ, the one queue change that
+ *     wakes no domain (the load/store domain settles, and stays lazy);
+ *   - wakeDomain(), which settles and rejoins the domain;
+ *   - the end of runTo, which settles and rejoins every domain, so
+ *     checkpoints, stats() and checkScheduler() see the machine the
+ *     eager race would have left.
+ * The result is exact. Each lazy edge falls before the domain's bound,
+ * so it is quiet; its domain's occupancies have not changed since it
+ * last settled; and every per-edge effect is an integer count, while
+ * the floating-point energy sums are formed only at flushes, by which
+ * time every lazy domain has caught up. The clocks' RNG streams are
+ * independent, so drawing one clock's edges late draws the same
+ * samples. `quietRuns()` counts the charges of quiet edges in bulk:
+ * each step's run of quiet edges taken in the race, and each settle.
+ * `skippedEdges()` counts the edges consumed by DomainClock::skip()
+ * calls, that is in bulk by catch-ups and rejoins.
+ *
+ * The Synchronous chip has one clock and no race. There, at a run's
+ * first quiet edge, a calm shared clock skips in one call the edges
+ * surely before the lowest of the four domains' quiet bounds, charged
+ * to each domain.
  *
  * On every edge, quiet or not, the batch voltages are synced only
  * after a slewing clock advanced. Otherwise a frequency changes only
@@ -286,15 +316,17 @@ class Simulator
     }
 
     /**
-     * Runs of quiet edges step() took in bulk (see the file comment);
-     * diagnostics only, like edges().
+     * Charges of quiet edges in bulk: each step's run of quiet edges
+     * taken in the edge race, and each settle of a lazy domain (see
+     * the file comment); diagnostics only, like edges().
      */
     std::uint64_t quietRuns() const { return quiet_runs_; }
 
     /**
-     * Quiet edges of `domain` that step() consumed with one
-     * DomainClock::skip call per run rather than edge by edge (see the
-     * file comment); diagnostics only, like edges().
+     * Quiet edges of `domain` consumed in bulk by DomainClock::skip
+     * calls rather than edge by edge: by catch-ups and rejoins of a
+     * lazy domain, or by the Synchronous chip's shared-clock skip (see
+     * the file comment); diagnostics only, like edges().
      */
     std::uint64_t
     skippedEdges(DomainId domain) const
@@ -395,6 +427,16 @@ class Simulator
     };
     std::array<WakeMemo, NUM_CLOCKED_DOMAINS> wake_{};
 
+    // Lazy clocks (MCD mode; see the file comment): a bit per domain
+    // out of the edge race, each one's quiet bound and the clock cycle
+    // its accumulators are charged up to, the lowest bound, and the tie
+    // rank of the domain whose edge is being ticked.
+    unsigned lazy_ = 0;
+    std::array<Tick, NUM_CLOCKED_DOMAINS> lazy_bound_{};
+    std::array<std::uint64_t, NUM_CLOCKED_DOMAINS> lazy_since_{};
+    Tick rejoin_at_ = MAX_TICK;
+    int tick_rank_ = 0;
+
     // The scan in progress: did it change machine state, and if not,
     // from when could a later scan?
     bool scan_mutated_ = false;
@@ -454,6 +496,8 @@ class Simulator
     // --- energy batching ---
     void flushPower() const;
     void refreshBatchVoltages() const;
+    /** Has a frequency changed since the batch voltages were cached? */
+    bool frequencyMoved() const;
     void syncBatchVoltages();
     void chargeCycleB(DomainId domain);
     void chargeAccessB(StructureId structure, DomainId domain,
@@ -465,14 +509,22 @@ class Simulator
     /** Advance `clock` one edge, syncing the batch voltages if it was
      *  slewing; returns the edge. */
     Tick advance(DomainClock &clock);
-    /** The time before which every pending edge is quiet when every
-     *  clock is calm, or 0 when none may be skipped (see the file
-     *  comment). */
-    Tick calmLimit() const;
-    /** Skip every clock's edges before calmLimit(), charging them like
-     *  quiet edges into `run`; false if there were none. */
-    bool skipCalmRun(
-        std::array<std::uint64_t, NUM_CLOCKED_DOMAINS> &run);
+    /** The time before which every edge of a calm `clock` is quiet
+     *  under `memo` (see the file comment). */
+    static Tick quietBound(const WakeMemo &memo, const DomainClock &clock);
+    /** Consume the lazy domain `di`'s edges that precede, in race
+     *  order, the edge at `time` of the domain of tie rank `rank`,
+     *  skipping the ones surely before `time`, and batch their cycle
+     *  energy (see the file comment). */
+    void catchUp(std::size_t di, Tick time, int rank);
+    /** Charge the accumulators of the lazy domain `di` for the edges it
+     *  consumed since it left the race or last settled. */
+    void settle(std::size_t di);
+    /** Put the lazy domain `di` back into the edge race. */
+    void rejoin(std::size_t di);
+    /** Catch up every lazy domain to the edge being ticked and put it
+     *  back into the race. */
+    void rejoinAll();
     /** Panic if every wake memo says never: the loop would spin
      *  forever. */
     void checkLive() const;

@@ -28,6 +28,35 @@ chaseHash(std::uint64_t x)
     return x;
 }
 
+/** Set a nonzero divisor's fastmod reciprocal, ceil(2^128 / d), as its
+ *  high and low halves. */
+void
+setFastmodRecip(std::uint64_t d, std::uint64_t &hi, std::uint64_t &lo)
+{
+    unsigned __int128 recip = ~static_cast<unsigned __int128>(0) / d + 1;
+    hi = static_cast<std::uint64_t>(recip >> 64);
+    lo = static_cast<std::uint64_t>(recip);
+}
+
+/**
+ * x % d from d's fastmod reciprocal without a divide (Lemire, Kaser and
+ * Kurz, "Faster Remainder by Direct Computation", 2019): exact for every
+ * 64-bit x and d, because the reciprocal carries 128 bits.
+ */
+std::uint64_t
+fastmod(std::uint64_t x, std::uint64_t hi, std::uint64_t lo,
+        std::uint64_t d)
+{
+    // The fraction x / d, mod 1, in 128 bits.
+    unsigned __int128 frac =
+        ((static_cast<unsigned __int128>(hi) << 64) | lo) * x;
+    unsigned __int128 low =
+        (static_cast<unsigned __int128>(static_cast<std::uint64_t>(frac)) *
+         d) >> 64;
+    return static_cast<std::uint64_t>(
+        (low + (frac >> 64) * d) >> 64);
+}
+
 /** Probabilistic rounding: floor(x) or ceil(x) with fractional chance. */
 int
 stochasticRound(double x, Rng &rng)
@@ -145,6 +174,7 @@ SyntheticProgram::enterPhase(int index)
         StreamState st;
         st.base = data_base + static_cast<std::uint64_t>(s) * stream_size;
         st.size = stream_size;
+        setFastmodRecip(stream_size, st.sizeRecipHi, st.sizeRecipLo);
         st.pos = (static_cast<std::uint64_t>(s) * 64) % stream_size;
         st.stride = p.strideBytes;
         st.chase = s < num_chase;
@@ -325,9 +355,17 @@ std::uint64_t
 SyntheticProgram::nextStreamAddr(int stream)
 {
     StreamState &st = streams_[static_cast<std::size_t>(stream)];
+    // Every stream keeps pos < size, so a stride in [0, size) wraps with
+    // one subtraction.
     if (st.chase) {
-        st.pos = (chaseHash(st.pos + 0x9e3779b97f4a7c15ull) % st.size) &
+        st.pos = fastmod(chaseHash(st.pos + 0x9e3779b97f4a7c15ull),
+                         st.sizeRecipHi, st.sizeRecipLo, st.size) &
                  ~7ull;
+    } else if (st.stride >= 0 &&
+               static_cast<std::uint64_t>(st.stride) < st.size) {
+        st.pos += static_cast<std::uint64_t>(st.stride);
+        if (st.pos >= st.size)
+            st.pos -= st.size;
     } else {
         st.pos = (st.pos + static_cast<std::uint64_t>(st.stride)) %
                  st.size;
@@ -677,9 +715,11 @@ SyntheticProgram::loadState(serial::Reader &in)
                 return false;
         }
     }
-    for (const StreamState &st : streams)
-        if (st.size == 0)
+    for (StreamState &st : streams) {
+        if (st.size == 0 || st.pos >= st.size)
             return false;
+        setFastmodRecip(st.size, st.sizeRecipHi, st.sizeRecipLo);
+    }
     if (body_index < 0 ||
         static_cast<std::size_t>(body_index) >=
             bodies[static_cast<std::size_t>(region)].size() ||

@@ -136,6 +136,11 @@ class SyntheticProgram : public WorkloadGenerator
         std::int64_t stride = 8;
         bool chase = false;
         bool fp = false;
+        /** Lemire's fastmod reciprocal of `size`, ceil(2^128 / size),
+         *  in 64-bit halves so the struct keeps 8-byte alignment:
+         *  derived, set with the size and never serialized. */
+        std::uint64_t sizeRecipHi = 0;
+        std::uint64_t sizeRecipLo = 0;
     };
 
     struct StaticOp

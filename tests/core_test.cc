@@ -9,11 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/serial.hh"
+#include "control/controller_registry.hh"
 #include "core/simulator.hh"
+#include "harness/artifact.hh"
 #include "workload/benchmark_factory.hh"
 #include "workload/workload.hh"
 
@@ -615,6 +619,78 @@ TEST(Simulator, QuietEdgesAreCountedPerDomain)
     }
     EXPECT_GT(sim.quietRuns(), 0u);
     EXPECT_LE(sim.quietRuns(), quiet);
+}
+
+TEST(LazyClocks, CaughtUpAfterEveryRun)
+{
+    // A calm, quiet domain leaves the edge race and charges its edges
+    // when it catches up; every runTo catches all of them up before it
+    // returns. gsm leaves the FP domain asleep all run, epic sleeps it
+    // through whole phases and then wakes it, and mcf takes all four
+    // domains out of the race during misses. Attack/Decay slews clocks,
+    // whose energy flushes catch the lazy domains up mid-run. A run cut
+    // into uneven chunks ends in the machine of one unbroken run.
+    constexpr std::uint64_t CHUNKS[] = {1, 733, 2049, 2050, 5003, 9871,
+                                        16000};
+    constexpr std::uint64_t END = CHUNKS[std::size(CHUNKS) - 1];
+    for (const char *bench : {"gsm", "epic", "mcf"}) {
+        for (const char *name : {"none", "attack_decay"}) {
+            SCOPED_TRACE(std::string(bench) + " under " + name);
+            SimConfig config = fastConfig();
+            config.core.intervalInstructions = 500;
+            std::unique_ptr<FrequencyController> controller;
+            if (std::string(name) != "none")
+                controller = ControllerRegistry::instance().create(
+                    parseControllerSpec(name));
+
+            auto straight_workload = BenchmarkFactory::create(bench, END);
+            Simulator straight(config, *straight_workload,
+                               controller.get());
+            straight.runTo(END);
+            std::string straight_bytes;
+            straight.saveCheckpoint(straight_bytes);
+
+            if (controller)
+                controller = ControllerRegistry::instance().create(
+                    parseControllerSpec(name));
+            auto workload = BenchmarkFactory::create(bench, END);
+            Simulator sim(config, *workload, controller.get());
+            for (std::uint64_t target : CHUNKS) {
+                sim.runTo(target);
+                for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d) {
+                    auto id = static_cast<DomainId>(d);
+                    EXPECT_EQ(sim.edges(id), sim.clocks().clock(id).cycles())
+                        << domainName(id) << " at " << target;
+                }
+                EXPECT_EQ(sim.checkScheduler(), "") << "at " << target;
+            }
+            std::uint64_t skipped = 0;
+            for (int d = 0; d < NUM_CLOCKED_DOMAINS; ++d)
+                skipped += sim.skippedEdges(static_cast<DomainId>(d));
+            EXPECT_GT(skipped, 0u);
+            std::string bytes;
+            sim.saveCheckpoint(bytes);
+            EXPECT_TRUE(bytes == straight_bytes);
+            EXPECT_EQ(encodeArtifact(sim.stats()),
+                      encodeArtifact(straight.stats()));
+        }
+    }
+}
+
+TEST(LazyClocks, LivenessPanicStillFires)
+{
+    // With no free integer register the first op can never dispatch:
+    // the front end waits for a state change that no domain will make,
+    // and the other domains sleep. Every MCD domain leaves the edge race
+    // with no quiet bound, and the synchronous clock spins quietly;
+    // either way the liveness check must panic rather than spin.
+    for (ClockMode mode : {ClockMode::Mcd, ClockMode::Synchronous}) {
+        SimConfig config = fastConfig(mode);
+        config.core.intPhysRegs = NUM_INT_ARCH_REGS - 1;
+        TraceWorkload trace("stuck", independentAluTrace(16));
+        Simulator sim(config, trace);
+        EXPECT_DEATH(sim.run(1), "no clock domain can wake");
+    }
 }
 
 /** Run `sim` one commit at a time, checking the issue-select state

@@ -18,7 +18,9 @@
  * queue entries wait on registers not yet written. So are the calm
  * quiet runs a clock skips in one call: chains of integer divides,
  * whose runs end at cycle deadlines, and mcf with frequencies jumped
- * between runs, each in both clocking modes.
+ * between runs, each in both clocking modes. Jitter-free MCD runs pin
+ * the order in which domains that left the edge race catch up: there
+ * every edge ties with the other domains' edges.
  *
  * A change meant to make the simulator faster without changing what
  * it simulates must leave every digest as it is. A changed digest
@@ -30,6 +32,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -74,7 +77,7 @@ expectDigest(const SimStats &stats, std::uint64_t golden)
  *  controller engaged at the measurement boundary). */
 SimStats
 experiment(const std::string &bench, const std::string &controller,
-           ClockMode mode = ClockMode::Mcd)
+           ClockMode mode = ClockMode::Mcd, bool jitter = true)
 {
     ExperimentSpec spec;
     spec.benchmark = bench;
@@ -83,6 +86,7 @@ experiment(const std::string &bench, const std::string &controller,
     spec.config.instructions = MEASURED;
     spec.config.warmup = WARMUP;
     spec.config.intervalInstructions = 500;
+    spec.config.jitter = jitter;
     ArtifactCache fresh; // straight through: no shared warm-up
     return runExperiment(spec, fresh);
 }
@@ -410,6 +414,90 @@ TEST(SimGolden, IntDivideChains)
         expectDigest(sim.stats(), mode == ClockMode::Synchronous
                                       ? 0x1d9582d3d6264a69ull
                                       : 0x187976977fd0f057ull);
+    }
+}
+
+TEST(SimGolden, JitterFreeMcdRuns)
+{
+    // Without jitter, clocks at one frequency put every domain's edge
+    // at the same time: each edge is a four-way tie, so lazy domains
+    // catch up under the race's tie order. gsm leaves the FP domain
+    // asleep, epic wakes it between phases, and mcf stalls all four
+    // domains on memory; Attack/Decay slews clocks apart again.
+    struct Case
+    {
+        const char *bench;
+        const char *controller;
+        std::uint64_t golden;
+    };
+    const Case cases[] = {
+        {"gsm", "none", 0xb5bf097c2279b3bfull},
+        {"gsm", "attack_decay", 0xe40a5a02faef3aa8ull},
+        {"epic", "none", 0xed846c1e28fc11beull},
+        {"epic", "attack_decay", 0x9bfaa25739dbc03dull},
+        {"mcf", "none", 0xa7d3cd0fd4f7840aull},
+        {"mcf", "attack_decay", 0x1659f4ab9782ae19ull},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.bench) + " under " + c.controller);
+        expectDigest(experiment(c.bench, c.controller, ClockMode::Mcd,
+                                false),
+                     c.golden);
+    }
+}
+
+TEST(SimGolden, IntervalSamples)
+{
+    // Every field of every interval sample: the per-domain cycle,
+    // busy-cycle and occupancy sums that quiet edges charge in bulk,
+    // which uncontrolled stats do not show. A committed load leaves the
+    // LSQ without waking the load/store domain, so a domain out of the
+    // edge race must charge its edges at the old occupancy first.
+    struct Case
+    {
+        const char *bench;
+        const char *controller;
+        std::uint64_t golden;
+    };
+    const Case cases[] = {
+        {"mcf", "none", 0x524352429e0011e0ull},
+        {"mcf", "attack_decay", 0x6ae3c39c71299c5cull},
+        {"em3d", "none", 0x4e4fb7952e2d48ccull},
+        {"epic", "attack_decay", 0x7b581c1e7aa62e9bull},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.bench) + " under " + c.controller);
+        std::unique_ptr<FrequencyController> controller;
+        if (std::string(c.controller) != "none")
+            controller = ControllerRegistry::instance().create(
+                parseControllerSpec(c.controller));
+        auto workload = BenchmarkFactory::create(c.bench, MEASURED);
+        SimConfig config;
+        config.core.intervalInstructions = 500;
+        Simulator sim(config, *workload, controller.get());
+        std::string samples;
+        sim.setIntervalObserver([&](const IntervalStats &s) {
+            serial::appendU64(samples, s.index);
+            serial::appendU64(samples, s.instructions);
+            serial::appendU64(samples, s.feCycles);
+            serial::appendDouble(samples, s.ipc);
+            serial::appendI64(samples, s.startTime);
+            serial::appendI64(samples, s.endTime);
+            serial::appendDouble(samples, s.chipEnergy);
+            for (const DomainIntervalStats &d : s.domains) {
+                serial::appendDouble(samples, d.queueUtilization);
+                serial::appendDouble(samples, d.avgOccupancy);
+                serial::appendU64(samples, d.issued);
+                serial::appendU64(samples, d.cycles);
+                serial::appendU64(samples, d.busyCycles);
+                serial::appendDouble(samples, d.frequency);
+            }
+            serial::appendDouble(samples, s.robUtilization);
+            serial::appendDouble(samples, s.avgRobOccupancy);
+            serial::appendDouble(samples, s.feFrequency);
+        });
+        sim.runTo(MEASURED);
+        EXPECT_EQ(hex(c.golden), hex(serial::fnv1a(samples)));
     }
 }
 

@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
+#include <string>
 
+#include "common/serial.hh"
 #include "workload/benchmark_factory.hh"
 #include "workload/scenario_registry.hh"
 #include "workload/workload.hh"
@@ -237,6 +240,34 @@ TEST(SyntheticProgram, StreamWrapsPastHorizon)
     for (int i = 0; i < 50000; ++i)
         program.next(); // must not crash or run out
     SUCCEED();
+}
+
+TEST(SyntheticProgram, RestoreRejectsAStreamPositionPastItsSize)
+{
+    // Every stream keeps its position below its size, which lets a
+    // strided stream wrap by one subtraction; a restored one must too.
+    SyntheticProgram program(simpleSpec(), 100000);
+    for (int i = 0; i < 1000; ++i)
+        program.next();
+    std::string blob;
+    program.saveState(blob);
+    // Phase 0's first stream starts at the data base; its size and
+    // position are the next two words.
+    const std::uint64_t base = 0x400000000000ull;
+    std::size_t at =
+        blob.find(std::string(reinterpret_cast<const char *>(&base), 8));
+    ASSERT_NE(at, std::string::npos);
+    std::uint64_t size = 0;
+    std::memcpy(&size, blob.data() + at + 8, sizeof size);
+    auto restores = [&](std::uint64_t pos) {
+        std::string bytes = blob;
+        std::memcpy(bytes.data() + at + 16, &pos, sizeof pos);
+        SyntheticProgram copy(simpleSpec(), 100000);
+        serial::Reader in(bytes);
+        return copy.loadState(in);
+    };
+    EXPECT_TRUE(restores(size - 8));
+    EXPECT_FALSE(restores(size));
 }
 
 TEST(SyntheticProgram, CallsAndReturnsNest)
