@@ -3,8 +3,6 @@
 byte-identity check of the 30-app suite.
 
     scripts/ab_perf.py PARENT CHANGE [--workloads W[,W...]] [--seed N]
-                       [--pairs P] [--seconds S] [--no-identity]
-                       [--jobs J] [--work DIR] [--keep]
 
 PARENT and CHANGE are git revisions of this repository; CHANGE may also
 be WORKTREE, the working tree's tracked and untracked (not ignored)
@@ -14,8 +12,8 @@ registered if the script is interrupted. Each side then builds its own
 `perfbench/` (through `perfbench/run.py`, with CARGO_TARGET_DIR in the
 temporary directory) and its own `mcd_cli`.
 
-For each workload the script runs P pairs of
-`perfbench/run.py --workload W --seed N --seconds S --trace 0`,
+For each workload the script runs 10 pairs of
+`perfbench/run.py --workload W --seed N --seconds 4 --trace 0`,
 alternating which side runs first, and prints one row per end-to-end
 metric of BENCHMARK.json:
 
@@ -27,11 +25,15 @@ metric of BENCHMARK.json:
   - gap>IQR: whether the median gain is further from 1 than that.
 
 Every run must report `correct: true`; a run that does not is named
-and fails the script. Then, unless --no-identity, it diffs
+and fails the script. Then it diffs
 `mcd_cli run --bench <all 30 apps> --mode M --controller C --json` of
 the two builds for M in {mcd, sync} and C in {none, attack_decay}.
-The exit status is 0 when every run was correct and every diff
-empty. The script only invokes `perfbench/`; it edits nothing there.
+No run gets an MCD_* variable from the caller's environment, so both
+sides use the default methodology and no persistent store (which would
+serve one side's results to the other), and each identity run must
+report that it simulated every app. The exit status is 0 when every
+run was correct and every diff empty. The script only invokes
+`perfbench/`; it edits nothing there.
 """
 
 import argparse
@@ -45,6 +47,11 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("sim_membound", "sim_compute", "figure_table6")
+PAIRS = 10
+SECONDS = 4
+JOBS = os.cpu_count() or 1
+# The caller's environment without the MCD_* methodology variables.
+ENV = {k: v for k, v in os.environ.items() if not k.startswith("MCD_")}
 
 
 def log(msg):
@@ -71,20 +78,20 @@ def export(rev, dest):
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def build_cli(tree, jobs):
+def build_cli(tree):
     out = os.path.join(tree, "build-cli")
     subprocess.run(["cmake", "-S", tree, "-B", out,
                     "-DCMAKE_BUILD_TYPE=Release", "-DMCD_BUILD_TESTS=OFF",
                     "-DMCD_BUILD_EXAMPLES=OFF"],
                    stdout=subprocess.DEVNULL, check=True)
     subprocess.run(["cmake", "--build", out, "--target", "mcd_cli", "-j",
-                    str(jobs)], stdout=subprocess.DEVNULL, check=True)
+                    str(JOBS)], stdout=subprocess.DEVNULL, check=True)
     return os.path.join(out, "mcd_cli")
 
 
 def perfbench(tree, workload, seed, seconds):
     """One run.py result (its last stdout line)."""
-    env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(tree, "pb-build"))
+    env = dict(ENV, CARGO_TARGET_DIR=os.path.join(tree, "pb-build"))
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -122,16 +129,24 @@ def compare(workload, runs, metrics):
             "yes" if abs(gain - 1.0) > iqr else "no"))
 
 
-def identity(cli, apps, jobs):
-    """{(mode, controller): stdout bytes} of the 30-app suite."""
-    env = dict(os.environ, MCD_JOBS=str(jobs))
+def identity(cli, apps):
+    """{(mode, controller): stdout bytes} of the 30-app suite, each run
+    simulated from scratch."""
+    env = dict(ENV, MCD_JOBS=str(JOBS))
     out = {}
     for mode in ("mcd", "sync"):
         for controller in ("none", "attack_decay"):
-            out[(mode, controller)] = subprocess.run(
+            stdout = subprocess.run(
                 [cli, "run", "--bench", ",".join(apps), "--mode", mode,
                  "--controller", controller, "--json"],
                 env=env, check=True, capture_output=True).stdout
+            cache = json.loads(stdout)["cache"]
+            if cache["simulations"] < len(apps) or cache["disk_hits"]:
+                raise SystemExit("%s: --mode %s --controller %s simulated "
+                                 "%d of %d apps" % (cli, mode, controller,
+                                                    cache["simulations"],
+                                                    len(apps)))
+            out[(mode, controller)] = stdout
     return out
 
 
@@ -141,16 +156,6 @@ def main(argv):
     parser.add_argument("change")
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=4)
-    parser.add_argument("--no-identity", action="store_true")
-    parser.add_argument("--jobs", type=int,
-                        default=min(4, os.cpu_count() or 1))
-    parser.add_argument("--work", help="a new directory for the two "
-                        "exports and builds, kept afterwards (default: a "
-                        "temporary one)")
-    parser.add_argument("--keep", action="store_true",
-                        help="keep the exports and builds")
     args = parser.parse_args(argv)
     workloads = [w for w in args.workloads.split(",") if w]
     for w in workloads:
@@ -159,9 +164,7 @@ def main(argv):
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         metrics = json.load(f)["end_to_end"]
-    if args.work and os.path.exists(args.work) and os.listdir(args.work):
-        parser.error("--work %s is not empty" % args.work)
-    work = args.work or tempfile.mkdtemp(prefix="ab_perf-")
+    work = tempfile.mkdtemp(prefix="ab_perf-")
     sides = {"parent": os.path.join(work, "parent"),
              "change": os.path.join(work, "change")}
     ok = True
@@ -177,41 +180,34 @@ def main(argv):
 
         for w in workloads:
             runs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 \
                     else ("change", "parent")
                 pair = {}
                 for label in order:
                     pair[label] = perfbench(sides[label], w, args.seed,
-                                            args.seconds)
+                                            SECONDS)
                     if pair[label]["correct"] is not True:
                         log("%s: %s run %d is not correct" % (w, label, i))
                         ok = False
                 runs.append((pair["parent"], pair["change"]))
-                log("%s pair %d/%d done" % (w, i + 1, args.pairs))
+                log("%s pair %d/%d done" % (w, i + 1, PAIRS))
             compare(w, runs, metrics)
 
-        if not args.no_identity:
-            log("building mcd_cli for the identity check")
-            cli = {label: build_cli(tree, args.jobs)
-                   for label, tree in sides.items()}
-            listing = subprocess.run([cli["parent"], "list", "--json"],
-                                     check=True,
-                                     capture_output=True).stdout
-            apps = [s["name"] for s in json.loads(listing)["scenarios"]]
-            got = {label: identity(cli[label], apps, args.jobs)
-                   for label in sides}
-            print("identity: mcd_cli run --json over %d apps" % len(apps))
-            for key in got["parent"]:
-                same = got["parent"][key] == got["change"][key]
-                ok = ok and same
-                print("  --mode %-4s --controller %-12s %s" % (
-                    key[0], key[1], "identical" if same else "DIFFERS"))
+        log("building mcd_cli for the identity check")
+        cli = {label: build_cli(tree) for label, tree in sides.items()}
+        listing = subprocess.run([cli["parent"], "list", "--json"],
+                                 check=True, capture_output=True).stdout
+        apps = [s["name"] for s in json.loads(listing)["scenarios"]]
+        got = {label: identity(cli[label], apps) for label in sides}
+        print("identity: mcd_cli run --json over %d apps" % len(apps))
+        for key in got["parent"]:
+            same = got["parent"][key] == got["change"][key]
+            ok = ok and same
+            print("  --mode %-4s --controller %-12s %s" % (
+                key[0], key[1], "identical" if same else "DIFFERS"))
     finally:
-        if args.keep or args.work:
-            log("exports and builds kept in %s" % work)
-        else:
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
     return 0 if ok else 1
 
 

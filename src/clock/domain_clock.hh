@@ -174,6 +174,17 @@ class DomainClock
                        room >= period_ ? room / period_ : 0);
     }
 
+    /**
+     * edgesBefore(limit) >= 2, without its divide: it runs on quiet
+     * edges. Requires calm().
+     */
+    bool
+    twoEdgesBefore(Tick limit) const
+    {
+        return next_edge_ < limit &&
+               limit - 1 - max_jitter_ - nominal_time_ >= period_;
+    }
+
     /** Instantaneous frequency (may be mid-slew). */
     Hertz frequency() const { return cur_freq_; }
 

@@ -507,6 +507,22 @@ TEST(DomainClock, SkipBoundsHoldForEveryEdge)
     }
 }
 
+TEST(DomainClock, TwoEdgesBeforeMatchesEdgesBefore)
+{
+    DvfsModel dvfs;
+    for (const auto &[name, clock] : calmClocks(dvfs)) {
+        Tick span = 3 * periodFromFreq(clock.frequency()) +
+                    2 * clock.maxJitter();
+        for (Tick limit = clock.nextEdge() - 2;
+             limit < clock.nextEdge() + span; ++limit) {
+            ASSERT_EQ(clock.edgesBefore(limit) >= 2,
+                      clock.twoEdgesBefore(limit))
+                << name << ", limit " << limit;
+        }
+        EXPECT_TRUE(clock.twoEdgesBefore(MAX_TICK)) << name;
+    }
+}
+
 TEST(DomainClock, CalmOnlyWhenSkipIsExact)
 {
     DvfsModel dvfs;
