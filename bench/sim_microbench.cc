@@ -2,9 +2,9 @@
  * @file
  * Microbenchmarks of the simulator's building blocks: raw simulation
  * throughput per machine mode, the serial 30-app suite at a short
- * window, clock-edge generation one edge at a time and skipped in
- * bulk, cache access,
- * branch prediction, and workload generation. These guard against
+ * window, the off-line Dynamic-X% search, clock-edge generation one
+ * edge at a time and skipped in bulk, cache access, branch
+ * prediction, and workload generation. These guard against
  * performance regressions in the hot paths every experiment binary
  * depends on.
  *
@@ -34,6 +34,7 @@
 #include "common/serial.hh"
 #include "control/attack_decay.hh"
 #include "core/simulator.hh"
+#include "harness/experiment.hh"
 #include "memory/cache.hh"
 #include "predictor/branch_predictor.hh"
 #include "telemetry/profiler.hh"
@@ -51,6 +52,7 @@ struct BenchResult
     std::uint64_t iterations = 0; //!< timed batch iterations
     std::uint64_t items = 0;      //!< items processed across batches
     std::uint64_t feCycles = 0;   //!< front-end cycles, if reported
+    std::uint64_t simulations = 0; //!< simulations per batch, if counted
     double seconds = 0.0;         //!< measured wall-clock
 };
 
@@ -79,8 +81,10 @@ feCyclesPerSecond(const BenchResult &r)
  * One registered benchmark: `items` is how many items one call of
  * `batch` processes, and `feCyclesPerBatch` how many simulated
  * front-end cycles, where that is reported (simulator cost scales with
- * cycles). State setup happens in the factory closure, so repeated
- * batches reuse warm structures (google-benchmark's loop semantics).
+ * cycles), and `simulationsPerBatch` how many simulations, where
+ * that is counted. State setup happens in the factory closure, so
+ * repeated batches reuse warm structures (google-benchmark's loop
+ * semantics).
  */
 struct Bench
 {
@@ -88,6 +92,7 @@ struct Bench
     std::uint64_t itemsPerBatch = 0;
     std::function<void()> batch;
     std::uint64_t feCyclesPerBatch = 0;
+    std::uint64_t simulationsPerBatch = 0;
 };
 
 BenchResult
@@ -103,6 +108,7 @@ run(const Bench &bench, double min_seconds)
 
     BenchResult result;
     result.name = bench.name;
+    result.simulations = bench.simulationsPerBatch;
     auto start = clock::now();
     for (;;) {
         bench.batch();
@@ -183,6 +189,33 @@ allBenches()
         benches.push_back(
             Bench{"SimulatorSuite", insns, [suite] { suite(); },
                   fe_cycles});
+    }
+
+    // The off-line Dynamic-X% search as Table 6 runs it: the profiled
+    // baseline plus Dynamic-1% and Dynamic-5% of mcf and gsm, each
+    // batch on a fresh cache so every probe simulates. Items are
+    // simulations. The count is deterministic, so it is gated as work
+    // done (any host) rather than as time.
+    {
+        auto search = [] {
+            RunnerConfig config;
+            config.instructions = 5000;
+            config.warmup = 1000;
+            config.jobs = 1;
+            ArtifactCache cache;
+            Runner runner(config, cache);
+            for (const char *app : {"mcf", "gsm"}) {
+                std::vector<IntervalProfile> profile;
+                SimStats base = runner.runMcdBaseline(app, &profile);
+                for (double target : {0.01, 0.05})
+                    runner.runOfflineDynamic(app, target, base, profile);
+            }
+            return cache.simulationsRun();
+        };
+        std::uint64_t simulations = search();
+        benches.push_back(Bench{"OfflineSearch", simulations,
+                                [search] { search(); }, 0,
+                                simulations});
     }
 
     // Checkpoint fast-forward vs cold start. Both cases produce the
@@ -495,6 +528,11 @@ printJson(const std::vector<BenchResult> &results,
             std::snprintf(buf, sizeof(buf),
                           ", \"fe_cycles_per_second\": %.1f",
                           feCyclesPerSecond(r));
+            out += buf;
+        }
+        if (r.simulations > 0) {
+            std::snprintf(buf, sizeof(buf), ", \"simulations\": %llu",
+                          static_cast<unsigned long long>(r.simulations));
             out += buf;
         }
         out += i + 1 < results.size() ? "},\n" : "}\n";

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Perf A/B of two revisions: alternating perfbench pairs plus a
-byte-identity check of the 30-app suite.
+byte-identity check of the 30-app suite and two figures.
 
     scripts/ab_perf.py PARENT CHANGE [--workloads W[,W...]] [--seed N]
 
@@ -27,7 +27,10 @@ metric of BENCHMARK.json:
 Every run must report `correct: true`; a run that does not is named
 and fails the script. Then it diffs
 `mcd_cli run --bench <all 30 apps> --mode M --controller C --json` of
-the two builds for M in {mcd, sync} and C in {none, attack_decay}.
+the two builds for M in {mcd, sync} and C in {none, attack_decay},
+and the stdout of `mcd_cli figure F` for F in {table6, fig4} at the
+small window of FIGURE_ENV, printing each side's `store:` line (the
+sides may rightly simulate different counts; only stdout must match).
 No run gets an MCD_* variable from the caller's environment, so both
 sides use the default methodology and no persistent store (which would
 serve one side's results to the other), and each identity run must
@@ -52,6 +55,12 @@ SECONDS = 4
 JOBS = os.cpu_count() or 1
 # The caller's environment without the MCD_* methodology variables.
 ENV = {k: v for k, v in os.environ.items() if not k.startswith("MCD_")}
+FIGURES = ("table6", "fig4")
+# A window small enough for a figure to finish in seconds, yet long
+# enough for the off-line searches to probe every phase.
+FIGURE_ENV = {"MCD_INSNS": "20000", "MCD_WARMUP": "2000",
+              "MCD_INTERVAL": "1000",
+              "MCD_BENCHMARKS": "adpcm,epic,gsm,mcf,power,em3d"}
 
 
 def log(msg):
@@ -150,6 +159,21 @@ def identity(cli, apps):
     return out
 
 
+def figures(label, cli):
+    """{figure: stdout bytes} of FIGURES at FIGURE_ENV, each with its
+    `store:` line printed."""
+    env = dict(ENV, MCD_JOBS=str(JOBS), **FIGURE_ENV)
+    out = {}
+    for name in FIGURES:
+        proc = subprocess.run([cli, "figure", name], env=env, check=True,
+                              capture_output=True)
+        store = [line for line in proc.stderr.decode().splitlines()
+                 if line.startswith("store:")]
+        print("  %-6s %-6s %s" % (label, name, store[-1]))
+        out[name] = proc.stdout
+    return out
+
+
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
@@ -206,6 +230,14 @@ def main(argv):
             ok = ok and same
             print("  --mode %-4s --controller %-12s %s" % (
                 key[0], key[1], "identical" if same else "DIFFERS"))
+        print("identity: mcd_cli figure stdout at %s" % " ".join(
+            "%s=%s" % kv for kv in sorted(FIGURE_ENV.items())))
+        shown = {label: figures(label, cli[label]) for label in sides}
+        for name in FIGURES:
+            same = shown["parent"][name] == shown["change"][name]
+            ok = ok and same
+            print("  figure %-6s %s" % (name,
+                                        "identical" if same else "DIFFERS"))
     finally:
         shutil.rmtree(work, ignore_errors=True)
     return 0 if ok else 1

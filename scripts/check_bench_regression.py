@@ -3,7 +3,7 @@
 
 Usage: check_bench_regression.py <BENCH_sim.json>... [options]
 
-Three checks:
+Four checks:
 
  1. Hot-loop throughput: the items/sec of every gated benchmark must
     not drop more than --max-drop (default 15%) below the committed
@@ -19,6 +19,10 @@ Three checks:
     --min-skip-ratio (default 2.4x, half the ratio measured when the
     row landed) faster per edge than ClockEdges — also within one
     machine.
+ 4. Search work: the simulations one OfflineSearch batch runs (the
+    off-line Dynamic-X% searches of two apps on a fresh cache) must not
+    exceed the baseline's count. The count is deterministic, so this
+    holds on any host; the row has no time floor.
 
 It also reports, without a floor, what Attack/Decay costs: the time
 per instruction of SimulatorMcdAttackDecay over SimulatorMcd (both
@@ -147,6 +151,25 @@ def main():
                 f"{what} only {ratio:.1f}x faster than {versus} "
                 f"(floor {floor:.1f}x)"
             )
+
+    # Work, not time: every result file must run at most the committed
+    # number of simulations per search batch.
+    counted = "OfflineSearch"
+    ref = baseline.get(counted, {}).get("simulations")
+    runs = [load(path).get(counted) for path in args.current]
+    if ref is None:
+        failures.append(f"{counted}: simulations missing from baseline")
+    elif any(run is None or "simulations" not in run for run in runs):
+        failures.append(f"{counted}: simulations missing from results")
+    else:
+        worst = max(run["simulations"] for run in runs)
+        status = "FAIL" if worst > ref else "ok"
+        print(f"{status:4s} {counted}: {worst} simulations per batch "
+              f"(baseline {ref})")
+        if worst > ref:
+            failures.append(
+                f"{counted}: {worst} simulations per batch, "
+                f"more than the baseline's {ref}")
 
     # Report only: a controlled run's slewing clocks flush energy on
     # each of their edges and cannot be skipped.

@@ -145,12 +145,15 @@ struct OfflineSearchSpec
     std::string describe() const;
 
     /**
-     * The search (harness/runner.cc): parallel grid batches — coarse
-     * grid, bracketed refinement, then per-domain refinement — of
-     * schedule replays. It simulates nothing itself: every probe is a
-     * nested ExperimentSpec request that memoizes and counts itself,
-     * so probes shared between searches (the coarse grids of
-     * Dynamic-1% and Dynamic-5%) simulate once.
+     * The search (harness/runner.cc), in parallel batches of schedule
+     * replays: a coarse grid of shared margins, a bracketed
+     * refinement, per-domain refinement one factor level at a time
+     * (a domain's deeper factor is probed only if the shallower one
+     * held), then one validation run per combined domain. It
+     * simulates nothing itself: every probe is a nested ExperimentSpec
+     * request that memoizes and counts itself, so probes shared
+     * between searches (the coarse grids of Dynamic-1% and
+     * Dynamic-5%) simulate once.
      */
     OfflineResult build(ArtifactCache &cache) const;
 };

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <iterator>
+#include <numeric>
 
 #include "common/env.hh"
 #include "common/logging.hh"
@@ -259,11 +259,13 @@ OfflineSearchSpec::build(ArtifactCache &cache) const
 
     OfflineResult best;
     bool have_best = false;
+    auto feasible = [&](const Probe &probe) {
+        return probe.deg <= targetDeg;
+    };
     // Batches are scanned in index order with strict comparisons, so
     // the selected optimum never depends on execution schedule.
     auto consider = [&](const Probe &probe, double shared_margin) {
-        bool feasible = probe.deg <= targetDeg;
-        if (feasible &&
+        if (feasible(probe) &&
             (!have_best ||
              probe.stats.chipEnergy < best.stats.chipEnergy)) {
             best.stats = probe.stats;
@@ -271,7 +273,7 @@ OfflineSearchSpec::build(ArtifactCache &cache) const
             best.achievedDeg = probe.deg;
             have_best = true;
         }
-        return feasible;
+        return feasible(probe);
     };
 
     // Phase 1: coarse grid over the shared margin. Margin is monotone:
@@ -330,32 +332,44 @@ OfflineSearchSpec::build(ArtifactCache &cache) const
 
     // Phase 3: per-domain refinement. A shared margin is gated by the
     // single most sensitive domain; the original shaker algorithm
-    // distributes slack per domain. Probe every (domain, factor)
-    // candidate independently from the shared point in one parallel
-    // batch, then combine greedily.
+    // distributes slack per domain. Each domain is lowered alone from
+    // the shared point, shallow to deep, and stops at its first
+    // infeasible factor, so a deeper factor is worth simulating only
+    // if the one above it held. One parallel batch per factor level
+    // probes the domains still going.
     const double factors[] = {0.5, 0.25, 0.0};
-    std::vector<Margins> domain_batch;
-    for (int slot = 0; slot < NUM_CONTROLLED; ++slot) {
-        for (double factor : factors) {
+    std::array<std::vector<Probe>, NUM_CONTROLLED> solo; // shallow first
+    std::vector<std::size_t> going(NUM_CONTROLLED);
+    std::iota(going.begin(), going.end(), std::size_t{0});
+    for (double factor : factors) {
+        if (going.empty())
+            break;
+        std::vector<Margins> level_batch;
+        for (std::size_t s : going) {
             Margins margins = uniform(shared);
-            margins[static_cast<std::size_t>(slot)] = shared * factor;
-            domain_batch.push_back(margins);
+            margins[s] = shared * factor;
+            level_batch.push_back(margins);
         }
+        auto level = probeBatch(level_batch);
+        std::vector<std::size_t> still;
+        for (std::size_t i = 0; i < going.size(); ++i) {
+            solo[going[i]].push_back(level[i]);
+            if (feasible(level[i]))
+                still.push_back(going[i]);
+        }
+        going = std::move(still);
     }
-    auto domain_probes = probeBatch(domain_batch);
 
-    // Per domain, the deepest factor whose solo probe stays feasible
-    // (scanning shallow to deep, stopping at the first miss, like the
-    // former coordinate descent).
+    // Per domain, the deepest factor whose solo probe stays feasible,
+    // read slot by slot as the former coordinate descent did; the scan
+    // stops exactly where the probing above stopped.
     std::array<double, NUM_CONTROLLED> best_factor;
     best_factor.fill(1.0);
-    for (int slot = 0; slot < NUM_CONTROLLED; ++slot) {
-        for (std::size_t f = 0; f < std::size(factors); ++f) {
-            const Probe &probe = domain_probes[
-                static_cast<std::size_t>(slot) * std::size(factors) + f];
-            if (!consider(probe, shared))
+    for (std::size_t s = 0; s < NUM_CONTROLLED; ++s) {
+        for (std::size_t f = 0; f < solo[s].size(); ++f) {
+            if (!consider(solo[s][f], shared))
                 break;
-            best_factor[static_cast<std::size_t>(slot)] = factors[f];
+            best_factor[s] = factors[f];
         }
     }
 

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -336,29 +337,36 @@ TEST_F(StoreTest, ConcurrentPruneRacingPutMissesAndHealsOnly)
         return std::string("payload-") + std::to_string(i) +
                std::string(64, static_cast<char>('a' + i % 26));
     };
-    std::atomic<bool> stop{false};
+    // Each thread keeps going until all three have done ROUNDS
+    // operations of their own, so each thread's first ROUNDS
+    // operations race the other two however fast the host is.
+    constexpr int ROUNDS = 2000;
+    std::atomic<int> finished{0};
     std::atomic<int> wrong{0};
+    auto race = [&](const std::function<void(int)> &op) {
+        for (int n = 0;; ++n) {
+            if (n == ROUNDS)
+                ++finished;
+            if (n >= ROUNDS && finished.load() == 3)
+                return;
+            op(n);
+        }
+    };
 
-    std::thread writer([&] {
-        for (int i = 0; !stop.load(); i = (i + 1) % 8)
-            store.put("key-" + std::to_string(i), payloadOf(i));
+    std::thread writer(race, [&](int n) {
+        store.put("key-" + std::to_string(n % 8), payloadOf(n % 8));
     });
-    std::thread pruner([&] {
+    std::thread pruner(race, [&](int) {
         DiskStore::PruneOptions evict_all;
         evict_all.maxBytes = 1; // evict every entry seen
-        while (!stop.load())
-            store.prune(evict_all);
+        store.prune(evict_all);
     });
-    std::thread reader([&] {
-        for (int i = 0; !stop.load(); i = (i + 1) % 8) {
-            std::string blob;
-            if (store.get("key-" + std::to_string(i), blob) &&
-                blob != payloadOf(i))
-                ++wrong;
-        }
+    std::thread reader(race, [&](int n) {
+        std::string blob;
+        if (store.get("key-" + std::to_string(n % 8), blob) &&
+            blob != payloadOf(n % 8))
+            ++wrong;
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    stop = true;
     writer.join();
     pruner.join();
     reader.join();

@@ -567,5 +567,37 @@ TEST_F(ArtifactCacheTest, OfflineSearchesShareCoarseProbes)
     EXPECT_LT(second_sims, second_lookups);
 }
 
+/**
+ * The exact results of the off-line Dynamic-1% and Dynamic-5% searches
+ * on three apps, pinned as FNV-1a digests of their artifact bytes, and
+ * the exact number of simulations the six searches (with their
+ * baselines) cost on a private cache. The search may simulate fewer
+ * probes only if it still picks the same schedules; a count above the
+ * pinned one means probes the search never reads are simulated again.
+ */
+TEST(OfflineSearch, ResultsAndSimulationCountArePinned)
+{
+    ArtifactCache cache;
+    Runner runner(tinyConfig(), cache);
+    std::vector<std::uint64_t> digests;
+    for (const char *bench : {"gsm", "mcf", "epic"}) {
+        std::vector<IntervalProfile> profile;
+        SimStats mcd = runner.runMcdBaseline(bench, &profile);
+        for (double target : {0.01, 0.05})
+            digests.push_back(serial::fnv1a(encodeArtifact(
+                runner.runOfflineDynamic(bench, target, mcd, profile))));
+    }
+    // gsm, mcf, epic; each at 1% then 5%.
+    const std::vector<std::uint64_t> pinned = {
+        0x788c2f52d1a9a077ull, 0xe55e0e49801f3265ull,
+        0x425e108efcdf36edull, 0x04413565104e5dddull,
+        0x1fc657d282626415ull, 0x40dd804ed8e6db5aull,
+    };
+    EXPECT_EQ(digests, pinned);
+    // Probing every (domain, factor) pair of the per-domain phase,
+    // read or not, cost 111.
+    EXPECT_EQ(cache.simulationsRun(), 88u);
+}
+
 } // namespace
 } // namespace mcd
