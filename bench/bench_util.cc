@@ -117,15 +117,13 @@ computeAll(const RunnerConfig &base,
     // seed is derived from the job index, so every variant of one
     // benchmark (computed inside the job) stays comparable while
     // results are bit-identical for any worker count. The inner
-    // offline searches run serial (jobs = 1): parallelism lives at the
-    // benchmark level here, and nesting pools would oversubscribe.
+    // offline searches fan out on the same shared pool, so threads
+    // whose rows are done help the straggler row's search.
     ParallelSweep sweep(base.jobs);
     std::fprintf(stderr, "  running %zu benchmarks on %d workers\n",
                  names.size(), sweep.workers());
     return sweep.map<BenchResults>(names.size(), [&](std::size_t i) {
-        RunnerConfig config = benchmarkConfig(base, i);
-        config.jobs = 1;
-        Runner local(config);
+        Runner local(benchmarkConfig(base, i));
         BenchResults r = computeOne(local, names[i], options);
         std::fprintf(stderr, "  done %s\n", names[i].c_str());
         return r;

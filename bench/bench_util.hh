@@ -100,7 +100,8 @@ BenchResults computeOne(Runner &runner, const std::string &name,
 /**
  * Run the canonical experiment set for many benchmarks, fanned across
  * the ParallelSweep workers (`base.jobs`), with progress lines on
- * stderr. Benchmark i runs on benchmarkConfig(base, i).
+ * stderr. Benchmark i runs on benchmarkConfig(base, i); its offline
+ * searches nest on the same pool at the same width.
  * Results are in `names` order and bit-identical for any worker count.
  */
 std::vector<BenchResults>

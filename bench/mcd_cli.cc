@@ -37,18 +37,16 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cerrno>
+#include <climits>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
@@ -60,6 +58,7 @@
 #include "harness/artifact_store.hh"
 #include "harness/experiment.hh"
 #include "harness/fleet.hh"
+#include "harness/parallel_sweep.hh"
 #include "harness/table.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
@@ -198,6 +197,18 @@ parseU64Flag(const std::string &flag, const std::string &text)
         mcd_fatal("%s needs a non-negative integer, not '%s'",
                   flag.c_str(), text.c_str());
     return v;
+}
+
+/** parseU64Flag for an int-typed count: a value past INT_MAX fails
+ *  with the flag's own error instead of wrapping. */
+int
+parseIntFlag(const std::string &flag, const std::string &text)
+{
+    std::uint64_t v = parseU64Flag(flag, text);
+    if (v > static_cast<std::uint64_t>(INT_MAX))
+        mcd_fatal("%s needs an integer no greater than %d, not '%s'",
+                  flag.c_str(), INT_MAX, text.c_str());
+    return static_cast<int>(v);
 }
 
 int
@@ -790,11 +801,10 @@ serveCli(const std::vector<std::string> &args)
         } else if (arg == "--store") {
             options.config.store = value(i);
         } else if (arg == "--workers") {
-            options.workers = static_cast<int>(
-                parseU64Flag("--workers", value(i)));
+            options.workers = parseIntFlag("--workers", value(i));
         } else if (arg == "--max-inflight") {
-            options.maxInflight = static_cast<int>(
-                parseU64Flag("--max-inflight", value(i)));
+            options.maxInflight =
+                parseIntFlag("--max-inflight", value(i));
         } else if (arg == "--events") {
             options.eventsPath = value(i);
         } else {
@@ -1070,9 +1080,10 @@ requestCli(const std::vector<std::string> &args)
 }
 
 /**
- * fleet --socket: shard scenario targets across `procs` client
- * connections to one daemon instead of across worker processes. Each
- * target is one scenario name, dispatched as a single-bench `run`;
+ * fleet --socket: shard scenario targets across up to `procs`
+ * concurrent client connections to one daemon instead of across
+ * worker processes. Each target is one scenario name, dispatched as a
+ * single-bench `run` on a connection of its own;
  * the per-experiment payloads are collated in submission order, so
  * stdout is byte-identical for any --procs (and its "experiments"
  * block matches `mcd_cli run --json --bench <all targets>`).
@@ -1085,55 +1096,36 @@ fleetSocketCli(const std::vector<std::string> &names,
     {
         std::string payload;
         std::string error;
+        std::uint64_t cold = 0;
+        std::uint64_t warm = 0;
         bool ok = false;
     };
     std::vector<Slot> slots(names.size());
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::uint64_t> cold_units{0};
-    std::atomic<std::uint64_t> warm_units{0};
-
-    int threads = std::max(
-        1, std::min(procs, static_cast<int>(names.size())));
-    std::vector<std::thread> workers;
-    for (int t = 0; t < threads; ++t) {
-        workers.emplace_back([&] {
-            serve::ServeClient client;
-            std::string error;
-            if (!client.connect(socket, &error)) {
-                std::size_t i;
-                while ((i = next.fetch_add(1)) < slots.size())
-                    slots[i].error = error;
-                return;
-            }
-            std::size_t i;
-            while ((i = next.fetch_add(1)) < slots.size()) {
-                std::vector<std::string> payloads;
-                std::uint64_t cold = 0;
-                std::uint64_t warm = 0;
-                std::string err;
-                if (collectRun(client,
-                               runRequestJson({names[i]}, "", "mcd",
-                                              0.0, 0, false),
-                               payloads, cold, warm, err) &&
-                    payloads.size() == 1) {
-                    slots[i].payload = std::move(payloads[0]);
-                    slots[i].ok = true;
-                    cold_units.fetch_add(cold);
-                    warm_units.fetch_add(warm);
-                } else {
-                    slots[i].error =
-                        err.empty() ? "incomplete result stream"
-                                    : err;
-                }
-            }
-        });
-    }
-    for (auto &worker : workers)
-        worker.join();
+    ParallelSweep(procs).forEach(slots.size(), [&](std::size_t i) {
+        Slot &slot = slots[i];
+        serve::ServeClient client;
+        std::vector<std::string> payloads;
+        if (!client.connect(socket, &slot.error))
+            return;
+        if (collectRun(client,
+                       runRequestJson({names[i]}, "", "mcd", 0.0, 0,
+                                      false),
+                       payloads, slot.cold, slot.warm, slot.error) &&
+            payloads.size() == 1) {
+            slot.payload = std::move(payloads[0]);
+            slot.ok = true;
+        } else if (slot.error.empty()) {
+            slot.error = "incomplete result stream";
+        }
+    });
 
     std::size_t failed = 0;
+    std::uint64_t cold_units = 0;
+    std::uint64_t warm_units = 0;
     std::vector<std::string> payloads;
     for (std::size_t i = 0; i < slots.size(); ++i) {
+        cold_units += slots[i].cold;
+        warm_units += slots[i].warm;
         if (slots[i].ok) {
             payloads.push_back(std::move(slots[i].payload));
         } else {
@@ -1142,11 +1134,10 @@ fleetSocketCli(const std::vector<std::string> &names,
                          names[i].c_str(), slots[i].error.c_str());
         }
     }
-    printExperimentsDocument(payloads, cold_units.load(),
-                             warm_units.load());
+    printExperimentsDocument(payloads, cold_units, warm_units);
     std::fprintf(stderr,
                  "fleet socket: targets=%zu failed=%zu procs=%d\n",
-                 names.size(), failed, threads);
+                 names.size(), failed, procs);
     return failed == 0 ? 0 : 1;
 }
 
@@ -1370,13 +1361,11 @@ main(int argc, char **argv)
         } else if (arg == "--warm-only") {
             warm_only = true;
         } else if (arg == "--procs") {
-            procs = static_cast<int>(
-                parseU64Flag("--procs", value(i)));
+            procs = parseIntFlag("--procs", value(i));
             if (procs < 1)
                 mcd_fatal("--procs needs a positive worker count");
         } else if (arg == "--retries") {
-            retries = static_cast<int>(
-                parseU64Flag("--retries", value(i)));
+            retries = parseIntFlag("--retries", value(i));
         } else if (arg == "--max-bytes") {
             max_bytes = parseU64Flag("--max-bytes", value(i));
         } else if (arg == "--max-age") {

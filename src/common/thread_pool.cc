@@ -1,6 +1,10 @@
 #include "common/thread_pool.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <memory>
+#include <vector>
 
 #include "telemetry/profiler.hh"
 #include "telemetry/stat_registry.hh"
@@ -8,23 +12,19 @@
 namespace mcd
 {
 
-ThreadPool::ThreadPool(int workers)
+ThreadPool &
+ThreadPool::shared()
 {
-    int count = std::max(1, workers);
-    threads_.reserve(static_cast<std::size_t>(count));
-    for (int i = 0; i < count; ++i)
-        threads_.emplace_back([this] { workerLoop(); });
+    static ThreadPool *pool = new ThreadPool();
+    return *pool;
 }
 
-ThreadPool::~ThreadPool()
+void
+ThreadPool::reserve(int threads)
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    task_ready_.notify_all();
-    for (auto &thread : threads_)
-        thread.join();
+    std::lock_guard<std::mutex> lock(mutex_);
+    while (static_cast<int>(threads_.size()) < threads)
+        threads_.emplace_back([this] { workerLoop(); });
 }
 
 void
@@ -38,42 +38,64 @@ ThreadPool::submit(std::function<void()> task)
 }
 
 void
-ThreadPool::wait()
+ThreadPool::forEach(std::size_t count, std::size_t width,
+                    const std::function<void(std::size_t)> &body)
 {
-    std::unique_lock<std::mutex> lock(mutex_);
-    all_done_.wait(lock,
-                   [this] { return queue_.empty() && running_ == 0; });
+    // Shared with the helpers: one that starts after the batch is over
+    // claims no index, so it never touches `body`.
+    struct Batch
+    {
+        std::atomic<std::size_t> next{0};
+        std::size_t done = 0;
+        std::mutex m;
+        std::condition_variable cv;
+        std::vector<std::exception_ptr> errors;
+    };
+    auto batch = std::make_shared<Batch>();
+    batch->errors.resize(count);
+    auto drain = [batch, count, body = &body] {
+        for (std::size_t i; (i = batch->next++) < count;) {
+            try {
+                (*body)(i);
+            } catch (...) {
+                batch->errors[i] = std::current_exception();
+            }
+            std::lock_guard<std::mutex> lock(batch->m);
+            if (++batch->done == count)
+                batch->cv.notify_all();
+        }
+    };
+    std::size_t helpers =
+        width > 1 && count > 1 ? std::min(width, count) - 1 : 0;
+    reserve(static_cast<int>(helpers));
+    for (std::size_t h = 0; h < helpers; ++h)
+        submit(drain);
+    drain();
+
+    // Every index is claimed; wait for those still running elsewhere.
+    std::unique_lock<std::mutex> lock(batch->m);
+    batch->cv.wait(lock, [&] { return batch->done == count; });
+    for (const std::exception_ptr &error : batch->errors)
+        if (error)
+            std::rethrow_exception(error);
 }
 
 void
 ThreadPool::workerLoop()
 {
-    std::unique_lock<std::mutex> lock(mutex_);
+    static telemetry::Counter &tasks =
+        telemetry::StatRegistry::instance().counter("pool.tasks");
     for (;;) {
-        task_ready_.wait(
-            lock, [this] { return stopping_ || !queue_.empty(); });
-        if (queue_.empty()) {
-            if (stopping_)
-                return;
-            continue;
-        }
-        std::function<void()> task = std::move(queue_.front());
-        queue_.pop_front();
-        ++running_;
-        lock.unlock();
+        std::function<void()> task;
         {
-            static telemetry::Counter &tasks =
-                telemetry::StatRegistry::instance().counter(
-                    "pool.tasks");
-            tasks.inc();
-            telemetry::ScopedTimer timer(
-                telemetry::Phase::PoolTask);
-            task();
+            std::unique_lock<std::mutex> lock(mutex_);
+            task_ready_.wait(lock, [this] { return !queue_.empty(); });
+            task = std::move(queue_.front());
+            queue_.pop_front();
         }
-        lock.lock();
-        --running_;
-        if (queue_.empty() && running_ == 0)
-            all_done_.notify_all();
+        tasks.inc();
+        telemetry::ScopedTimer timer(telemetry::Phase::PoolTask);
+        task();
     }
 }
 

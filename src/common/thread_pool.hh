@@ -1,19 +1,23 @@
 /**
  * @file
- * A fixed-size worker pool executing submitted tasks FIFO.
+ * The process-wide worker pool: one set of threads shared by every
+ * fan-out in the process — sweep batches (harness/parallel_sweep.hh),
+ * the offline searches nested inside them, and the serve daemon's
+ * units. Jobs are coarse (whole runs), so a mutex-protected FIFO is
+ * fast enough. The pool grows on demand and is never freed, so its
+ * threads live until the process exits.
  *
- * The pool is the low-level substrate of the batch sweep engine
- * (harness/parallel_sweep.hh): simulation jobs are coarse (whole runs,
- * seconds each), so a simple mutex-protected queue is more than fast
- * enough and keeps the scheduling semantics easy to reason about.
- * Determinism is the callers' concern: tasks must write to disjoint,
- * pre-assigned slots so results do not depend on execution order.
+ * Nesting cannot deadlock: forEach's caller claims indices itself, and
+ * a waiter waits only for indices a running thread has claimed, never
+ * for queued work. Determinism is the callers' concern: bodies write
+ * disjoint, pre-assigned slots.
  */
 
 #ifndef MCD_COMMON_THREAD_POOL_HH
 #define MCD_COMMON_THREAD_POOL_HH
 
 #include <condition_variable>
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -23,48 +27,45 @@
 namespace mcd
 {
 
-/** Fixed set of worker threads draining a FIFO task queue. */
+/** Growable set of worker threads draining a FIFO task queue. */
 class ThreadPool
 {
   public:
-    /** Spawn `workers` threads (clamped to at least one). */
-    explicit ThreadPool(int workers);
-
-    /** Waits for queued work to finish, then joins the workers. */
-    ~ThreadPool();
+    /** The process-wide pool (created on first use, never freed). */
+    static ThreadPool &shared();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
+
+    /** Grow to at least `threads` worker threads; never shrinks. */
+    void reserve(int threads);
 
     /**
      * Enqueue one task. Safe from any thread, including workers.
      *
      * Tasks must not let exceptions escape: one thrown from a task
-     * propagates out of the worker thread and terminates the process.
-     * Callers that need error propagation wrap the task body and
-     * capture the exception themselves, as ParallelSweep::forEach
-     * does.
+     * terminates the process.
      */
     void submit(std::function<void()> task);
 
-    /** Block until the queue is empty and no task is running. */
-    void wait();
-
-    int workerCount() const
-    {
-        return static_cast<int>(threads_.size());
-    }
+    /**
+     * Fork-join: invoke `body(i)` for every i in [0, count) on the
+     * calling thread plus up to `width - 1` pool threads, and return
+     * once all have run; with width 1 the caller runs them in order.
+     * The lowest failing index's exception is then rethrown.
+     */
+    void forEach(std::size_t count, std::size_t width,
+                 const std::function<void(std::size_t)> &body);
 
   private:
+    ThreadPool() = default;
+
     void workerLoop();
 
-    std::vector<std::thread> threads_;
+    std::mutex mutex_; //!< guards queue_ and threads_
     std::deque<std::function<void()>> queue_;
-    mutable std::mutex mutex_;
     std::condition_variable task_ready_;
-    std::condition_variable all_done_;
-    int running_ = 0;    //!< tasks currently executing
-    bool stopping_ = false;
+    std::vector<std::thread> threads_; //!< never joined: pool is leaked
 };
 
 } // namespace mcd

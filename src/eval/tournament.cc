@@ -21,8 +21,7 @@ std::vector<TournamentCell>
 scoreScenario(const std::string &scenario,
               const TournamentOptions &options)
 {
-    RunnerConfig config = options.config;
-    config.jobs = 1; // parallelism lives at the scenario level
+    const RunnerConfig &config = options.config;
     Runner runner(config);
 
     std::vector<IntervalProfile> profile;

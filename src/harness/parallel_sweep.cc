@@ -1,8 +1,5 @@
 #include "harness/parallel_sweep.hh"
 
-#include <algorithm>
-#include <cstdlib>
-#include <exception>
 #include <thread>
 
 #include "common/env.hh"
@@ -42,34 +39,8 @@ void
 ParallelSweep::forEach(std::size_t count,
                        const std::function<void(std::size_t)> &body) const
 {
-    if (count == 0)
-        return;
-
-    std::size_t width = std::min<std::size_t>(
-        static_cast<std::size_t>(workers_), count);
-    if (width <= 1) {
-        for (std::size_t i = 0; i < count; ++i)
-            body(i);
-        return;
-    }
-
-    std::vector<std::exception_ptr> errors(count);
-    {
-        ThreadPool pool(static_cast<int>(width));
-        for (std::size_t i = 0; i < count; ++i) {
-            pool.submit([&, i] {
-                try {
-                    body(i);
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                }
-            });
-        }
-        pool.wait();
-    }
-    for (auto &error : errors)
-        if (error)
-            std::rethrow_exception(error);
+    ThreadPool::shared().forEach(count, static_cast<std::size_t>(workers_),
+                                 body);
 }
 
 } // namespace mcd

@@ -1,8 +1,8 @@
 /**
  * @file
  * Multithreaded batch sweep engine: fans a batch of independent,
- * indexed jobs across worker threads and collects the results in
- * index order.
+ * indexed jobs across the process-wide ThreadPool, at most `workers`
+ * threads at once, and collects the results in index order.
  *
  * Determinism contract: a sweep's results are bit-identical regardless
  * of worker count or scheduling. Two mechanisms guarantee it:
@@ -44,7 +44,7 @@ namespace mcd
 std::uint64_t deriveJobSeed(std::uint64_t base_seed,
                             std::uint64_t job_index);
 
-/** Work-queue fan-out of indexed jobs across std::thread workers. */
+/** Fan-out of indexed jobs across the shared ThreadPool. */
 class ParallelSweep
 {
   public:
@@ -62,9 +62,9 @@ class ParallelSweep
 
     /**
      * Generic deterministic fan-out: invoke `body(i)` for i in
-     * [0, count) across the workers. The caller's body must only write
-     * state owned by index i. With one worker the batch runs inline on
-     * the calling thread, in index order.
+     * [0, count) across the workers (the caller is one). The caller's
+     * body must only write state owned by index i. With one worker the
+     * batch runs inline on the calling thread, in index order.
      *
      * The first exception thrown by any body (lowest index wins, so
      * error reporting is schedule-independent) is rethrown on the

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 #include "eval/tournament.hh"
 #include "harness/parallel_sweep.hh"
 #include "serve/protocol.hh"
@@ -115,12 +116,14 @@ Server::Server(ServeOptions options)
     if (::pipe2(stopPipe_, O_CLOEXEC) != 0)
         mcd_fatal("pipe2: %s", std::strerror(errno));
 
-    int workers = options_.workers > 0
-                      ? options_.workers
-                      : ParallelSweep::defaultWorkers();
-    pool_ = std::make_unique<ThreadPool>(workers);
+    // A unit's nested searches fan out at config.jobs: never wider
+    // than the pool --workers asks for.
+    if (options_.workers <= 0)
+        options_.workers = ParallelSweep::defaultWorkers();
+    options_.config.jobs = options_.workers;
+    ThreadPool::shared().reserve(options_.workers);
     if (options_.maxInflight < 0)
-        options_.maxInflight = 4 * pool_->workerCount();
+        options_.maxInflight = 4 * options_.workers;
 
     if (!options_.config.store.empty())
         cache().attachDiskStore(options_.config.store);
@@ -191,7 +194,7 @@ void
 Server::run()
 {
     mcd_inform("serving on %s (%d workers, max %d units in flight%s%s)",
-               options_.socketPath.c_str(), pool_->workerCount(),
+               options_.socketPath.c_str(), options_.workers,
                options_.maxInflight,
                options_.config.store.empty() ? "" : ", store ",
                options_.config.store.c_str());
@@ -226,8 +229,9 @@ Server::run()
     }
 
     // Drain: stop accepting, wake every blocked reader (SHUT_RD lets
-    // pending result streams finish writing), join, then let the pool
-    // finish whatever was admitted.
+    // pending result streams finish writing), and join. A reader
+    // returns only once its admitted units have all replied, so the
+    // joins also wait out every unit.
     ::close(listenFd_);
     listenFd_ = -1;
     std::vector<std::shared_ptr<Connection>> conns;
@@ -244,7 +248,6 @@ Server::run()
     }
     for (auto &thread : threads)
         thread.join();
-    pool_->wait();
     {
         std::lock_guard<std::mutex> lock(mutex_);
         connections_.clear();
@@ -375,7 +378,7 @@ Server::handleRequest(const std::shared_ptr<Connection> &conn,
                      std::max(0, inflightUnits_.load())));
         serve += ", \"workers\": " +
                  json::u64(static_cast<std::uint64_t>(
-                     pool_->workerCount()));
+                     options_.workers));
         serve += ", \"max_inflight\": " +
                  json::u64(static_cast<std::uint64_t>(
                      options_.maxInflight));
@@ -520,8 +523,8 @@ Server::handleRun(const std::shared_ptr<Connection> &conn,
     traceEvent(id, "queued");
 
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        pool_->submit([this, conn, state, queued_at, id,
-                       spec = specs[i], i] {
+        ThreadPool::shared().submit([this, conn, state, queued_at,
+                                     id, spec = specs[i], i] {
             FatalErrorScope worker_scope;
             {
                 std::lock_guard<std::mutex> lock(state->m);

@@ -2,7 +2,7 @@
  * @file
  * The simulation-as-a-service daemon behind `mcd_cli serve`: one
  * long-lived process holding a warm memory-over-disk ArtifactCache
- * and a persistent worker pool, serving concurrent clients over a
+ * and the process-wide worker pool, serving concurrent clients over a
  * Unix-domain socket speaking the length-framed JSON protocol of
  * serve/protocol.hh.
  *
@@ -40,8 +40,8 @@
  * structured `error` replies here and the daemon survives. mcd_panic
  * still aborts — an invariant violation means the process state
  * cannot be trusted. Residual risk: a fatal first raised on a thread
- * the daemon does not own (e.g. deep inside a nested ParallelSweep
- * worker during a tournament) still exits; validation is therefore
+ * outside any scope (e.g. in a pool helper of a batch nested inside
+ * a unit or a tournament) still exits; validation is therefore
  * eager — scenario specs and controllers are instantiated once on the
  * scoped connection thread before any work is admitted.
  */
@@ -59,7 +59,6 @@
 #include <vector>
 
 #include "common/json.hh"
-#include "common/thread_pool.hh"
 #include "harness/experiment.hh"
 #include "telemetry/events.hh"
 #include "telemetry/stat_registry.hh"
@@ -72,7 +71,11 @@ struct ServeOptions
 {
     std::string socketPath; //!< Unix-domain socket to bind (required)
 
-    /** Worker pool size; 0 = ParallelSweep::defaultWorkers(). */
+    /**
+     * Pool threads reserved for units; 0 = ParallelSweep::
+     * defaultWorkers(). `config.jobs` is set to it too, so a unit's
+     * nested search fans out no wider.
+     */
     int workers = 0;
 
     /**
@@ -187,8 +190,6 @@ class Server
     int listenFd_ = -1;
     int stopPipe_[2] = {-1, -1};
     std::atomic<bool> stopping_{false};
-
-    std::unique_ptr<ThreadPool> pool_;
 
     mutable std::mutex mutex_; //!< guards connections_, threads_
     // Daemon counters as atomics, bound into the StatRegistry under

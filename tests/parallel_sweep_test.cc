@@ -1,19 +1,23 @@
 /**
  * @file
- * Tests for the batch sweep engine: the thread pool, deterministic
- * per-job seed derivation, and the central property that a sweep (and
- * everything layered on it, including the offline Dynamic-X% search)
- * produces bit-identical results for any worker count, with
- * aggregation independent of completion order.
+ * Tests for the batch sweep engine: the shared thread pool,
+ * deterministic per-job seed derivation, and the central property
+ * that a sweep (and everything layered on it, including offline
+ * Dynamic-X% searches nested inside another sweep) produces
+ * bit-identical results for any worker count, with aggregation
+ * independent of completion order.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <functional>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hh"
@@ -28,34 +32,34 @@ namespace
 
 TEST(ThreadPool, RunsEverySubmittedTask)
 {
-    ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusableBetweenBatches)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    for (int batch = 0; batch < 3; ++batch) {
-        for (int i = 0; i < 10; ++i)
-            pool.submit([&count] { ++count; });
-        pool.wait();
-        EXPECT_EQ(count.load(), 10 * (batch + 1));
+    ThreadPool &pool = ThreadPool::shared();
+    pool.reserve(4);
+    std::mutex mutex;
+    std::condition_variable cv;
+    int count = 0;
+    for (int i = 0; i < 100; ++i) {
+        pool.submit([&] {
+            std::lock_guard<std::mutex> lock(mutex);
+            if (++count == 100)
+                cv.notify_all();
+        });
     }
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return count == 100; });
+    EXPECT_EQ(count, 100);
 }
 
-TEST(ThreadPool, ClampsWorkerCountToAtLeastOne)
+TEST(ThreadPool, WidthOneRunsInlineInIndexOrder)
 {
-    ThreadPool pool(0);
-    EXPECT_EQ(pool.workerCount(), 1);
-    std::atomic<int> count{0};
-    pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    ThreadPool::shared().forEach(10, 1, [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+    });
+    std::vector<std::size_t> expected(10);
+    std::iota(expected.begin(), expected.end(), 0);
+    EXPECT_EQ(order, expected);
 }
 
 TEST(DeriveJobSeed, DeterministicAndDistinct)
@@ -75,6 +79,21 @@ TEST(ParallelSweep, ForEachCoversEveryIndexOnce)
     std::vector<std::atomic<int>> hits(257);
     sweep.forEach(hits.size(),
                   [&](std::size_t i) { ++hits[i]; });
+    for (auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelSweep, NestedForEachCoversEveryIndexOnce)
+{
+    // Every outer job starts an inner batch on the same pool; callers
+    // wait only for claimed indices, so nesting cannot deadlock.
+    ParallelSweep sweep(4);
+    std::vector<std::atomic<int>> hits(8 * 16);
+    sweep.forEach(8, [&](std::size_t outer) {
+        sweep.forEach(16, [&](std::size_t inner) {
+            ++hits[outer * 16 + inner];
+        });
+    });
     for (auto &h : hits)
         EXPECT_EQ(h.load(), 1);
 }
@@ -124,13 +143,17 @@ tinyConfig()
     return config;
 }
 
-/** A Runner on the clock stream derived from `seed_index`. */
-Runner
-seededRunner(std::uint64_t seed_index)
+/**
+ * The methodology on the clock stream derived from `seed_index`. Each
+ * comparison gives every side a fresh ArtifactCache, so the side under
+ * test simulates rather than reading the other's results.
+ */
+RunnerConfig
+seededConfig(std::uint64_t seed_index)
 {
     RunnerConfig config = tinyConfig();
     config.clockSeed = deriveJobSeed(config.clockSeed, seed_index);
-    return Runner(config);
+    return config;
 }
 
 /**
@@ -143,9 +166,10 @@ tinySweep(int workers,
 {
     const std::vector<std::string> names = {"adpcm", "gsm", "mcf", "epic",
                                             "swim"};
+    ArtifactCache cache;
     return ParallelSweep(workers).map<SimStats>(
         names.size(), [&](std::size_t i) {
-            Runner runner = seededRunner(i);
+            Runner runner(seededConfig(i), cache);
             return run(runner, names[i]);
         });
 }
@@ -192,9 +216,11 @@ TEST(ParallelSweep, SeedIndexSelectsTheClockStream)
     // Same seed index => identical machine; different seed index =>
     // different jittered clock stream => different timings.
     const std::vector<std::uint64_t> seed_indices = {7, 7, 8};
+    std::vector<ArtifactCache> caches(seed_indices.size());
     auto results = ParallelSweep(3).map<SimStats>(
         seed_indices.size(), [&](std::size_t i) {
-            return seededRunner(seed_indices[i]).runMcdBaseline("gsm");
+            return Runner(seededConfig(seed_indices[i]), caches[i])
+                .runMcdBaseline("gsm");
         });
     expectIdenticalStats(results[0], results[1]);
     EXPECT_NE(results[0].time, results[2].time);
@@ -240,12 +266,10 @@ TEST(ParallelSweep, OfflineSearchIsBitIdenticalForAnyWorkerCount)
     // through the engine; its result must not depend on the worker
     // count either.
     auto search = [](int jobs) {
-        RunnerConfig config;
-        config.instructions = 8000;
-        config.warmup = 2000;
-        config.intervalInstructions = 500;
+        RunnerConfig config = tinyConfig();
         config.jobs = jobs;
-        Runner runner(config);
+        ArtifactCache cache;
+        Runner runner(config, cache);
         std::vector<IntervalProfile> profile;
         SimStats mcd = runner.runMcdBaseline("gsm", &profile);
         return runner.runOfflineDynamic("gsm", 0.05, mcd, profile);
@@ -256,6 +280,37 @@ TEST(ParallelSweep, OfflineSearchIsBitIdenticalForAnyWorkerCount)
     EXPECT_EQ(serial.margin, parallel.margin);
     EXPECT_EQ(serial.achievedDeg, parallel.achievedDeg);
     expectIdenticalStats(serial.stats, parallel.stats);
+}
+
+TEST(ParallelSweep, NestedOfflineSearchesMatchAllSerial)
+{
+    // Table 6's shape: one job per benchmark, each running an offline
+    // search whose probe batches nest inside the outer batch on the
+    // same pool. Nesting must not perturb a single result.
+    const std::vector<std::string> names = {"gsm", "mcf", "epic"};
+    auto searches = [&](int jobs) {
+        ArtifactCache cache;
+        return ParallelSweep(jobs).map<OfflineResult>(
+            names.size(), [&](std::size_t i) {
+                RunnerConfig config = seededConfig(i);
+                config.jobs = jobs;
+                Runner runner(config, cache);
+                std::vector<IntervalProfile> profile;
+                SimStats mcd = runner.runMcdBaseline(names[i], &profile);
+                return runner.runOfflineDynamic(names[i], 0.05, mcd,
+                                                profile);
+            });
+    };
+
+    auto serial = searches(1);
+    auto nested = searches(4);
+    ASSERT_EQ(serial.size(), names.size());
+    ASSERT_EQ(nested.size(), names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        EXPECT_EQ(serial[i].margin, nested[i].margin);
+        EXPECT_EQ(serial[i].achievedDeg, nested[i].achievedDeg);
+        expectIdenticalStats(serial[i].stats, nested[i].stats);
+    }
 }
 
 } // namespace

@@ -654,3 +654,40 @@ TEST(ServeDaemon, ShutdownVerbDrainsAndRemovesSocket)
     EXPECT_NE(0, ::stat(path.c_str(), &st))
         << "socket file survived shutdown";
 }
+
+TEST(ServeDaemon, ShutdownDrainsAdmittedUnits)
+{
+    // A's cold unit is held in flight by the latch while B shuts the
+    // daemon down. run() returns only after that unit has landed: A's
+    // reader waits out its own units, and run() joins every reader.
+    registerLatchedController();
+    StartLatch &latch = startLatch();
+    latch.reset();
+    TestDaemon daemon("drain");
+    LatchRelease release_on_exit(latch);
+
+    ServeClient a;
+    connectTo(a, daemon.path());
+    std::string error;
+    ASSERT_TRUE(a.send("{\"op\": \"run\", \"benches\": [\"gsm\"], "
+                       "\"controller\": \"test_latched\"}",
+                       &error))
+        << error;
+    // A reads nothing from here on.
+
+    ServeClient b;
+    connectTo(b, daemon.path());
+    for (;;) {
+        json::Value stats = callOne(b, "{\"op\": \"cache-stats\"}");
+        const json::Value *serve = stats.get("serve");
+        ASSERT_NE(nullptr, serve);
+        if (serve->getU64("inflight_units", 0) == 1)
+            break;
+    }
+    json::Value ack = callOne(b, "{\"op\": \"shutdown\"}");
+    EXPECT_EQ("shutdown", ack.getString("event"));
+
+    latch.release();
+    daemon.join();
+    EXPECT_EQ(1u, daemon.cache().simulationsRun());
+}
