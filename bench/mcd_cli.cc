@@ -17,7 +17,6 @@
  *               [--max-age <s>] [--tmp-age <s>] [--json]
  *   mcd_cli fleet <figure>[,<figure>...] [--procs <n>]
  *               [--retries <n>] [--store <dir>] [--json]
- *               [--socket <path>]
  *   mcd_cli serve --socket <path> [--store <dir>] [--workers <n>]
  *               [--max-inflight <m>]
  *   mcd_cli request --socket <path> (--ping | --stats | --shutdown |
@@ -39,6 +38,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cfloat>
 #include <climits>
 #include <chrono>
 #include <csignal>
@@ -58,7 +58,6 @@
 #include "harness/artifact_store.hh"
 #include "harness/experiment.hh"
 #include "harness/fleet.hh"
-#include "harness/parallel_sweep.hh"
 #include "harness/table.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
@@ -211,6 +210,57 @@ parseIntFlag(const std::string &flag, const std::string &text)
     return static_cast<int>(v);
 }
 
+/** A real-valued flag in [lo, hi], read with a full-string strtod:
+ *  "2GHz" or "abc" fails with the flag's own error instead of reading
+ *  as 2 or 0. */
+double
+parseRealFlag(const std::string &flag, const std::string &text,
+              double lo, double hi, const char *want)
+{
+    char *end = nullptr;
+    errno = 0;
+    double v = std::strtod(text.c_str(), &end);
+    if (text.empty() || errno != 0 || end != text.c_str() + text.size() ||
+        !(v >= lo && v <= hi))
+        mcd_fatal("%s needs %s, not '%s'", flag.c_str(), want,
+                  text.c_str());
+    return v;
+}
+
+/** `--freq`: a positive, finite frequency in Hz. */
+Hertz
+parseFreqFlag(const std::string &text)
+{
+    return parseRealFlag("--freq", text, DBL_MIN, DBL_MAX,
+                         "a positive frequency in Hz");
+}
+
+/** `--target-deg`: the oracle's degradation cap, a fraction. */
+double
+parseTargetDegFlag(const std::string &text)
+{
+    return parseRealFlag("--target-deg", text, 0.0, 1.0,
+                         "a fraction in [0, 1]");
+}
+
+/** One `--controllers` value: ';'-separated controller specs (commas
+ *  belong to the specs' own parameters); empty items are dropped. */
+std::vector<std::string>
+splitControllerList(const std::string &text)
+{
+    std::vector<std::string> items;
+    std::size_t pos = 0;
+    while (pos <= text.size()) {
+        std::size_t semi = text.find(';', pos);
+        if (semi == std::string::npos)
+            semi = text.size();
+        if (semi > pos)
+            items.push_back(text.substr(pos, semi - pos));
+        pos = semi + 1;
+    }
+    return items;
+}
+
 int
 pruneCli(const std::string &root, std::uint64_t max_bytes,
          std::int64_t max_age, std::int64_t tmp_age, bool json)
@@ -351,16 +401,13 @@ fleetCli(const std::vector<std::string> &names, int procs, int retries,
 int
 tournamentCli(const std::vector<std::string> &scenario_args,
               const std::vector<std::string> &controller_args,
-              double target_deg, int procs, int retries,
-              const std::string &store, bool warm_only, bool json)
+              double target_deg, const std::string &store, bool json)
 {
     TournamentOptions options;
     options.config = standardConfig();
     if (!store.empty())
         options.config.store = store; // --store overrides MCD_STORE
     options.targetDeg = target_deg;
-    options.procs = procs;
-    options.retries = retries;
 
     // Scenarios: explicit names (scenario-aware comma splitting), with
     // the "corpus" alias expanding to the standing adversarial corpus.
@@ -378,19 +425,8 @@ tournamentCli(const std::vector<std::string> &scenario_args,
         }
     }
 
-    // Controllers: each --controllers value holds ';'-separated
-    // controller specs (commas belong to the specs' own parameters).
     for (const auto &arg : controller_args) {
-        std::size_t pos = 0;
-        while (pos <= arg.size()) {
-            auto semi = arg.find(';', pos);
-            std::string item = arg.substr(
-                pos, semi == std::string::npos ? std::string::npos
-                                               : semi - pos);
-            pos = semi == std::string::npos ? arg.size() + 1
-                                            : semi + 1;
-            if (item.empty())
-                continue;
+        for (const auto &item : splitControllerList(arg)) {
             TournamentEntry entry;
             entry.label = item;
             entry.spec = parseControllerSpec(item);
@@ -400,42 +436,12 @@ tournamentCli(const std::vector<std::string> &scenario_args,
     if (options.controllers.empty())
         options.controllers = defaultTournamentEntries();
 
-    // The warming fleet re-invokes this binary, one scenario per
-    // worker, forwarding the controller arguments verbatim (defaults
-    // are deterministic, so forwarding nothing reproduces them).
-    if (procs > 1) {
-        options.makeWorker =
-            [&](const std::string &scenario) {
-                FleetTarget target;
-                target.name = scenario;
-                target.argv = {"/proc/self/exe", "tournament",
-                               "--warm-only",
-                               "--scenarios", scenario};
-                for (const auto &arg : controller_args) {
-                    target.argv.push_back("--controllers");
-                    target.argv.push_back(arg);
-                }
-                target.argv.push_back("--target-deg");
-                char deg[40];
-                std::snprintf(deg, sizeof(deg), "%.17g", target_deg);
-                target.argv.push_back(deg);
-                return target;
-            };
-    }
-
     TournamentResult result = runTournament(options);
-    if (warm_only) {
-        // Warming worker: the artifacts are in the shared store; the
-        // parent renders. Only the store line goes out (stderr).
-        reportStoreStats();
-        return 0;
-    }
-
     if (json) {
         // The shared renderer (also behind the daemon's `tournament`
         // verb) carries no cache counters, so stdout stays
-        // byte-identical between cold, warm, fleet, and served runs
-        // (CI diffs it); the counters go to stderr below.
+        // byte-identical between cold, warm, and served runs (CI
+        // diffs it); the counters go to stderr below.
         std::fputs(renderTournamentJson(options, result).c_str(),
                    stdout);
         reportStoreStats();
@@ -855,62 +861,6 @@ runRequestJson(const std::vector<std::string> &benches,
     return out;
 }
 
-/**
- * Drive one `run` request and collate the streamed results by index.
- * Returns false on transport failure or an `error` terminal; the
- * collated per-experiment payloads land in `payloads`.
- */
-bool
-collectRun(serve::ServeClient &client, const std::string &request,
-           std::vector<std::string> &payloads,
-           std::uint64_t &cold_units, std::uint64_t &warm_units,
-           std::string &error)
-{
-    std::map<std::uint64_t, std::string> by_index;
-    json::Value terminal;
-    if (!client.call(
-            request,
-            [&](const json::Value &event) {
-                if (event.getString("event") == "result")
-                    by_index[event.getU64("index", 0)] =
-                        event.getString("payload");
-            },
-            terminal, &error))
-        return false;
-    if (terminal.getString("event") != "done") {
-        error = terminal.getString("error", "request failed");
-        return false; // structured error from the daemon
-    }
-    for (auto &entry : by_index)
-        payloads.push_back(std::move(entry.second));
-    cold_units += terminal.getU64("cold_units", 0);
-    warm_units += terminal.getU64("warm_units", 0);
-    return true;
-}
-
-/**
- * Print the collated experiments document. The "experiments" block is
- * byte-identical to `mcd_cli run --json`'s for the same specs — the
- * payloads are the exact per-experiment entries — while the trailer is
- * daemon-side bookkeeping instead of process-local cache counters.
- */
-void
-printExperimentsDocument(const std::vector<std::string> &payloads,
-                         std::uint64_t cold_units,
-                         std::uint64_t warm_units)
-{
-    std::string out = "{\n  \"experiments\": [\n";
-    for (std::size_t i = 0; i < payloads.size(); ++i) {
-        out += payloads[i];
-        out += i + 1 < payloads.size() ? ",\n" : "\n";
-    }
-    out += "  ],\n  \"serve\": {\"results\": " +
-           json::u64(static_cast<std::uint64_t>(payloads.size())) +
-           ", \"cold_units\": " + json::u64(cold_units) +
-           ", \"warm_units\": " + json::u64(warm_units) + "}\n}\n";
-    std::fputs(out.c_str(), stdout);
-}
-
 int
 requestCli(const std::vector<std::string> &args)
 {
@@ -958,31 +908,18 @@ requestCli(const std::vector<std::string> &args)
                 mcd_fatal("--mode must be 'mcd' or 'sync', not '%s'",
                           mode.c_str());
         } else if (arg == "--freq") {
-            freq = std::strtod(value(i).c_str(), nullptr);
-            if (freq <= 0.0)
-                mcd_fatal("--freq needs a positive frequency in Hz");
+            freq = parseFreqFlag(value(i));
         } else if (arg == "--seed") {
-            seed = std::strtoull(value(i).c_str(), nullptr, 10);
+            seed = parseU64Flag("--seed", value(i));
             have_seed = true;
         } else if (arg == "--scenarios") {
             for (const auto &name : splitScenarioList(value(i)))
                 tournament_scenarios.push_back(name);
         } else if (arg == "--controllers") {
-            // Same ';'-separated grammar as `mcd_cli tournament`.
-            std::string v = value(i);
-            std::size_t pos = 0;
-            while (pos <= v.size()) {
-                auto semi = v.find(';', pos);
-                std::string item = v.substr(
-                    pos, semi == std::string::npos ? std::string::npos
-                                                   : semi - pos);
-                pos = semi == std::string::npos ? v.size() + 1
-                                                : semi + 1;
-                if (!item.empty())
-                    tournament_controllers.push_back(item);
-            }
+            for (const auto &item : splitControllerList(value(i)))
+                tournament_controllers.push_back(item);
         } else if (arg == "--target-deg") {
-            target_deg = std::strtod(value(i).c_str(), nullptr);
+            target_deg = parseTargetDegFlag(value(i));
             have_target_deg = true;
         } else if (arg == "--json") {
             // accepted for symmetry; request output is always JSON
@@ -1018,8 +955,9 @@ requestCli(const std::vector<std::string> &args)
         return 0;
     }
 
+    std::string request;
     if (op == "tournament") {
-        std::string request = "{\"op\": \"tournament\"";
+        request = "{\"op\": \"tournament\"";
         if (!tournament_scenarios.empty()) {
             request += ", \"scenarios\": [";
             bool first = true;
@@ -1043,102 +981,55 @@ requestCli(const std::vector<std::string> &args)
         if (have_target_deg)
             request += ", \"target_deg\": " + json::num(target_deg);
         request += "}";
+    } else {
+        request = runRequestJson(benches, controller, mode, freq, seed,
+                                 have_seed);
+    }
 
-        std::string payload;
-        json::Value terminal;
-        if (!client.call(
-                request,
-                [&](const json::Value &event) {
-                    if (event.getString("event") == "result")
-                        payload = event.getString("payload");
-                },
-                terminal, &error))
-            mcd_fatal("request failed: %s", error.c_str());
-        if (terminal.getString("event") != "done")
-            mcd_fatal("daemon: %s",
-                      terminal.getString("error", "request failed")
-                          .c_str());
+    // Both verbs stream `result` frames tagged with their submission
+    // index (a tournament sends one) and end with `done`. A `run` is
+    // one all-or-nothing unit batch, collated back into submission
+    // order here.
+    std::map<std::uint64_t, std::string> by_index;
+    json::Value terminal;
+    if (!client.call(
+            request,
+            [&](const json::Value &event) {
+                if (event.getString("event") == "result")
+                    by_index[event.getU64("index", 0)] =
+                        event.getString("payload");
+            },
+            terminal, &error))
+        mcd_fatal("request failed: %s", error.c_str());
+    if (terminal.getString("event") != "done")
+        mcd_fatal("daemon: %s",
+                  terminal.getString("error", "request failed").c_str());
+    if (op == "tournament") {
         // The payload is the exact `mcd_cli tournament --json` stdout.
-        std::fputs(payload.c_str(), stdout);
+        std::fputs(by_index[0].c_str(), stdout);
         return 0;
     }
+    if (by_index.size() != benches.size())
+        mcd_fatal("daemon: incomplete result stream");
 
-    std::vector<std::string> payloads;
-    std::uint64_t cold_units = 0;
-    std::uint64_t warm_units = 0;
-    if (!collectRun(client,
-                    runRequestJson(benches, controller, mode, freq,
-                                   seed, have_seed),
-                    payloads, cold_units, warm_units, error))
-        mcd_fatal("request failed: %s", error.c_str());
-    if (payloads.size() != benches.size())
-        mcd_fatal("daemon: %s", error.empty()
-                                    ? "incomplete result stream"
-                                    : error.c_str());
-    printExperimentsDocument(payloads, cold_units, warm_units);
-    return 0;
-}
-
-/**
- * fleet --socket: shard scenario targets across up to `procs`
- * concurrent client connections to one daemon instead of across
- * worker processes. Each target is one scenario name, dispatched as a
- * single-bench `run` on a connection of its own;
- * the per-experiment payloads are collated in submission order, so
- * stdout is byte-identical for any --procs (and its "experiments"
- * block matches `mcd_cli run --json --bench <all targets>`).
- */
-int
-fleetSocketCli(const std::vector<std::string> &names,
-               const std::string &socket, int procs)
-{
-    struct Slot
-    {
-        std::string payload;
-        std::string error;
-        std::uint64_t cold = 0;
-        std::uint64_t warm = 0;
-        bool ok = false;
-    };
-    std::vector<Slot> slots(names.size());
-    ParallelSweep(procs).forEach(slots.size(), [&](std::size_t i) {
-        Slot &slot = slots[i];
-        serve::ServeClient client;
-        std::vector<std::string> payloads;
-        if (!client.connect(socket, &slot.error))
-            return;
-        if (collectRun(client,
-                       runRequestJson({names[i]}, "", "mcd", 0.0, 0,
-                                      false),
-                       payloads, slot.cold, slot.warm, slot.error) &&
-            payloads.size() == 1) {
-            slot.payload = std::move(payloads[0]);
-            slot.ok = true;
-        } else if (slot.error.empty()) {
-            slot.error = "incomplete result stream";
-        }
-    });
-
-    std::size_t failed = 0;
-    std::uint64_t cold_units = 0;
-    std::uint64_t warm_units = 0;
-    std::vector<std::string> payloads;
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-        cold_units += slots[i].cold;
-        warm_units += slots[i].warm;
-        if (slots[i].ok) {
-            payloads.push_back(std::move(slots[i].payload));
-        } else {
-            ++failed;
-            std::fprintf(stderr, "fleet: %s failed: %s\n",
-                         names[i].c_str(), slots[i].error.c_str());
-        }
+    // The "experiments" block is byte-identical to `mcd_cli run
+    // --json`'s for the same specs (the payloads are the exact
+    // per-experiment entries); the trailer is daemon-side bookkeeping
+    // instead of process-local cache counters.
+    std::string out = "{\n  \"experiments\": [\n";
+    std::size_t left = by_index.size();
+    for (const auto &entry : by_index) {
+        out += entry.second;
+        out += --left > 0 ? ",\n" : "\n";
     }
-    printExperimentsDocument(payloads, cold_units, warm_units);
-    std::fprintf(stderr,
-                 "fleet socket: targets=%zu failed=%zu procs=%d\n",
-                 names.size(), failed, procs);
-    return failed == 0 ? 0 : 1;
+    out += "  ],\n  \"serve\": {\"results\": " +
+           json::u64(static_cast<std::uint64_t>(by_index.size())) +
+           ", \"cold_units\": " +
+           json::u64(terminal.getU64("cold_units", 0)) +
+           ", \"warm_units\": " +
+           json::u64(terminal.getU64("warm_units", 0)) + "}\n}\n";
+    std::fputs(out.c_str(), stdout);
+    return 0;
 }
 
 void
@@ -1172,17 +1063,11 @@ usage()
         "                                   garbage-collect the store\n"
         "  mcd_cli fleet <figure>[,<figure>...] [--procs <n>]\n"
         "              [--retries <n>] [--store <dir>] [--json]\n"
-        "              [--socket <path>]\n"
         "                                   shard figures across "
         "worker\n"
         "                                   processes "
         "sharing\n"
-        "                                   one store; with --socket, "
-        "shard\n"
-        "                                   scenario targets across "
-        "client\n"
-        "                                   connections to a serve "
-        "daemon\n"
+        "                                   one store\n"
         "  mcd_cli profile <scenario> [--controller <spec>] [--json]\n"
         "                                   run one experiment with "
         "the\n"
@@ -1221,10 +1106,11 @@ usage()
         "                                   daemon; run results are\n"
         "                                   byte-identical to "
         "`mcd_cli run`\n"
+        "                                   (one all-or-nothing batch,\n"
+        "                                   bounded by --max-inflight)\n"
         "  mcd_cli tournament [--scenarios <name>[,...]|corpus]...\n"
         "              [--controllers <spec>[;<spec>...]]...\n"
-        "              [--target-deg <frac>] [--procs <n>]\n"
-        "              [--retries <n>] [--store <dir>] [--json]\n"
+        "              [--target-deg <frac>] [--store <dir>] [--json]\n"
         "                                   oracle-regret tournament: "
         "score\n"
         "                                   controllers x scenarios "
@@ -1257,8 +1143,6 @@ usage()
         "  mcd_cli serve --socket /tmp/mcd.sock --store "
         "/tmp/mcd-store &\n"
         "  mcd_cli request --socket /tmp/mcd.sock --bench gsm,mcf\n"
-        "  mcd_cli fleet gsm,mcf,adpcm --socket /tmp/mcd.sock "
-        "--procs 3\n"
         "  mcd_cli request --socket /tmp/mcd.sock --shutdown\n"
         "\n"
         "environment: MCD_INSNS, MCD_WARMUP, MCD_INTERVAL, MCD_JOBS,\n"
@@ -1304,7 +1188,6 @@ main(int argc, char **argv)
     bool do_prune = false;
     bool do_fleet = false;
     bool do_tournament = false;
-    bool warm_only = false;
     std::vector<std::string> benches;
     std::vector<std::string> fleet_targets;
     std::vector<std::string> tournament_scenarios;
@@ -1316,7 +1199,6 @@ main(int argc, char **argv)
     std::uint64_t seed = 0;
     bool have_seed = false;
     std::string store; // --store; "" defers to MCD_STORE
-    std::string fleet_socket; // fleet --socket: serve-daemon mode
     // Fleet worker processes. Deliberately defaults to serial: each
     // worker is itself fully multithreaded (MCD_JOBS), so fanning out
     // processes is an explicit --procs opt-in, not an ambient default.
@@ -1351,20 +1233,14 @@ main(int argc, char **argv)
         } else if (arg == "--controllers") {
             tournament_controllers.push_back(value(i));
         } else if (arg == "--target-deg") {
-            char *end = nullptr;
-            std::string v = value(i);
-            target_deg = std::strtod(v.c_str(), &end);
-            if (v.empty() || end != v.c_str() + v.size() ||
-                target_deg < 0.0 || target_deg > 1.0)
-                mcd_fatal("--target-deg needs a fraction in [0, 1], "
-                          "not '%s'", v.c_str());
-        } else if (arg == "--warm-only") {
-            warm_only = true;
-        } else if (arg == "--procs") {
+            target_deg = parseTargetDegFlag(value(i));
+        } else if (do_fleet && arg == "--procs") {
+            // Worker processes are fleet's alone; every in-process
+            // batch (run, figure, tournament) is as wide as MCD_JOBS.
             procs = parseIntFlag("--procs", value(i));
             if (procs < 1)
                 mcd_fatal("--procs needs a positive worker count");
-        } else if (arg == "--retries") {
+        } else if (do_fleet && arg == "--retries") {
             retries = parseIntFlag("--retries", value(i));
         } else if (arg == "--max-bytes") {
             max_bytes = parseU64Flag("--max-bytes", value(i));
@@ -1375,17 +1251,8 @@ main(int argc, char **argv)
             tmp_age = static_cast<std::int64_t>(
                 parseU64Flag("--tmp-age", value(i)));
         } else if (do_fleet && !arg.empty() && arg[0] != '-') {
-            // Scenario-aware splitting: identical to splitList for
-            // figure targets (no ':' in their names), and it keeps a
-            // `synthetic:` scenario's knobs together for --socket
-            // mode, where targets are scenario names.
-            for (const auto &name : splitScenarioList(arg))
+            for (const auto &name : splitList(arg))
                 fleet_targets.push_back(name);
-        } else if (arg == "--socket") {
-            fleet_socket = value(i);
-            if (!do_fleet)
-                mcd_fatal("--socket only applies to fleet (or the "
-                          "serve/request subcommands)");
         } else if (arg == "--store") {
             store = value(i);
             if (store.empty())
@@ -1410,11 +1277,9 @@ main(int argc, char **argv)
                 mcd_fatal("--mode must be 'mcd' or 'sync', not '%s'",
                           v.c_str());
         } else if (arg == "--freq") {
-            freq = std::strtod(value(i).c_str(), nullptr);
-            if (freq <= 0.0)
-                mcd_fatal("--freq needs a positive frequency in Hz");
+            freq = parseFreqFlag(value(i));
         } else if (arg == "--seed") {
-            seed = std::strtoull(value(i).c_str(), nullptr, 10);
+            seed = parseU64Flag("--seed", value(i));
             have_seed = true;
         } else if (arg == "--help" || arg == "-h") {
             usage();
@@ -1433,24 +1298,14 @@ main(int argc, char **argv)
         return runExperimentsCli(benches, controller, mode, freq, seed,
                                  have_seed, store, json);
     }
-    if (do_tournament) {
-        // Workers share the parent's store; resolve the root here so
-        // the fleet env and the parent's cache agree on it.
-        std::string root =
-            store.empty() ? standardConfig().store : store;
+    if (do_tournament)
         return tournamentCli(tournament_scenarios,
-                             tournament_controllers, target_deg, procs,
-                             retries, root, warm_only, json);
-    }
+                             tournament_controllers, target_deg, store,
+                             json);
     if (do_fleet) {
         if (fleet_targets.empty())
             mcd_fatal("fleet needs at least one target "
                       "(e.g. fleet fig5,table6)");
-        // Socket mode: targets are scenario names, dispatched to a
-        // running serve daemon over --procs connections instead of
-        // spawning worker processes.
-        if (!fleet_socket.empty())
-            return fleetSocketCli(fleet_targets, fleet_socket, procs);
         // Workers inherit MCD_STORE unless --store overrides; resolve
         // here so the merged report and the children agree on the root.
         std::string root =

@@ -19,10 +19,10 @@ namespace
 /** One scenario's column: profile, oracle, one trace per entry. */
 std::vector<TournamentCell>
 scoreScenario(const std::string &scenario,
-              const TournamentOptions &options)
+              const TournamentOptions &options, ArtifactCache &cache)
 {
     const RunnerConfig &config = options.config;
-    Runner runner(config);
+    Runner runner(config, cache);
 
     std::vector<IntervalProfile> profile;
     SimStats base = runner.runMcdBaseline(scenario, &profile);
@@ -53,7 +53,7 @@ scoreScenario(const std::string &scenario,
         spec.controller = entry.spec;
         spec.oracle = schedule;
         spec.config = config;
-        EvalTrace trace = ArtifactCache::instance().getOrRun(spec);
+        EvalTrace trace = cache.getOrRun(spec);
 
         TournamentCell cell;
         cell.scenario = scenario;
@@ -153,7 +153,7 @@ defaultTournamentEntries()
 }
 
 TournamentResult
-runTournament(const TournamentOptions &options)
+runTournament(const TournamentOptions &options, ArtifactCache &cache)
 {
     if (options.scenarios.empty())
         mcd_fatal("tournament needs at least one scenario");
@@ -168,38 +168,15 @@ runTournament(const TournamentOptions &options)
             mcd_fatal("unknown controller '%s' (try: mcd_cli list)",
                       entry.spec.name.c_str());
 
-    // Fleet warming: worker processes fill the shared store with
-    // disjoint scenario columns; the parent then reads everything
-    // back from it. A failed worker only costs its unwritten
-    // artifacts — the parent recomputes whatever is missing, so the
-    // result is identical either way.
-    if (options.procs > 1 && options.makeWorker) {
-        if (options.config.store.empty())
-            mcd_fatal("tournament --procs %d needs a shared --store",
-                      options.procs);
-        std::vector<FleetTarget> targets;
-        for (const auto &scenario : options.scenarios)
-            targets.push_back(options.makeWorker(scenario));
-        FleetOptions fleet;
-        fleet.procs = options.procs;
-        fleet.retries = options.retries;
-        fleet.store = options.config.store;
-        FleetReport report = runFleet(targets, fleet);
-        for (const FleetResult &target : report.targets)
-            if (!target.succeeded)
-                mcd_warn("tournament warm worker '%s' failed (exit "
-                         "%d); recomputing in-process",
-                         target.name.c_str(), target.exitCode);
-    }
-
-    // Scenario columns fan out across the sweep workers; each column
-    // is serial inside. Collation is in scenario order, controllers
-    // in entry order within a column, so the cell list is
-    // deterministic for any worker count.
+    // Scenario columns fan out across the shared pool; each column's
+    // offline search nests its probe batch on the same pool.
+    // Collation is in scenario order, controllers in entry order
+    // within a column, so the cell list is deterministic for any
+    // worker count.
     ParallelSweep sweep(options.config.jobs);
     auto columns = sweep.map<std::vector<TournamentCell>>(
         options.scenarios.size(), [&](std::size_t i) {
-            return scoreScenario(options.scenarios[i], options);
+            return scoreScenario(options.scenarios[i], options, cache);
         });
 
     TournamentResult result;
@@ -345,8 +322,8 @@ renderTournamentJson(const TournamentOptions &options,
         out += i + 1 < result.standings.size() ? ",\n" : "\n";
     }
     // No cache counters: tournament stdout stays byte-identical
-    // between cold, warm, fleet, and served runs (CI diffs it); the
-    // counters travel separately (stderr / the daemon's stats reply).
+    // between cold, warm, and served runs at any width (CI diffs it);
+    // the counters travel separately (stderr / the daemon's stats reply).
     out += "    ]\n  }\n}\n";
     return out;
 }

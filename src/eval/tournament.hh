@@ -6,14 +6,15 @@
  * tracking regret, reaction latency, outcome gaps; src/eval/regret.hh)
  * and rank the controllers in a deterministic league table.
  *
- * Every product resolves through the process-wide ArtifactCache —
- * the profiling pass and baseline per scenario, the whole offline
- * search, and one EvalTrace per cell — so a warm store replays an
- * entire tournament with zero simulations and byte-identical output.
- * With `procs > 1` and a shared store, a warming fleet of worker
- * processes (harness/fleet.hh) computes disjoint scenario slices
- * first; the parent then assembles the table entirely from the store,
- * which is why the output is byte-identical for any process count.
+ * Every product resolves through the caller's ArtifactCache (the
+ * process-wide instance by default, a serve daemon's own cache when
+ * it runs the tournament) — the profiling pass and baseline per
+ * scenario, the whole offline search, and one EvalTrace per cell — so
+ * a warm store replays an entire tournament with zero simulations and
+ * byte-identical output. Scenario columns fan out over
+ * `config.jobs` workers of the shared pool like every other batch,
+ * and the collation order is fixed, so the output is byte-identical
+ * for any width.
  *
  * The standing adversarial corpus (`adversarialCorpus()`) is the
  * controller-regression suite: regime-switching `synthetic:` inputs
@@ -24,12 +25,10 @@
 #ifndef MCD_EVAL_TOURNAMENT_HH
 #define MCD_EVAL_TOURNAMENT_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "eval/regret.hh"
-#include "harness/fleet.hh"
 
 namespace mcd
 {
@@ -50,23 +49,9 @@ struct TournamentOptions
     /** Degradation cap the offline oracle is tuned to. */
     double targetDeg = 0.05;
 
-    /** Methodology + machine; `store` enables cross-process reuse. */
+    /** Methodology + machine; `jobs` is the fan-out width and
+     *  `store` enables cross-process reuse. */
     RunnerConfig config;
-
-    /** Warming worker processes (1 = in-process only). > 1 requires
-     *  `config.store` and `makeWorker`. */
-    int procs = 1;
-
-    /** Respawns per warming worker after a crash. */
-    int retries = 1;
-
-    /**
-     * Builds the warming fleet target for one scenario: a process
-     * that computes that scenario's column of the tournament against
-     * the shared store (e.g. `mcd_cli tournament --scenarios <s>
-     * --warm-only`). Unset disables the fleet path.
-     */
-    std::function<FleetTarget(const std::string &scenario)> makeWorker;
 
     /** Flip/tolerance thresholds; `skipIntervals` is derived from the
      *  warm-up window, not taken from here. */
@@ -113,12 +98,14 @@ std::vector<std::string> adversarialCorpus();
  *  sluggish Attack/Decay variant, and the uncontrolled baseline. */
 std::vector<TournamentEntry> defaultTournamentEntries();
 
-/** Run the full cross-product; deterministic for any worker/process
- *  count. Fatal on unknown scenario or controller names. */
-TournamentResult runTournament(const TournamentOptions &options);
+/** Run the full cross-product through `cache`; deterministic for any
+ *  worker count. Fatal on unknown scenario or controller names. */
+TournamentResult runTournament(
+    const TournamentOptions &options,
+    ArtifactCache &cache = ArtifactCache::instance());
 
 /** Render the per-cell table + league table as text (mcd_cli's
- *  non-JSON output; byte-stable across runs and process counts). */
+ *  non-JSON output; byte-stable across runs and worker counts). */
 std::string renderTournament(const TournamentResult &result);
 
 /**
@@ -126,7 +113,7 @@ std::string renderTournament(const TournamentResult &result);
  * renderer behind `mcd_cli tournament --json` and the serve daemon's
  * `tournament` verb, so a served tournament reply is byte-identical
  * to the direct CLI's stdout. Deliberately carries no cache counters:
- * the document stays byte-stable between cold, warm, and fleet runs.
+ * the document stays byte-stable between cold, warm, and served runs.
  */
 std::string renderTournamentJson(const TournamentOptions &options,
                                  const TournamentResult &result);

@@ -2,9 +2,8 @@
  * @file
  * Client side of the serve protocol: connect to a daemon's socket,
  * exchange framed JSON, and drive one request/reply-stream cycle.
- * This is the seam `mcd_cli request` and `mcd_cli fleet --socket` are
- * built on, and what an external tool would embed to talk to a
- * daemon without shelling out.
+ * This is the seam `mcd_cli request` is built on, and what an
+ * external tool would embed to talk to a daemon without shelling out.
  */
 
 #ifndef MCD_SERVE_CLIENT_HH

@@ -684,15 +684,12 @@ Server::handleTournament(const std::shared_ptr<Connection> &conn,
 
     // The tournament runs on this connection thread: it is a batch
     // product with its own internal parallelism (nested sweeps via
-    // config.jobs), not a streamable unit list. Its eval machinery
-    // resolves through ArtifactCache::instance() regardless of any
-    // injected cache, so cold/warm classification reads that.
+    // config.jobs), not a streamable unit list.
     std::string out;
     try {
-        ArtifactCache &global = ArtifactCache::instance();
-        std::uint64_t sims_before = global.simulationsRun();
-        TournamentResult result = runTournament(opts);
-        bool cold = global.simulationsRun() > sims_before;
+        std::uint64_t sims_before = cache().simulationsRun();
+        TournamentResult result = runTournament(opts, cache());
+        bool cold = cache().simulationsRun() > sims_before;
         out = "{\"event\": \"result\", \"index\": 0, \"benchmark\": "
               "\"tournament\", \"cold\": " +
               std::string(cold ? "true" : "false") +

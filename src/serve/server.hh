@@ -92,9 +92,9 @@ struct ServeOptions
      *  the persistent layer (the `--store` flag funnels in here). */
     RunnerConfig config;
 
-    /** Cache to serve from; nullptr = ArtifactCache::instance().
-     *  Tests inject private instances; note the `tournament` verb's
-     *  eval machinery always resolves through instance(). */
+    /** Cache every verb serves from (runs and tournaments alike);
+     *  nullptr = ArtifactCache::instance(). Tests inject private
+     *  instances. */
     ArtifactCache *cache = nullptr;
 
     /** JSONL request-trace path (`--events` / MCD_EVENTS). Every

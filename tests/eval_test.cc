@@ -2,10 +2,11 @@
  * @file
  * Tests for the controller stress lab (src/eval/): golden-value regret
  * metrics on a hand-constructed two-regime trace, EvalTrace artifact
- * round-trips and caching (memory, disk, cross-"process"), and — by
- * re-executing this binary as fleet workers (EvalWorker.Run below) —
- * the tournament determinism contract: a 2-process warming fleet plus
- * a render pass produces byte-identical league tables to a serial
+ * round-trips and caching (memory, disk, cross-"process"), and the
+ * tournament determinism contract: any worker count renders the same
+ * bytes, and — by re-executing this binary as fleet workers
+ * (EvalWorker.Run below) — two processes warming one shared store plus
+ * a render pass produce byte-identical league tables to a serial
  * run, and the warm render executes zero simulations. Also pins the
  * stress lab's reason to exist: an adversarial scenario separates
  * Attack/Decay from the offline oracle further than a paper app does.
@@ -340,6 +341,31 @@ TEST(Tournament, AdversarialScenarioSeparatesAttackDecayFromOracle)
     const TournamentCell &paper = result.cells[1];
     EXPECT_GT(adversarial.regret.edpGap, paper.regret.edpGap);
     EXPECT_GT(adversarial.regret.edpGap, 0.0);
+}
+
+/**
+ * Width never changes a tournament: the same two scenarios at
+ * `jobs = 1` and `jobs = 4`, each side simulating on a private cache,
+ * render byte-identical JSON.
+ */
+TEST(Tournament, WidthNeverChangesResults)
+{
+    TournamentOptions options;
+    options.scenarios = {"synthetic:square=1000,mem=0.5",
+                         "synthetic:markov=8,mem=0.5"};
+    options.controllers = defaultTournamentEntries();
+    options.config = tinyConfig();
+
+    ArtifactCache serial_cache;
+    TournamentResult serial = runTournament(options, serial_cache);
+    options.config.jobs = 4;
+    ArtifactCache wide_cache;
+    TournamentResult wide = runTournament(options, wide_cache);
+
+    EXPECT_GT(serial_cache.simulationsRun(), 0u);
+    EXPECT_GT(wide_cache.simulationsRun(), 0u);
+    EXPECT_EQ(renderTournamentJson(options, serial),
+              renderTournamentJson(options, wide));
 }
 
 // ------------------------------------- tournament fleet determinism

@@ -3,7 +3,8 @@
  * The serve subsystem under test: framed-protocol edge cases, the
  * daemon's request handling (validation errors as structured replies,
  * admission control, clean shutdown), byte-identity of served results
- * against the direct renderer, and the headline cross-client
+ * against the direct renderers (runs and tournaments, each served from
+ * the daemon's own cache), and the headline cross-client
  * guarantee — two concurrent clients requesting the same uncached
  * spec cost exactly one simulation.
  */
@@ -27,6 +28,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "control/controller_registry.hh"
+#include "eval/tournament.hh"
 #include "harness/experiment.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
@@ -690,4 +692,38 @@ TEST(ServeDaemon, ShutdownDrainsAdmittedUnits)
     latch.release();
     daemon.join();
     EXPECT_EQ(1u, daemon.cache().simulationsRun());
+}
+
+TEST(ServeDaemon, TournamentVerbUsesTheDaemonCache)
+{
+    // A served tournament resolves every product through the daemon's
+    // cache (and so its disk store), never the process-wide instance.
+    TestDaemon daemon("tournament");
+    std::uint64_t global_before =
+        ArtifactCache::instance().simulationsRun();
+    ServeClient client;
+    connectTo(client, daemon.path());
+    RunReply reply = runRequest(
+        client, "{\"op\": \"tournament\", \"scenarios\": "
+                "[\"synthetic:square=1000,mem=0.5\", "
+                "\"synthetic:markov=8,mem=0.5\"], "
+                "\"controllers\": [\"attack_decay\"]}");
+    ASSERT_TRUE(reply.transport_ok);
+    ASSERT_EQ("done", reply.terminal.getString("event"));
+    ASSERT_EQ(1u, reply.payloads.size());
+    EXPECT_TRUE(reply.cold[0]);
+    EXPECT_GT(daemon.cache().simulationsRun(), 0u);
+    EXPECT_EQ(global_before, ArtifactCache::instance().simulationsRun());
+
+    // Byte-identical to the shared renderer over a direct run.
+    TournamentOptions options;
+    options.scenarios = {"synthetic:square=1000,mem=0.5",
+                         "synthetic:markov=8,mem=0.5"};
+    options.controllers = {
+        {"attack_decay", parseControllerSpec("attack_decay")}};
+    options.config = testConfig();
+    ArtifactCache fresh;
+    EXPECT_EQ(renderTournamentJson(options,
+                                   runTournament(options, fresh)),
+              reply.payloads[0]);
 }
